@@ -43,10 +43,9 @@ MultiPrioScheduler::MultiPrioScheduler(SchedContext ctx, MultiPrioConfig config)
 // tools/lint.sh rule 3: every mention of a shard mutex carries the
 // `shard-lock(asc)` tag, and multi-shard acquisition happens only through
 // AscendingShardLocks, which sorts its set — so src/core/ can never take two
-// node locks out of ascending order. Both helpers are no-ops in coarse mode.
+// node locks out of ascending order.
 
 void MultiPrioScheduler::lock_shard(std::size_t mi) const {
-  if (!cfg_.sharded) return;
   Mutex& mu = shards_[mi].order_mu;  // shard-lock(asc)
   if (m_lock_wait_ == nullptr) {
     mu.lock();
@@ -63,11 +62,6 @@ void MultiPrioScheduler::lock_shard(std::size_t mi) const {
   m_lock_wait_->observe(std::max(0.0, sync_now_seconds() - t0));
 }
 
-void MultiPrioScheduler::unlock_shard(std::size_t mi) const {
-  if (!cfg_.sharded) return;
-  shards_[mi].order_mu.unlock();  // shard-lock(asc)
-}
-
 MultiPrioScheduler::AscendingShardLocks::AscendingShardLocks(
     const MultiPrioScheduler& s, std::vector<std::size_t> shards)
     : s_(s), shards_(std::move(shards)) {
@@ -78,7 +72,7 @@ MultiPrioScheduler::AscendingShardLocks::AscendingShardLocks(
 
 MultiPrioScheduler::AscendingShardLocks::~AscendingShardLocks() {
   for (auto it = shards_.rbegin(); it != shards_.rend(); ++it)
-    s_.unlock_shard(*it);
+    s_.shards_[*it].order_mu.unlock();  // shard-lock(asc)
 }
 
 std::vector<std::size_t> MultiPrioScheduler::all_shard_indices() const {
@@ -112,7 +106,7 @@ void MultiPrioScheduler::sample_heap_depth(MemNodeId m, double time) {
 }
 
 void MultiPrioScheduler::notify_shard(std::size_t mi, std::size_t inserted) {
-  if (!cfg_.sharded || inserted == 0) return;
+  if (inserted == 0) return;
   // Waiter-gated targeted wakeup: only the node that received work is
   // notified, and only when a worker is actually parked there. Safe against
   // lost wakeups: waiters is written under the shard lock and the epoch was
@@ -130,7 +124,6 @@ void MultiPrioScheduler::notify_shard(std::size_t mi, std::size_t inserted) {
 }
 
 void MultiPrioScheduler::notify_one_waiter(const std::vector<std::size_t>& eligible) {
-  if (!cfg_.sharded) return;
   // A newly-pushed task is a single unit of work duplicated across shards:
   // wake one waiter on the first eligible shard with no worker free to
   // absorb it, and stop. A worker that is neither parked nor inside a
@@ -476,7 +469,7 @@ std::optional<TaskId> MultiPrioScheduler::pop(WorkerId w) {
     pop_rejects_.fetch_add(1);
     evictions_.fetch_add(1);
     // Heap removal before the events so heap_depth reports the post-evict
-    // depth, as the coarse protocol always did.
+    // depth.
     shards_[m.index()].heap.remove(t);
     if (ctx_.observer != nullptr) {
       SchedEvent e;
@@ -497,7 +490,7 @@ std::optional<TaskId> MultiPrioScheduler::pop(WorkerId w) {
       sample_heap_depth(m, e.time);
     }
   }
-  if (!skip_lock) unlock_shard(m.index());
+  if (!skip_lock) shards_[m.index()].order_mu.unlock();  // shard-lock(asc)
   return out;
 }
 
@@ -617,7 +610,6 @@ void MultiPrioScheduler::wait_for_work(WorkerId w, std::uint64_t seen,
                                        double timeout_s,
                                        const std::function<bool()>& cancel) {
   MP_CHECK(w.index() < ctx_.platform->num_workers());
-  if (!cfg_.sharded) return;
   Shard& sh = shards_[ctx_.platform->worker(w).node.index()];
   std::unique_lock<Mutex> lk(sh.order_mu);  // shard-lock(asc)
   // Lost-wakeup-free: `seen` was read before the caller's failed pop, the
@@ -635,7 +627,6 @@ void MultiPrioScheduler::wait_for_work(WorkerId w, std::uint64_t seen,
 
 void MultiPrioScheduler::interrupt_waiters() {
   MP_CHECK(num_shards_ > 0);
-  if (!cfg_.sharded) return;
   for (std::size_t mi = 0; mi < num_shards_; ++mi) shards_[mi].cv.notify_all();
   if (m_wakeups_ != nullptr) m_wakeups_->inc();
 }
@@ -664,7 +655,6 @@ bool MultiPrioScheduler::verify_quiescent() const {
 
 std::vector<const Mutex*> MultiPrioScheduler::verify_shard_mutexes() const {
   std::vector<const Mutex*> out;
-  if (!cfg_.sharded) return out;
   out.reserve(num_shards_);
   for (std::size_t mi = 0; mi < num_shards_; ++mi)
     out.push_back(&shards_[mi].order_mu);  // shard-lock(asc)
@@ -677,9 +667,9 @@ bool MultiPrioScheduler::check_invariants(std::string* why) const {
     if (why != nullptr) *why = msg;
     return false;
   };
-  // Quiescent audit: take every shard lock in ascending order (no-op in
-  // coarse mode; uncontended passthrough locks inside an explorer probe,
-  // which only runs once verify_quiescent() said nobody holds a shard).
+  // Quiescent audit: take every shard lock in ascending order (uncontended
+  // passthrough locks inside an explorer probe, which only runs once
+  // verify_quiescent() said nobody holds a shard).
   AscendingShardLocks locks(*this, all_shard_indices());
   const std::size_t n_nodes = num_shards_;
 

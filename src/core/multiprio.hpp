@@ -9,16 +9,15 @@
 // time on this worker; otherwise the task is evicted from this node's heap
 // (it always survives in the best architecture's heaps).
 //
-// Sharded locking (the default, cfg.sharded): the per-node heaps that the
+// Sharded locking (SchedConcurrency::Internal): the per-node heaps that the
 // paper introduces for locality double as *lock shards*. Each memory node
 // owns one mp::Mutex + mp::CondVar; a POP on node m touches only m's lock,
 // a PUSH takes the (few) target-node locks in ascending-node order, and the
 // cross-shard state — the per-task taken flag, the per-record live-node
 // mask, ready counters and the best_remaining_work ledger — lives in
-// RelaxedAtomics whose single commit point is the Pending→Taken CAS. With
-// cfg.sharded = false every lock helper is a no-op and the caller must
-// serialize all calls (the historical coarse contract); both modes run the
-// byte-identical decision code.
+// RelaxedAtomics whose single commit point is the Pending→Taken CAS. The
+// single-lock baseline ("multiprio-coarse") is this policy wrapped in a
+// SerializedScheduler; the decision code is the same.
 #pragma once
 
 #include <array>
@@ -59,9 +58,6 @@ struct MultiPrioConfig {
   /// its GPUs — see bench_ablation_multiprio); per-worker normalization is
   /// the behaviour consistent with the paper's results and is the default.
   bool normalize_brw_by_workers = true;
-  /// Per-memory-node locking (SchedConcurrency::Internal). Off = the
-  /// historical externally-serialized contract ("multiprio-coarse").
-  bool sharded = true;
 };
 
 class MultiPrioScheduler final : public Scheduler {
@@ -97,22 +93,17 @@ class MultiPrioScheduler final : public Scheduler {
   void on_task_end(TaskId t, WorkerId w) override;
 
   [[nodiscard]] SchedConcurrency concurrency() const override {
-    return cfg_.sharded ? SchedConcurrency::Internal
-                        : SchedConcurrency::ExternalLock;
+    return SchedConcurrency::Internal;
   }
   [[nodiscard]] std::uint64_t work_epoch(WorkerId w) const override;
   void wait_for_work(WorkerId w, std::uint64_t seen, double timeout_s,
                      const std::function<bool()>& cancel) override;
   void interrupt_waiters() override;
 
-  [[nodiscard]] std::string name() const override {
-    return cfg_.sharded ? "multiprio" : "multiprio-coarse";
-  }
+  [[nodiscard]] std::string name() const override { return "multiprio"; }
   [[nodiscard]] std::size_t pending_count() const override {
     return pending_.load();
   }
-  /// NOT thread-safe against sharded pushes/pops (reads the heap without the
-  /// shard lock); meant for single-threaded engines (SimEngine).
   [[nodiscard]] bool has_work_hint(WorkerId w) const override {
     return !shards_[ctx_.platform->worker(w).node.index()].heap.empty();
   }
@@ -136,7 +127,7 @@ class MultiPrioScheduler final : public Scheduler {
   /// Full structural-consistency audit of the scheduler state — the oracle
   /// the interleaving explorer evaluates at every quiescent point, and a
   /// post-run check for tests. Takes every shard lock in ascending order
-  /// (no-op when coarse or probing), then verifies in O(pending × nodes):
+  /// (uncontended when probing), then verifies in O(pending × nodes):
   ///  - pending_count() == number of Pending tasks, none of them Taken;
   ///  - every pending task sits in ≥ 1 heap, exactly the heaps its record's
   ///    live-node mask names, and its best_remaining_work credits were
@@ -212,9 +203,8 @@ class MultiPrioScheduler final : public Scheduler {
 
   // The ONLY ways scheduler code may acquire shard locks (enforced by
   // tools/lint.sh rule 3): one shard, or a set of shards in ascending node
-  // order. Both are no-ops in coarse mode.
+  // order.
   void lock_shard(std::size_t mi) const;
-  void unlock_shard(std::size_t mi) const;
   /// RAII over an ascending set of shard indices (sorted by the ctor).
   class AscendingShardLocks {
    public:
@@ -253,7 +243,7 @@ class MultiPrioScheduler final : public Scheduler {
 
   /// Commit a pop: Pending→Taken CAS, retire ready counts and brw credits,
   /// remove the entry from `from_node`'s heap. Returns false when a racing
-  /// taker won the CAS (sharded mode only) — the caller reselects.
+  /// taker won the CAS — the caller reselects.
   [[nodiscard]] bool try_take(TaskId t, MemNodeId from_node, ArchType taker);
 
   /// Algorithm 1 for one task; requires every target shard lock held (the
@@ -298,7 +288,7 @@ class MultiPrioScheduler final : public Scheduler {
   void sample_heap_depth(MemNodeId m, double time);
   void notify_shard(std::size_t mi, std::size_t inserted);
   /// Single-wake notify for one pushed task: first eligible shard with a
-  /// parked worker, ascending order. No-op in coarse mode.
+  /// parked worker, ascending order.
   void notify_one_waiter(const std::vector<std::size_t>& eligible);
   Counter* m_stale_discards_ = nullptr;   ///< lazily dropped taken duplicates
   Counter* m_window_scans_ = nullptr;     ///< pops that ran the locality window

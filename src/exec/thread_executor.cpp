@@ -10,8 +10,8 @@
 #include "core/multiprio.hpp"
 #include "obs/metrics.hpp"
 #include "obs/observer.hpp"
+#include "runtime/serialized_scheduler.hpp"
 #include "verify/controller.hpp"
-#include "verify/mutation.hpp"
 #include "verify/sync.hpp"
 
 namespace mp {
@@ -47,19 +47,17 @@ ExecResult ThreadExecutor::run(const ExecSchedulerFactory& make_scheduler,
   // builds, controlled by the interleaving explorer under MP_VERIFY.
   //
   // Lock hierarchy (DESIGN.md §12): mu → push_mu → shard locks (ascending)
-  // → leaves. `mu` guards the engine bookkeeping (deps, executed/attempts,
-  // abandonment, liveness flips, memory placement); `push_mu` serializes
-  // the push side of an internally-locked policy (push/push_batch/repush/
-  // notify_worker_removed) and the HistoryModel writes its readers key off.
+  // → leaves. `mu` guards the engine bookkeeping (deps, taken/attempts,
+  // abandonment, memory placement); `push_mu` serializes the push side of
+  // the policy (push/push_batch/repush/notify_worker_removed), the liveness
+  // flips and the HistoryModel writes its readers key off. A mutex-free
+  // policy is wrapped in a SerializedScheduler that takes push_mu for every
+  // other call too.
   Mutex mu;
   Mutex push_mu;
-  CondVar cv;
-  std::uint64_t state_version = 0;
-  std::size_t completed = 0;
-  std::size_t abandoned = 0;
-  // completed + abandoned, readable without `mu` (internal-mode loop
-  // condition and wait_for_work cancel predicate; a stale read only costs
-  // one extra failed pop).
+  // Executed + abandoned tasks, readable without `mu` (loop condition and
+  // wait_for_work cancel predicate; a stale read only costs one extra
+  // failed pop).
   RelaxedAtomic<std::size_t> finished{0};
   const std::size_t total = graph_.num_tasks();
   const double t0 = sync_now_seconds();
@@ -74,6 +72,7 @@ ExecResult ThreadExecutor::run(const ExecSchedulerFactory& make_scheduler,
   ctx.prefetch = nullptr;  // no timed links in real mode
   ctx.liveness = &liveness;
   ctx.observer = config.observer;
+  ctx.push_mu = &push_mu;
   // Resolve the pop-latency instrument once; per-pop timing is taken only
   // when it resolved (no steady_clock reads on the observer-free path).
   // The registry itself is kept around for the per-(codelet, arch) model
@@ -82,19 +81,23 @@ ExecResult ThreadExecutor::run(const ExecSchedulerFactory& make_scheduler,
       config.observer != nullptr ? config.observer->metrics() : nullptr;
   Histogram* pop_latency =
       metrics != nullptr ? &metrics->histogram("exec.pop_latency_s") : nullptr;
-  std::unique_ptr<Scheduler> sched = make_scheduler(std::move(ctx));
+  std::unique_ptr<Scheduler> sched = make_scheduler(ctx);
   MP_CHECK(sched != nullptr);
-  // Internally-locked policies (sharded MultiPrio) take the thin-lock
-  // protocol below; everything else keeps the historical coarse lock.
-  const bool internal = sched->concurrency() == SchedConcurrency::Internal;
+  // One locking contract: a policy that does no locking of its own gets the
+  // Internal contract from the adapter.
+  if (sched->concurrency() == SchedConcurrency::ExternalLock)
+    sched = std::make_unique<SerializedScheduler>(ctx, std::move(sched));
 
 #ifdef MP_VERIFY
   // Structural-invariant oracle: evaluated on every release of a probed
   // mutex during an active exploration (no-op otherwise). check_invariants()
   // itself takes every shard lock, so it must only run when no suspended
-  // thread holds one — verify_quiescent() gates the sharded case (always
-  // true for the coarse policy, whose shard locks are never taken).
-  auto* probed_multiprio = dynamic_cast<MultiPrioScheduler*>(sched.get());
+  // thread holds one — verify_quiescent() gates it. A MultiPrio behind the
+  // adapter ("multiprio-coarse") is probed through it.
+  Scheduler* probed = sched.get();
+  if (auto* serialized = dynamic_cast<SerializedScheduler*>(probed))
+    probed = &serialized->inner();
+  auto* probed_multiprio = dynamic_cast<MultiPrioScheduler*>(probed);
   auto* probed_recorder = dynamic_cast<RecordingObserver*>(config.observer);
   auto probe_body = [probed_multiprio, probed_recorder] {
     if (probed_multiprio != nullptr && probed_multiprio->verify_quiescent()) {
@@ -114,20 +117,16 @@ ExecResult ThreadExecutor::run(const ExecSchedulerFactory& make_scheduler,
       shard_probes.push_back(std::make_unique<verify::ScopedProbe>(sm, probe_body));
 #endif
 
-  if (internal) {
+  {
     std::lock_guard plock(push_mu);
     sched->push_batch(graph_.initial_ready());
-  } else {
-    std::lock_guard lock(mu);
-    for (TaskId t : graph_.initial_ready()) sched->push(t);
   }
-  std::vector<WorkerId> dead_at_start;
-  for (std::size_t wi = 0; wi < platform_.num_workers(); ++wi)
-    if (lost_at[wi] <= 0.0) dead_at_start.push_back(WorkerId{wi});
 
   ExecResult result;
   result.tasks_per_worker.assign(platform_.num_workers(), 0);
-  std::vector<bool> executed(total, false);
+  // Popped and not handed back by a failed attempt: a second pop of a taken
+  // task is a policy (or locking) bug.
+  std::vector<bool> taken(total, false);
   std::vector<bool> abandoned_mask(total, false);
   std::vector<std::size_t> attempts(total, 0);  // failed attempts per task
   // Per-handle mutexes enforcing AccessMode::Commute mutual exclusion.
@@ -157,73 +156,76 @@ ExecResult ThreadExecutor::run(const ExecSchedulerFactory& make_scheduler,
       frontier.pop_back();
       if (abandoned_mask[cur.index()]) continue;
       abandoned_mask[cur.index()] = true;
-      ++abandoned;
+      ++result.fault.tasks_abandoned;
       finished.fetch_add(1);
       emit(SchedEventKind::TaskAbandoned, cur, WorkerId{});
       for (TaskId s : graph_.successors(cur)) frontier.push_back(s);
     }
   };
-  auto has_live_capable = [&](TaskId t) {
-    for (const Worker& wk : platform_.workers())
-      if (liveness.alive(wk.id) && graph_.can_exec(t, wk.arch)) return true;
-    return false;
+  // Fail-stop: liveness flips and the policy rebuilds in one push_mu
+  // critical section, so a serialized policy never pops in between; the
+  // orphans it surrenders are abandoned.
+  auto lose_worker = [&](WorkerId w) {
+    std::vector<TaskId> orphans;
+    {
+      std::lock_guard plock(push_mu);
+      liveness.mark_dead(w);
+      ++result.fault.workers_lost;
+      emit(SchedEventKind::WorkerLost, TaskId{}, w);
+      orphans = sched->notify_worker_removed(w);
+    }
+    for (TaskId t : orphans) abandon(t);
   };
 
-  // Coarse protocol: `mu` held across every policy call, one executor-wide
-  // condvar, notify_all on each state change (the historical contract the
-  // five mutex-free policies in src/sched/ rely on).
-  auto worker_body_coarse = [&](WorkerId w) {
+  // The worker loop: pops run without any executor lock (the policy, or the
+  // adapter around it, locks itself), engine bookkeeping takes `mu` only
+  // around its own state, pushes serialize on `push_mu`, and idle workers
+  // park in the policy's work-epoch protocol.
+  auto worker_body = [&](WorkerId w) {
     const ArchType arch = platform_.worker(w).arch;
-    std::unique_lock lock(mu);
-    while (completed + abandoned < total) {
-      if (!liveness.alive(w)) return;  // lost before this thread ever ran
+    auto parked_cancel = [&] { return finished.load() >= total; };
+    while (finished.load() < total) {
       if (elapsed() >= lost_at[w.index()]) {
-        // Fail-stop: this thread retires between tasks. Liveness flips
-        // first, then the policy rebuilds and surrenders orphans.
-        liveness.mark_dead(w);
-        ++result.fault.workers_lost;
-        emit(SchedEventKind::WorkerLost, TaskId{}, w);
-        for (TaskId t : sched->notify_worker_removed(w)) abandon(t);
-        ++state_version;
-        cv.notify_all();
+        // This thread retires between tasks.
+        std::lock_guard lock(mu);
+        lose_worker(w);
+        sched->interrupt_waiters();
         return;
       }
+      // Epoch before the pop: any push toward this worker's node after this
+      // read bumps it, so the wait below cannot miss a wakeup.
+      const std::uint64_t epoch = sched->work_epoch(w);
       const double pop_begin = pop_latency != nullptr ? sync_now_seconds() : 0.0;
-      // Seeded mutation SkipExecutorLock: drop the executor lock around the
-      // pop so two workers can interleave inside the policy's POP path.
-      // Compiles to constant-false (dead code) outside MP_VERIFY builds.
-      const bool skip_lock =
-          verify::mutation_active(verify::Mutation::SkipExecutorLock);
-      if (skip_lock) lock.unlock();
       const std::optional<TaskId> popped = sched->pop(w);
-      if (skip_lock) lock.lock();
       if (pop_latency != nullptr)
         pop_latency->observe(std::max(0.0, sync_now_seconds() - pop_begin));
       if (!popped) {
-        const std::uint64_t seen = state_version;
         // Timed wait: a buggy policy must not hang the process — the worker
         // simply retries, and the post-run checks will flag lost tasks.
-        (void)cv.wait_for(lock, std::chrono::duration<double>(config.stall_timeout),
-                          [&] {
-                            return completed + abandoned == total ||
-                                   state_version != seen;
-                          });
+        sched->wait_for_work(w, epoch, config.stall_timeout, parked_cancel);
         continue;
       }
       const TaskId t = *popped;
-      MP_CHECK_MSG(!executed[t.index()], "task popped twice");
-      const std::size_t attempt = attempts[t.index()];
-      // Pop-time δ(t,a) for the model audit — read under the lock, before
-      // this task's own completion re-trains the history model.
-      const double predicted = metrics != nullptr ? history.estimate(t, arch) : 0.0;
-      // Keep logical data placement in sync so locality heuristics see the
-      // same world as in simulation (transfers are free functionally).
-      std::vector<TransferOp> ops;
-      memory.acquire_for_task(t, platform_.worker(w).node, ops);
-      sched->on_task_start(t, w);
-      ++state_version;
-      cv.notify_all();  // a successful pop changes scheduler state
-      lock.unlock();
+      std::size_t attempt = 0;
+      {
+        std::lock_guard lock(mu);
+        MP_CHECK_MSG(!taken[t.index()], "task popped twice");
+        taken[t.index()] = true;
+        attempt = attempts[t.index()];
+        // Keep logical data placement in sync so locality heuristics see
+        // the same world as in simulation (transfers are free functionally).
+        std::vector<TransferOp> ops;
+        memory.acquire_for_task(t, platform_.worker(w).node, ops);
+      }
+      double predicted = 0.0;
+      if (metrics != nullptr) {
+        // Pop-time δ(t,a) for the model audit, before this task's own
+        // completion re-trains the model. Reads race with history.record()
+        // — serialize on push_mu, the lock every record() below holds.
+        std::lock_guard plock(push_mu);
+        predicted = history.estimate(t, arch);
+      }
+      sched->on_task_start(t, w);  // lock-free per the Internal contract
 
       const Codelet& cl = graph_.codelet_of(t);
       const KernelFn& fn = (arch == ArchType::GPU && cl.gpu_fn) ? cl.gpu_fn : cl.cpu_fn;
@@ -262,225 +264,68 @@ ExecResult ThreadExecutor::run(const ExecSchedulerFactory& make_scheduler,
         }
       }
 
-      lock.lock();
-      if (straggled) {
-        ++result.fault.stragglers_injected;
-        emit(SchedEventKind::FaultStraggler, t, w);
-      }
-      if (failed) {
-        ++result.fault.failures_injected;
-        const std::size_t failures = ++attempts[t.index()];
-        emit(SchedEventKind::FaultFailure, t, w);
-        if (failures > retry_budget) {
-          abandon(t);
-        } else {
-          ++result.fault.retries;
-          emit(SchedEventKind::Repush, t, w);
-          sched->repush(t);
-          for (TaskId ot : sched->drain_unplaced()) abandon(ot);
-        }
-        ++state_version;
-        cv.notify_all();
-        continue;
-      }
-      executed[t.index()] = true;
-      history.record(t, arch, dur);
-      if (metrics != nullptr) {
-        // Same instruments as the simulator, so RunAnalysis-style audits read
-        // identically off either engine. dur is clamped ≥ 1e-9 above.
-        const std::string suffix =
-            graph_.codelet_of(t).name + "." + arch_name(arch);
-        metrics->histogram("perf_model.abs_err_s." + suffix)
-            .observe(std::abs(predicted - dur));
-        metrics->histogram("perf_model.rel_err." + suffix)
-            .observe(std::abs(predicted - dur) / dur);
-      }
-      ++result.tasks_per_worker[w.index()];
-      sched->on_task_end(t, w);
-      std::vector<TaskId> newly;
-      deps.complete(t, newly);
-      for (TaskId nt : newly) {
-        if (result.fault.workers_lost > 0 && !has_live_capable(nt)) {
-          abandon(nt);
-        } else {
-          sched->push(nt);
-        }
-      }
-      for (TaskId ot : sched->drain_unplaced()) abandon(ot);
-      ++completed;
-      finished.fetch_add(1);
-      ++state_version;
-      cv.notify_all();
-    }
-  };
-
-  // Thin-lock protocol for SchedConcurrency::Internal policies: pops run
-  // without any executor lock (the policy shards its own), engine
-  // bookkeeping takes `mu` only around its own state, pushes serialize on
-  // `push_mu`, and idle workers park on the policy's per-node condvars via
-  // the work-epoch protocol (targeted wakeups, no thundering herd).
-  auto worker_body_internal = [&](WorkerId w) {
-    const ArchType arch = platform_.worker(w).arch;
-    auto parked_cancel = [&] { return finished.load() >= total; };
-    while (finished.load() < total) {
+      // Account the attempt: a failure is retried or abandoned, a success
+      // releases its successors.
+      std::vector<TaskId> ready;
+      bool retry = false;
       {
         std::lock_guard lock(mu);
-        if (!liveness.alive(w)) return;  // lost before this thread ever ran
-        if (elapsed() >= lost_at[w.index()]) {
-          // Fail-stop, same sequence as coarse: liveness flips first, then
-          // the policy rebuilds (push-side call → push_mu) and surrenders
-          // orphans. interrupt_waiters() below replaces the notify_all.
-          liveness.mark_dead(w);
-          ++result.fault.workers_lost;
-          emit(SchedEventKind::WorkerLost, TaskId{}, w);
-          std::vector<TaskId> orphans;
-          {
-            std::lock_guard plock(push_mu);
-            orphans = sched->notify_worker_removed(w);
-          }
-          for (TaskId t : orphans) abandon(t);
-          sched->interrupt_waiters();
-          return;
-        }
-      }
-      // Epoch before the pop: any push toward this worker's node after this
-      // read bumps it, so the wait below cannot miss a wakeup.
-      const std::uint64_t epoch = sched->work_epoch(w);
-      const double pop_begin = pop_latency != nullptr ? sync_now_seconds() : 0.0;
-      const std::optional<TaskId> popped = sched->pop(w);
-      if (pop_latency != nullptr)
-        pop_latency->observe(std::max(0.0, sync_now_seconds() - pop_begin));
-      if (!popped) {
-        sched->wait_for_work(w, epoch, config.stall_timeout, parked_cancel);
-        continue;
-      }
-      const TaskId t = *popped;
-      std::size_t attempt = 0;
-      {
-        std::lock_guard lock(mu);
-        MP_CHECK_MSG(!executed[t.index()], "task popped twice");
-        attempt = attempts[t.index()];
-        std::vector<TransferOp> ops;
-        memory.acquire_for_task(t, platform_.worker(w).node, ops);
-      }
-      double predicted = 0.0;
-      if (metrics != nullptr) {
-        // δ(t,a) reads race with history.record() — serialize on push_mu,
-        // the lock every record() below holds.
-        std::lock_guard plock(push_mu);
-        predicted = history.estimate(t, arch);
-      }
-      sched->on_task_start(t, w);  // lock-free per the Internal contract
-
-      const Codelet& cl = graph_.codelet_of(t);
-      const KernelFn& fn = (arch == ArchType::GPU && cl.gpu_fn) ? cl.gpu_fn : cl.cpu_fn;
-      MP_CHECK_MSG(static_cast<bool>(fn), "no runnable implementation for popped task");
-      std::vector<void*> buffers;
-      buffers.reserve(graph_.task(t).accesses.size());
-      std::vector<std::uint32_t> locks;
-      for (const Access& a : graph_.task(t).accesses) {
-        buffers.push_back(graph_.handles().get(a.data).user_ptr);
-        if (a.mode == AccessMode::Commute) locks.push_back(a.data.value());
-      }
-      std::sort(locks.begin(), locks.end());
-      locks.erase(std::unique(locks.begin(), locks.end()), locks.end());
-      for (std::uint32_t d : locks) commute_mu[d]->lock();
-      const double start = sync_now_seconds();
-      bool failed = false;
-      try {
-        fn(graph_.task(t), buffers);
-      } catch (...) {
-        failed = true;  // exception-to-retry: treated as a transient failure
-      }
-      const double dur = std::max(1e-9, sync_now_seconds() - start);
-      for (auto it = locks.rbegin(); it != locks.rend(); ++it)
-        commute_mu[*it]->unlock();
-      bool straggled = false;
-      if (!failed && injector != nullptr) {
-        if (injector->fail_attempt(t, attempt)) failed = true;
-        const double mult = injector->duration_multiplier(t, attempt);
-        if (mult > 1.0) {
-          sync_sleep_for(std::chrono::duration<double>(dur * (mult - 1.0)));
-          straggled = true;
-        }
-      }
-
-      if (failed || straggled) {
-        std::unique_lock lock(mu);
         if (straggled) {
           ++result.fault.stragglers_injected;
           emit(SchedEventKind::FaultStraggler, t, w);
         }
         if (failed) {
           ++result.fault.failures_injected;
+          taken[t.index()] = false;
           const std::size_t failures = ++attempts[t.index()];
           emit(SchedEventKind::FaultFailure, t, w);
-          if (failures > retry_budget) {
-            abandon(t);
-            lock.unlock();
-            if (finished.load() >= total) sched->interrupt_waiters();
-          } else {
+          retry = failures <= retry_budget;
+          if (retry) {
             ++result.fault.retries;
             emit(SchedEventKind::Repush, t, w);
-            lock.unlock();
-            std::vector<TaskId> unplaced;
-            {
-              std::lock_guard plock(push_mu);
-              sched->repush(t);
-              unplaced = sched->drain_unplaced();
-            }
-            if (!unplaced.empty()) {
-              // A fail-stop raced the repush and took the last capable
-              // worker: account the surrendered tasks as abandoned.
-              {
-                std::lock_guard relock(mu);
-                for (TaskId ot : unplaced) abandon(ot);
-              }
-              if (finished.load() >= total) sched->interrupt_waiters();
-            }
-          }
-          continue;
-        }
-      }
-      std::vector<TaskId> to_push;
-      {
-        std::lock_guard lock(mu);
-        executed[t.index()] = true;
-        if (metrics != nullptr) {
-          const std::string suffix =
-              graph_.codelet_of(t).name + "." + arch_name(arch);
-          metrics->histogram("perf_model.abs_err_s." + suffix)
-              .observe(std::abs(predicted - dur));
-          metrics->histogram("perf_model.rel_err." + suffix)
-              .observe(std::abs(predicted - dur) / dur);
-        }
-        ++result.tasks_per_worker[w.index()];
-        std::vector<TaskId> newly;
-        deps.complete(t, newly);
-        to_push.reserve(newly.size());
-        for (TaskId nt : newly) {
-          if (result.fault.workers_lost > 0 && !has_live_capable(nt)) {
-            abandon(nt);
           } else {
-            to_push.push_back(nt);
+            abandon(t);
           }
+        } else {
+          if (metrics != nullptr) {
+            // Same instruments as the simulator, so RunAnalysis-style audits
+            // read identically off either engine. dur is clamped ≥ 1e-9 above.
+            const std::string suffix =
+                graph_.codelet_of(t).name + "." + arch_name(arch);
+            metrics->histogram("perf_model.abs_err_s." + suffix)
+                .observe(std::abs(predicted - dur));
+            metrics->histogram("perf_model.rel_err." + suffix)
+                .observe(std::abs(predicted - dur) / dur);
+          }
+          ++result.tasks_per_worker[w.index()];
+          deps.complete(t, ready);
+          finished.fetch_add(1);
         }
-        ++completed;
-        finished.fetch_add(1);
       }
-      sched->on_task_end(t, w);  // lock-free per the Internal contract
       std::vector<TaskId> unplaced;
-      {
-        // One grouped push per completion: the policy takes each target
-        // node's lock once for the whole batch and wakes only those nodes.
+      if (!failed || retry) {
         std::lock_guard plock(push_mu);
-        history.record(t, arch, dur);
-        sched->push_batch(to_push);
-        unplaced = sched->drain_unplaced();
+        if (retry) {
+          sched->repush(t);
+        } else {
+          // One grouped push per completion, opened by the end notice: the
+          // policy takes each target node's lock once for the whole batch
+          // and wakes only those nodes. Liveness flips under push_mu, so
+          // this screen cannot go stale.
+          sched->on_task_end(t, w);
+          history.record(t, arch, dur);
+          if (result.fault.workers_lost > 0) {
+            const auto orphans = std::stable_partition(
+                ready.begin(), ready.end(),
+                [&](TaskId nt) { return task_has_live_worker(ctx, nt); });
+            unplaced.assign(orphans, ready.end());
+            ready.erase(orphans, ready.end());
+          }
+          sched->push_batch(ready);
+        }
+        for (TaskId ot : sched->drain_unplaced()) unplaced.push_back(ot);
       }
       if (!unplaced.empty()) {
-        // The liveness screen above ran before a racing fail-stop: the
-        // policy surrendered these instead of pushing them anywhere.
         std::lock_guard lock(mu);
         for (TaskId ot : unplaced) abandon(ot);
       }
@@ -488,43 +333,27 @@ ExecResult ThreadExecutor::run(const ExecSchedulerFactory& make_scheduler,
     }
   };
 
-  // Losses at t <= 0 are applied before any thread spawns: the run must see
-  // them even if the surviving workers finish the DAG before the doomed
-  // thread gets scheduled by the OS.
+  // Losses at t <= 0 are applied before any thread spawns, and such a
+  // worker gets no thread: the run must see them even if the surviving
+  // workers finish the DAG before the doomed thread gets scheduled by the OS.
   {
     std::lock_guard lock(mu);
-    for (WorkerId w : dead_at_start) {
-      liveness.mark_dead(w);
-      ++result.fault.workers_lost;
-      emit(SchedEventKind::WorkerLost, TaskId{}, w);
-      std::vector<TaskId> orphans;
-      if (internal) {
-        std::lock_guard plock(push_mu);
-        orphans = sched->notify_worker_removed(w);
-      } else {
-        orphans = sched->notify_worker_removed(w);
-      }
-      for (TaskId t : orphans) abandon(t);
-    }
+    for (std::size_t wi = 0; wi < platform_.num_workers(); ++wi)
+      if (lost_at[wi] <= 0.0) lose_worker(WorkerId{wi});
   }
 
   std::vector<Thread> threads;
   threads.reserve(platform_.num_workers());
-  for (std::size_t wi = 0; wi < platform_.num_workers(); ++wi) {
-    if (internal)
-      threads.emplace_back(worker_body_internal, WorkerId{wi});
-    else
-      threads.emplace_back(worker_body_coarse, WorkerId{wi});
-  }
+  for (std::size_t wi = 0; wi < platform_.num_workers(); ++wi)
+    if (liveness.alive(WorkerId{wi})) threads.emplace_back(worker_body, WorkerId{wi});
   for (auto& th : threads) th.join();
 
-  MP_CHECK_MSG(completed + abandoned == total,
+  MP_CHECK_MSG(finished.load() == total,
                "run ended with tasks neither executed nor abandoned");
   MP_CHECK_MSG(sched->pending_count() == 0, "scheduler still holds tasks");
   result.wall_seconds = sync_now_seconds() - t0;
-  result.tasks_executed = completed;
-  result.fault.tasks_abandoned = abandoned;
-  result.fault.degraded = result.fault.workers_lost > 0 || abandoned > 0;
+  result.tasks_executed = total - result.fault.tasks_abandoned;
+  result.fault.degraded = result.fault.workers_lost > 0 || result.fault.tasks_abandoned > 0;
   return result;
 }
 

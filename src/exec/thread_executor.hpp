@@ -2,8 +2,9 @@
 // platform worker and real kernel implementations (cpu_fn / gpu_fn).
 //
 // This is the functional counterpart of the simulator: the same Scheduler
-// implementations plug in unchanged (mutex-guarded), data handles carry real
-// buffers, and the numerical results can be validated. Workers tagged GPU
+// implementations plug in unchanged (a mutex-free one behind a
+// SerializedScheduler), data handles carry real buffers, and the numerical
+// results can be validated. Workers tagged GPU
 // execute gpu_fn when provided, else fall back to cpu_fn — functional
 // emulation of the device (timing heterogeneity is the simulator's job).
 #pragma once

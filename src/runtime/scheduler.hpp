@@ -36,7 +36,7 @@ class PrefetchSink {
 ///
 /// Counters are RelaxedAtomics: an internally-locked policy's POP path reads
 /// live counts under only its shard lock while the engine flips them under
-/// its own bookkeeping lock. A pop may therefore judge against a count that
+/// its push-side lock. A pop may therefore judge against a count that
 /// is one death stale — a transient the subsequent notify_worker_removed()
 /// rebuild (fully serialized) supersedes.
 class WorkerLiveness {
@@ -61,14 +61,9 @@ class WorkerLiveness {
   [[nodiscard]] std::size_t live_on_node(MemNodeId m) const {
     return node_live_[m.index()].load();
   }
-  [[nodiscard]] std::size_t total_live() const {
-    std::size_t n = 0;
-    for (const auto& c : arch_live_) n += c.load();
-    return n;
-  }
 
-  /// Fail-stop: idempotent, never reversed. Callers serialize marking (the
-  /// engines flip liveness under their bookkeeping lock).
+  /// Fail-stop: idempotent, never reversed. Callers serialize marking
+  /// (ThreadExecutor flips liveness under its push-side lock).
   void mark_dead(WorkerId w) {
     if (alive_[w.index()].load() == 0) return;
     alive_[w.index()].store(0);
@@ -101,12 +96,18 @@ struct SchedContext {
   /// cost of one pointer test per decision site — policies must not even
   /// construct an event when it is null.
   SchedObserver* observer = nullptr;
+  /// The threaded engine's push-side mutex (see SchedConcurrency::Internal);
+  /// a SerializedScheduler serializes its wrapped policy on it. Null in
+  /// single-threaded engines, where nothing needs locking.
+  Mutex* push_mu = nullptr;
 };
 
 /// How a policy expects to be synchronized by a threaded engine.
 enum class SchedConcurrency {
-  /// The engine serializes *every* policy call under one coarse lock (the
-  /// historical contract; all the simple mutex-free policies keep it).
+  /// The policy does no locking of its own: every call must be serialized
+  /// (all the simple mutex-free policies). The ThreadExecutor wraps such a
+  /// policy in a SerializedScheduler, which serializes it on the engine's
+  /// push-side mutex and gives it the Internal contract below.
   ExternalLock,
   /// The policy locks internally (e.g. one lock per memory-node heap):
   ///  - pop() / work_epoch() / wait_for_work() / interrupt_waiters() are
@@ -114,15 +115,17 @@ enum class SchedConcurrency {
   ///  - push() / push_batch() / repush() / notify_worker_removed() must be
   ///    serialized *against each other* by the engine (a single push-side
   ///    lock) but may run concurrently with pops;
-  ///  - on_task_start() / on_task_end() may be called without any lock and
-  ///    must therefore be thread-safe.
+  ///  - on_task_start() may be called without any lock and must therefore
+  ///    be thread-safe; on_task_end() is called under the push-side lock,
+  ///    in the critical section that pushes the completion's release batch
+  ///    (it may still run concurrently with pops).
   Internal,
 };
 
 /// A scheduling policy. The engine calls push() when a task becomes ready
-/// and pop() when a worker is idle. pop() returning nullopt parks the worker
-/// until the engine wakes it on the next state change (push, completion, or
-/// a successful pop by another worker).
+/// and pop() when a worker is idle. A threaded engine parks a worker whose
+/// pop() returned nullopt with the work-epoch protocol below; a
+/// single-threaded engine re-polls it when its own state changes.
 class Scheduler {
  public:
   explicit Scheduler(SchedContext ctx) : ctx_(std::move(ctx)) {}
@@ -151,7 +154,7 @@ class Scheduler {
   // that *its node* could pop may have appeared. The epoch is read before
   // the pop; any push toward the worker's node afterwards bumps it, so the
   // wait predicate closes the classic lost-wakeup window. ExternalLock
-  // policies keep the engine's own condvar protocol and never see these.
+  // policies get this protocol from the SerializedScheduler wrapping them.
 
   /// Monotonic per-worker-node push counter (relaxed read; 0 by default).
   [[nodiscard]] virtual std::uint64_t work_epoch(WorkerId /*w*/) const { return 0; }
@@ -186,10 +189,11 @@ class Scheduler {
 
   /// Tasks a push-side call could not place anywhere because every capable
   /// worker died in the window between the engine's liveness screen and the
-  /// push (fail-stop racing an internally-locked push — impossible under
-  /// ExternalLock, where liveness flips and pushes share one lock). The
-  /// engine drains this after each push-side call and abandons the tasks;
-  /// they were never made pending. Same serialization contract as push().
+  /// push (a fail-stop racing the push — impossible when the engine flips
+  /// liveness and screens under its push-side lock, as ThreadExecutor does,
+  /// where this is a safety net). The engine drains this after each
+  /// push-side call and abandons the tasks; they were never made pending.
+  /// Same serialization contract as push().
   [[nodiscard]] virtual std::vector<TaskId> drain_unplaced() { return {}; }
 
   /// Notifications (optional for policies that track load).
@@ -201,10 +205,10 @@ class Scheduler {
   /// Number of tasks pushed but not yet popped (for engine sanity checks).
   [[nodiscard]] virtual std::size_t pending_count() const = 0;
 
-  /// Cheap hint: could pop(w) possibly return a task right now? Engines use
-  /// it to avoid waking workers that have nothing to look at. Must never
-  /// return false when a pop would succeed; returning true spuriously only
-  /// costs a failed pop.
+  /// Cheap hint: could pop(w) possibly return a task right now? Called only
+  /// by single-threaded engines (SimEngine, unlocked), to avoid waking
+  /// workers that have nothing to look at. Must never return false when a
+  /// pop would succeed; returning true spuriously only costs a failed pop.
   [[nodiscard]] virtual bool has_work_hint(WorkerId /*w*/) const { return true; }
 
  protected:

@@ -200,7 +200,6 @@ DepCounters::DepCounters(const TaskGraph& graph) : graph_(graph) {
 
 void DepCounters::complete(TaskId t, std::vector<TaskId>& out) {
   MP_ASSERT(remaining_[t.index()] == 0);
-  ++completed_;
   for (TaskId s : graph_.successors(t)) {
     MP_ASSERT(remaining_[s.index()] > 0);
     if (--remaining_[s.index()] == 0) out.push_back(s);

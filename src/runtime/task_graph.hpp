@@ -117,12 +117,10 @@ class DepCounters {
   void complete(TaskId t, std::vector<TaskId>& out);
 
   [[nodiscard]] bool is_ready(TaskId t) const { return remaining_[t.index()] == 0; }
-  [[nodiscard]] std::size_t num_completed() const { return completed_; }
 
  private:
   const TaskGraph& graph_;
   std::vector<std::uint32_t> remaining_;
-  std::size_t completed_ = 0;
 };
 
 }  // namespace mp

@@ -1,4 +1,5 @@
 #include "common/check.hpp"
+#include "runtime/serialized_scheduler.hpp"
 #include "sched/schedulers.hpp"
 
 namespace mp {
@@ -14,15 +15,8 @@ std::unique_ptr<Scheduler> make_scheduler_by_name(const std::string& name,
   if (name == "heteroprio") return make_heteroprio(std::move(ctx));
   if (name == "multiprio")
     return std::make_unique<MultiPrioScheduler>(std::move(ctx), MultiPrioConfig{});
-  if (name == "multiprio-coarse") {
-    // Same policy under the engine's coarse lock (SchedConcurrency::
-    // ExternalLock) — the contention baseline the sharded default is
-    // benchmarked against, and the fixture the coarse-protocol mutation
-    // tests pin.
-    MultiPrioConfig cfg;
-    cfg.sharded = false;
-    return std::make_unique<MultiPrioScheduler>(std::move(ctx), cfg);
-  }
+  if (name == "multiprio-coarse")  // the contention baseline: one coarse lock
+    return std::make_unique<SerializedScheduler>(ctx, std::make_unique<MultiPrioScheduler>(ctx));
   if (name == "multiprio-noevict") {
     MultiPrioConfig cfg;
     cfg.use_eviction = false;

@@ -35,8 +35,9 @@ enum class DmVariant { Dm, Dmda, Dmdas };
 [[nodiscard]] std::unique_ptr<Scheduler> make_heteroprio(SchedContext ctx);
 
 /// Factory by policy name. Known names: eager, random, lws, dm, dmda,
-/// dmdas, heteroprio, multiprio, multiprio-noevict, multiprio-nolocality,
-/// multiprio-nonod, multiprio-brwnorm. Aborts on unknown names.
+/// dmdas, heteroprio, multiprio, multiprio-coarse (multiprio wrapped in a
+/// SerializedScheduler), multiprio-noevict, multiprio-nolocality,
+/// multiprio-nonod, multiprio-rawbrw. Aborts on unknown names.
 [[nodiscard]] std::unique_ptr<Scheduler> make_scheduler_by_name(const std::string& name,
                                                                 SchedContext ctx);
 

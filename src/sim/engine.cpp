@@ -107,17 +107,11 @@ void SimEngine::wake_idle_workers() {
 void SimEngine::push_ready(TaskId t) {
   // After a loss, a newly released task may have no surviving capable
   // worker; handing it to the scheduler would only strand it there.
-  if (fstats_.workers_lost > 0 && !has_live_capable_worker(t)) {
+  if (fstats_.workers_lost > 0 && !task_has_live_worker(sched_ctx_, t)) {
     abandon(t);
     return;
   }
   sched_->push(t);
-}
-
-bool SimEngine::has_live_capable_worker(TaskId t) const {
-  for (const Worker& w : platform_.workers())
-    if (liveness_->alive(w.id) && graph_.can_exec(t, w.arch)) return true;
-  return false;
 }
 
 void SimEngine::abandon(TaskId t) {
@@ -361,7 +355,7 @@ void SimEngine::handle_worker_loss(const Event& e) {
   // platform and surrenders tasks nobody can run any more.
   std::vector<TaskId> orphans = sched_->notify_worker_removed(w);
   for (TaskId t : drained) {
-    if (has_live_capable_worker(t)) {
+    if (task_has_live_worker(sched_ctx_, t)) {
       ++fstats_.retries;
       emit(SchedEventKind::Repush, t, w);
       sched_->repush(t);
@@ -418,16 +412,15 @@ SimResult SimEngine::run(const SchedulerFactory& make_scheduler) {
                    "fault plan kills a worker the platform does not have");
   }
 
-  SchedContext ctx;
-  ctx.graph = &graph_;
-  ctx.platform = &platform_;
-  ctx.perf = history_.get();
-  ctx.memory = memory_.get();
-  ctx.now = [this] { return now_; };
-  ctx.prefetch = this;
-  ctx.liveness = liveness_.get();
-  ctx.observer = cfg_.observer;
-  sched_ = make_scheduler(std::move(ctx));
+  sched_ctx_.graph = &graph_;
+  sched_ctx_.platform = &platform_;
+  sched_ctx_.perf = history_.get();
+  sched_ctx_.memory = memory_.get();
+  sched_ctx_.now = [this] { return now_; };
+  sched_ctx_.prefetch = this;
+  sched_ctx_.liveness = liveness_.get();
+  sched_ctx_.observer = cfg_.observer;
+  sched_ = make_scheduler(sched_ctx_);
   MP_CHECK(sched_ != nullptr);
   running_ = true;
 

@@ -120,7 +120,6 @@ class SimEngine : public PrefetchSink {
   /// Marks `t` and its whole descendant closure abandoned (their
   /// dependencies can never be satisfied once `t` will not execute).
   void abandon(TaskId t);
-  [[nodiscard]] bool has_live_capable_worker(TaskId t) const;
   /// Human-readable state dump for the max_events safety valve.
   [[nodiscard]] std::string stall_diagnostic(std::size_t processed) const;
   /// Charges transfer ops to the link timelines; returns when all complete.
@@ -145,6 +144,8 @@ class SimEngine : public PrefetchSink {
   std::unique_ptr<MemoryManager> memory_;
   std::unique_ptr<Trace> trace_;
   std::unique_ptr<Scheduler> sched_;
+  /// The context the policy was built with; also the liveness screen's.
+  SchedContext sched_ctx_;
   std::unique_ptr<DepCounters> deps_;
 
   /// Popped-but-not-started tasks of a worker (the pipeline queue).

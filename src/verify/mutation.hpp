@@ -3,8 +3,9 @@
 //
 // Each Mutation names one specific bug the verification suite must catch
 // within its exploration budget:
-//  - SkipExecutorLock: ThreadExecutor calls Scheduler::pop() without holding
-//    the executor mutex — two workers can interleave inside MultiPrio's POP.
+//  - SkipExecutorLock: SerializedScheduler::pop() skips its lock — two
+//    workers can interleave inside a mutex-free policy's POP and both take
+//    the same task (a wrapped MultiPrio's own shard locks would hide it).
 //  - SkipBrwDecrement: MultiPrioScheduler::take() skips the
 //    best_remaining_work debit — the ledger drifts above the sum of the
 //    pending PUSH credits.

@@ -392,8 +392,8 @@ class RelaxedAtomic {
   T fetch_or(T d) { return v_.fetch_or(d, std::memory_order_relaxed); }
 
   /// CAS-loop add for types without lock-free fetch_add (double). The
-  /// arithmetic matches a plain `x += d`, so coarse and sharded modes of a
-  /// policy produce bit-identical ledgers in single-threaded engines.
+  /// arithmetic matches a plain `x += d`, so single-threaded engines get
+  /// bit-identical ledgers.
   T add(T d) {
     T cur = load();
     while (!compare_exchange(cur, cur + d)) {

@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "exec/thread_executor.hpp"
@@ -133,6 +136,43 @@ TEST(ThreadExecutorFault, WorkerLossDegradesOntoSurvivors) {
     EXPECT_EQ(r.fault.tasks_abandoned, 0u) << name;
     EXPECT_TRUE(r.fault.degraded) << name;
     EXPECT_EQ(r.tasks_per_worker[gpu_w.index()], 0u) << name;
+  }
+}
+
+TEST(ThreadExecutorFault, MidRunWorkerLossUnderEveryPolicy) {
+  // A loss while the others are popping and pushing: liveness flips and the
+  // policy rebuilds in one push-side critical section, so every policy —
+  // the mutex-free ones behind the executor's SerializedScheduler included —
+  // must finish the run on the survivors without losing or repeating a task.
+  TaskGraph g;
+  std::atomic<int> runs{0};
+  const CodeletId cl = g.add_codelet(
+      "nap", {ArchType::CPU, ArchType::GPU},
+      [&runs](const Task&, std::span<void* const>) {
+        runs.fetch_add(1);
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      });
+  for (int i = 0; i < 60; ++i) {
+    const DataId d = g.add_data(8);
+    g.submit(cl, {Access{d, AccessMode::ReadWrite}});
+  }
+  Platform p = test::small_platform(2, 1);
+  WorkerId gpu_w{};
+  for (const Worker& w : p.workers())
+    if (w.arch == ArchType::GPU) gpu_w = w.id;
+  PerfDatabase db = test::flat_perf();
+
+  for (const std::string& name : scheduler_names()) {
+    runs.store(0);
+    ThreadExecutor exec(g, p, db);
+    ExecConfig cfg;
+    cfg.stall_timeout = 0.05;
+    cfg.fault.worker_losses.push_back(WorkerLossSpec{gpu_w, 0.002});
+    const ExecResult r = exec.run(by_name(name), cfg);
+    EXPECT_EQ(r.tasks_executed, 60u) << name;
+    EXPECT_EQ(runs.load(), 60) << name;
+    EXPECT_EQ(r.fault.workers_lost, 1u) << name;
+    EXPECT_EQ(r.fault.tasks_abandoned, 0u) << name;
   }
 }
 

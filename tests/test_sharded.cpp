@@ -1,19 +1,26 @@
-// The sharded (internally-locked) MultiPrio protocol: per-node shard locks,
-// the Pending→Taken commit CAS, the live-mask slot-retire protocol and the
-// work-epoch wait — explored end-to-end through ThreadExecutor's thin-lock
-// engine path, plus the SkipNodeLock seeded mutation that proves the
-// detector still detects now that cross-node races are benign by design.
+// The Internal locking contract: the sharded MultiPrio protocol (per-node
+// shard locks, the Pending→Taken commit CAS, the live-mask slot-retire
+// protocol and the work-epoch wait) explored end-to-end through
+// ThreadExecutor's worker loop, the SkipNodeLock seeded mutation that proves
+// the detector still detects now that cross-node races are benign by
+// design, and the SerializedScheduler adapter that gives mutex-free
+// policies the same contract.
 //
 // Exploration tests run only in -DMP_VERIFY=ON builds (`ctest -L verify`);
 // the capability and determinism tests run in every build.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "common/check.hpp"
 #include "core/multiprio.hpp"
 #include "exec/thread_executor.hpp"
 #include "obs/observer.hpp"
+#include "runtime/serialized_scheduler.hpp"
 #include "sched/schedulers.hpp"
 #include "sim/engine.hpp"
 #include "test_util.hpp"
@@ -62,7 +69,7 @@ void run_sharded_fixture_once(bool with_observer, std::size_t cpus = 1) {
 
 // --- capability plumbing (all builds) --------------------------------------
 
-TEST(ShardedCapability, MultiPrioIsInternalCoarseVariantIsNot) {
+TEST(ShardedCapability, MultiPrioAndCoarseVariantAreInternal) {
   test::EdgeGraph eg(2, {});
   Platform p = test::small_platform(1, 1);
   test::ManualContext mc(eg.graph, p, test::flat_perf());
@@ -71,11 +78,15 @@ TEST(ShardedCapability, MultiPrioIsInternalCoarseVariantIsNot) {
   EXPECT_EQ(sharded->concurrency(), SchedConcurrency::Internal);
   EXPECT_EQ(sharded->name(), "multiprio");
 
+  // The coarse baseline is the same policy behind a SerializedScheduler,
+  // which reports the wrapped policy's name.
   const auto coarse = make_scheduler_by_name("multiprio-coarse", mc.ctx());
-  EXPECT_EQ(coarse->concurrency(), SchedConcurrency::ExternalLock);
-  EXPECT_EQ(coarse->name(), "multiprio-coarse");
+  EXPECT_EQ(coarse->concurrency(), SchedConcurrency::Internal);
+  EXPECT_EQ(coarse->name(), "multiprio");
+  EXPECT_NE(dynamic_cast<SerializedScheduler*>(coarse.get()), nullptr);
 
-  // Every mutex-free policy in src/sched/ keeps the engine's coarse lock.
+  // Every mutex-free policy in src/sched/ asks for external serialization
+  // (the executor wraps it in the adapter).
   for (const char* name : {"eager", "random", "lws", "dm", "dmda", "dmdas",
                            "heteroprio"}) {
     const auto s = make_scheduler_by_name(name, mc.ctx());
@@ -103,11 +114,176 @@ TEST(ShardedCapability, WorkEpochAdvancesOnPushTowardTheWorkerNode) {
   s.interrupt_waiters();  // callable any time, with no waiters parked
 }
 
+// --- the SerializedScheduler adapter (all builds) --------------------------
+
+// The adapter as ThreadExecutor builds it: around a mutex-free policy,
+// serializing on an engine push mutex that the test holds for push-side
+// calls (the Internal contract).
+struct SerializedFixture {
+  test::EdgeGraph eg;
+  Platform p;
+  test::ManualContext mc;
+  Mutex push_mu;
+  std::unique_ptr<SerializedScheduler> s;
+
+  SerializedFixture()
+      : eg(3, {}), p(test::small_platform(1, 1)), mc(eg.graph, p, test::flat_perf()) {
+    SchedContext ctx = mc.ctx();
+    ctx.push_mu = &push_mu;
+    s = std::make_unique<SerializedScheduler>(ctx, make_scheduler_by_name("eager", ctx));
+  }
+};
+
+TEST(SerializedAdapter, EpochMovesOnEveryStateChange) {
+  SerializedFixture f;
+  SerializedScheduler& s = *f.s;
+  const WorkerId cpu{std::size_t{0}};
+  const WorkerId gpu{std::size_t{1}};
+  std::uint64_t seen = s.work_epoch(cpu);
+  auto moved = [&] {
+    const std::uint64_t now = s.work_epoch(cpu);
+    const bool m = now != seen;
+    seen = now;
+    return m;
+  };
+  EXPECT_EQ(s.concurrency(), SchedConcurrency::Internal);
+  EXPECT_EQ(s.name(), "eager");
+
+  {
+    std::lock_guard lock(f.push_mu);
+    s.push(f.eg.tasks[0]);
+  }
+  EXPECT_TRUE(moved()) << "push";
+  {
+    std::lock_guard lock(f.push_mu);
+    s.push_batch({f.eg.tasks[1], f.eg.tasks[2]});
+  }
+  EXPECT_TRUE(moved()) << "push_batch";
+  const std::optional<TaskId> t = s.pop(cpu);
+  ASSERT_TRUE(t.has_value());
+  EXPECT_TRUE(moved()) << "successful pop (and the start notice it forwards)";
+  s.on_task_start(*t, cpu);
+  EXPECT_FALSE(moved()) << "the start notice was forwarded by the pop";
+  {
+    // A completion: the end notice and its release batch share one section.
+    std::lock_guard lock(f.push_mu);
+    s.on_task_end(*t, cpu);
+    s.push_batch({});
+  }
+  EXPECT_TRUE(moved()) << "on_task_end + push_batch";
+  {
+    std::lock_guard lock(f.push_mu);
+    s.repush(*t);
+  }
+  EXPECT_TRUE(moved()) << "repush";
+  EXPECT_EQ(s.pending_count(), 3u);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(s.pop(cpu).has_value());
+  (void)moved();
+  EXPECT_FALSE(s.pop(cpu).has_value());
+  EXPECT_FALSE(moved()) << "a failed pop changes no state";
+  {
+    std::lock_guard lock(f.push_mu);
+    f.mc.liveness.mark_dead(gpu);
+    EXPECT_TRUE(s.notify_worker_removed(gpu).empty());
+  }
+  EXPECT_TRUE(moved()) << "notify_worker_removed";
+  EXPECT_EQ(s.work_epoch(gpu), s.work_epoch(cpu)) << "one epoch for every worker";
+}
+
+// A FIFO that counts the start notices it receives.
+class StartCountingFifo final : public Scheduler {
+ public:
+  using Scheduler::Scheduler;
+  void push(TaskId t) override { queue_.push_back(t); }
+  [[nodiscard]] std::optional<TaskId> pop(WorkerId /*w*/) override {
+    if (queue_.empty()) return std::nullopt;
+    const TaskId t = queue_.front();
+    queue_.erase(queue_.begin());
+    return t;
+  }
+  void on_task_start(TaskId /*t*/, WorkerId /*w*/) override { ++starts; }
+  [[nodiscard]] std::string name() const override { return "start-counting-fifo"; }
+  [[nodiscard]] std::size_t pending_count() const override { return queue_.size(); }
+
+  std::size_t starts = 0;
+
+ private:
+  std::vector<TaskId> queue_;
+};
+
+TEST(SerializedAdapter, ForwardsEachStartNoticeOnce) {
+  test::EdgeGraph eg(1, {});
+  Platform p = test::small_platform(1, 1);
+  test::ManualContext mc(eg.graph, p, test::flat_perf());
+  const WorkerId cpu{std::size_t{0}};
+  for (const bool threaded : {true, false}) {
+    Mutex push_mu;
+    SchedContext ctx = mc.ctx();
+    if (threaded) ctx.push_mu = &push_mu;
+    auto inner = std::make_unique<StartCountingFifo>(ctx);
+    const StartCountingFifo& fifo = *inner;
+    SerializedScheduler s(ctx, std::move(inner));
+    {
+      std::lock_guard lock(push_mu);
+      s.push(eg.tasks[0]);
+    }
+    const std::optional<TaskId> t = s.pop(cpu);
+    ASSERT_TRUE(t.has_value());
+    // A threaded engine starts every task it pops, so the pop forwards the
+    // notice in its own critical section; a single-threaded engine queues
+    // popped tasks and starts them later (or drains them off a lost
+    // worker), so the notice waits for its own call.
+    EXPECT_EQ(fifo.starts, threaded ? 1u : 0u) << "threaded=" << threaded;
+    s.on_task_start(*t, cpu);
+    EXPECT_EQ(fifo.starts, 1u) << "threaded=" << threaded;
+  }
+}
+
+TEST(SerializedAdapter, WaitReturnsAtOnceOnMovedEpochOrCancel) {
+  SerializedFixture f;
+  SerializedScheduler& s = *f.s;
+  const WorkerId cpu{std::size_t{0}};
+  const std::uint64_t before = s.work_epoch(cpu);
+  {
+    std::lock_guard lock(f.push_mu);
+    s.push(f.eg.tasks[0]);
+  }
+  // Moved epoch: the predicate is already true, no wait.
+  s.wait_for_work(cpu, before, /*timeout_s=*/60.0, [] { return false; });
+  // A canceled wait returns promptly too, epoch moved or not.
+  s.wait_for_work(cpu, s.work_epoch(cpu), /*timeout_s=*/60.0, [] { return true; });
+  s.interrupt_waiters();  // callable any time, with no waiters parked
+}
+
+TEST(SerializedAdapter, ParkedWorkerWakesOnPush) {
+  // Real threads: a worker that failed its pop parks on the epoch it read
+  // before the pop; a push from another thread must wake it long before the
+  // timeout, whether it lands before or after the worker parked.
+  SerializedFixture f;
+  SerializedScheduler& s = *f.s;
+  const WorkerId cpu{std::size_t{0}};
+  double waited = 0.0;
+  Thread worker([&] {
+    const std::uint64_t epoch = s.work_epoch(cpu);
+    if (s.pop(cpu).has_value()) return;
+    const double t0 = sync_now_seconds();
+    s.wait_for_work(cpu, epoch, /*timeout_s=*/60.0, [] { return false; });
+    waited = sync_now_seconds() - t0;
+  });
+  {
+    std::lock_guard lock(f.push_mu);
+    s.push(f.eg.tasks[0]);
+  }
+  worker.join();
+  EXPECT_LT(waited, 30.0) << "the push's notify was lost";
+}
+
 // --- sharded == coarse decisions (all builds) ------------------------------
 
 TEST(ShardedDeterminism, SimEngineShardedMatchesCoarseByteForByte) {
-  // Under the single-threaded SimEngine the two lock protocols must be pure
-  // overhead: same pops, same evictions, same event stream, same makespan.
+  // SimEngine hands the policy no push_mu, so the SerializedScheduler of
+  // "multiprio-coarse" must be a pure forwarder: same pops, same evictions,
+  // same event stream, same makespan as the bare policy.
   test::EdgeGraph eg(24, {{0, 8},  {1, 8},  {2, 9},  {3, 10}, {8, 16},
                           {9, 16}, {10, 17}, {4, 11}, {5, 12}, {11, 18},
                           {12, 18}, {6, 13}, {7, 14}, {13, 19}, {14, 19},

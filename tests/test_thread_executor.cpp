@@ -2,6 +2,7 @@
 // dependency safety under contention, and history-model feedback.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <mutex>
 
@@ -182,9 +183,12 @@ TEST_P(ExecutorPolicies, StressManySmallTasks) {
 
 INSTANTIATE_TEST_SUITE_P(Policies, ExecutorPolicies,
                          ::testing::Values("eager", "random", "lws", "dm", "dmda",
-                                           "dmdas", "heteroprio", "multiprio"),
+                                           "dmdas", "heteroprio", "multiprio",
+                                           "multiprio-coarse"),
                          [](const ::testing::TestParamInfo<std::string>& info) {
-                           return info.param;
+                           std::string name = info.param;
+                           std::replace(name.begin(), name.end(), '-', '_');
+                           return name;
                          });
 
 }  // namespace

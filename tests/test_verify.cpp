@@ -8,7 +8,11 @@
 // exploration_supported() and only the stub/oracle tests execute.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "common/check.hpp"
 #include "core/multiprio.hpp"
@@ -26,18 +30,50 @@ ExecSchedulerFactory by_name(const std::string& name) {
   return [name](SchedContext ctx) { return make_scheduler_by_name(name, std::move(ctx)); };
 }
 
+// A mutex-free FIFO whose pop is a check-then-act across a yield point: it
+// reads the head, may be preempted, then advances. Correct only when every
+// call is serialized (SchedConcurrency::ExternalLock — the executor's
+// SerializedScheduler provides that); two unserialized pops hand out the
+// same task, which the executor reports as "task popped twice". This is the
+// fixture for SkipExecutorLock: a wrapped MultiPrio would still be guarded
+// by its own shard locks, so dropping the adapter's lock there is harmless.
+class RacyFifo final : public Scheduler {
+ public:
+  using Scheduler::Scheduler;
+  void push(TaskId t) override { queue_.push_back(t); }
+  [[nodiscard]] std::optional<TaskId> pop(WorkerId /*w*/) override {
+    if (head_ >= queue_.size()) return std::nullopt;
+    const TaskId t = queue_[head_];
+    verify_point("racy_fifo.pop", this);
+    ++head_;
+    return t;
+  }
+  [[nodiscard]] std::string name() const override { return "racy-fifo"; }
+  [[nodiscard]] std::size_t pending_count() const override {
+    return queue_.size() - std::min(head_, queue_.size());
+  }
+
+ private:
+  std::vector<TaskId> queue_;
+  std::size_t head_ = 0;
+};
+
+ExecSchedulerFactory racy_fifo() {
+  return [](SchedContext ctx) { return std::make_unique<RacyFifo>(std::move(ctx)); };
+}
+
 // The exploration fixture: a 6-task DAG (diamond 0→{1,2}→3 plus two
 // independent tasks) on `cpus` CPU workers (RAM node) + 1 GPU worker (its
 // own node), so duplication, pop_condition and eviction paths are all live.
 // Small enough for exhaustive DFS, rich enough that the lock protocol under
 // test actually arbitrates between the workers.
 //
-// The coarse-protocol tests here pin "multiprio-coarse": the policy whose
-// POP runs naked under the engine lock, where SkipExecutorLock races two
-// workers inside the heap code. The sharded default's internal locks are
-// verified by the dedicated suite in test_sharded.cpp. cpus = 2 for the
-// lock mutations — the races they reintroduce are same-node-worker races.
-void run_fixture_once(const std::string& sched_name, bool with_observer,
+// The explorations here run "multiprio-coarse" (MultiPrio behind the
+// SerializedScheduler, probed through it); the SkipExecutorLock tests run
+// RacyFifo above. The sharded default is verified by the dedicated suite in
+// test_sharded.cpp. cpus = 2 for the lock mutations — the races they
+// reintroduce are same-node-worker races.
+void run_fixture_once(const ExecSchedulerFactory& make_scheduler, bool with_observer,
                       std::size_t cpus = 1) {
   TaskGraph g;
   const CodeletId cl = g.add_codelet("work", {ArchType::CPU, ArchType::GPU},
@@ -58,7 +94,7 @@ void run_fixture_once(const std::string& sched_name, bool with_observer,
   ExecConfig cfg;
   cfg.stall_timeout = 0.05;  // idle retries must not dominate explored runs
   if (with_observer) cfg.observer = &obs;
-  const ExecResult r = exec.run(by_name(sched_name), cfg);
+  const ExecResult r = exec.run(make_scheduler, cfg);
   // Post-conditions double as oracles: under an active exploration a failed
   // MP_CHECK is reported as a violation with the schedule trace.
   MP_CHECK_MSG(r.tasks_executed == 6, "fixture must execute all 6 tasks");
@@ -84,8 +120,8 @@ TEST(VerifyExplore, UnmutatedFixtureExploresClean) {
   verify::ExploreConfig cfg;
   cfg.mode = verify::ExploreConfig::Mode::Exhaustive;
   cfg.max_schedules = 10000;
-  const verify::ExploreResult r =
-      verify::explore([] { run_fixture_once("multiprio-coarse", /*with_observer=*/false); }, cfg);
+  const verify::ExploreResult r = verify::explore(
+      [] { run_fixture_once(by_name("multiprio-coarse"), /*with_observer=*/false); }, cfg);
   EXPECT_FALSE(r.violation) << r.summary();
   EXPECT_GT(r.schedules, 1u) << "fixture must actually branch";
   EXPECT_EQ(r.truncated, 0u);
@@ -96,9 +132,10 @@ TEST(VerifyExplore, TinyFixtureExhaustsScheduleSpace) {
   // Two independent tasks on two workers: small enough that the DFS must
   // prove full coverage of the schedule space (the 6-task fixture above has
   // exponentially many mutex interleavings and is budget-bounded instead).
+  // Both workers pop, start and finish through the adapter's lock.
   verify::ExploreConfig cfg;
   cfg.mode = verify::ExploreConfig::Mode::Exhaustive;
-  cfg.max_schedules = 10000;
+  cfg.max_schedules = 25000;  // measured: 18340 schedules
   const verify::ExploreResult r = verify::explore(
       [] {
         TaskGraph g;
@@ -130,20 +167,20 @@ TEST(VerifyExplore, UnmutatedFixtureWithObserverExploresClean) {
   cfg.mode = verify::ExploreConfig::Mode::Pct;
   cfg.max_schedules = 200;
   cfg.seed = 7;
-  const verify::ExploreResult r =
-      verify::explore([] { run_fixture_once("multiprio-coarse", /*with_observer=*/true); }, cfg);
+  const verify::ExploreResult r = verify::explore(
+      [] { run_fixture_once(by_name("multiprio-coarse"), /*with_observer=*/true); }, cfg);
   EXPECT_FALSE(r.violation) << r.summary();
   EXPECT_EQ(r.schedules, 200u);
 }
 
-// The minimal contended fixture for the exhaustive lock mutations: two
+// The minimal contended fixture for the exhaustive lock mutation: two
 // independent dual-arch tasks on two same-node CPU workers. Both workers'
-// pops select the same heap top, so any interleaving that runs one full pop
-// inside another's read-top→remove window trips the ScoredHeap presence
-// check. Small enough that exhaustive DFS reaches that window well inside
-// the 10k budget (the 6-task fixture's mutated space is too wide for DFS;
-// the PCT variants below keep covering it).
-void run_tiny_contended_fixture(const std::string& sched_name) {
+// pops read the same queue head, so any interleaving that runs one pop
+// inside another's read→advance window hands out a task twice. Small enough
+// that exhaustive DFS reaches that window well inside the 10k budget (the
+// 6-task fixture's mutated space is too wide for DFS; the PCT variants
+// below keep covering it).
+void run_tiny_contended_fixture(const ExecSchedulerFactory& make_scheduler) {
   TaskGraph g;
   const CodeletId cl = g.add_codelet("work", {ArchType::CPU, ArchType::GPU},
                                      [](const Task&, std::span<void* const>) {});
@@ -156,7 +193,7 @@ void run_tiny_contended_fixture(const std::string& sched_name) {
   ThreadExecutor exec(g, p, db);
   ExecConfig cfg;
   cfg.stall_timeout = 0.05;
-  const ExecResult r = exec.run(by_name(sched_name), cfg);
+  const ExecResult r = exec.run(make_scheduler, cfg);
   MP_CHECK(r.tasks_executed == 2);
 }
 
@@ -167,10 +204,12 @@ TEST(VerifyMutation, SkipExecutorLockIsCaughtExhaustive) {
   cfg.mode = verify::ExploreConfig::Mode::Exhaustive;
   cfg.max_schedules = 10000;  // the detection budget the suite guarantees
   const verify::ExploreResult r =
-      verify::explore([] { run_tiny_contended_fixture("multiprio-coarse"); }, cfg);
+      verify::explore([] { run_tiny_contended_fixture(racy_fifo()); }, cfg);
   ASSERT_TRUE(r.violation)
       << "unlocked Scheduler::pop must be detected within 10k interleavings; "
       << r.summary();
+  EXPECT_NE(r.violation_message.find("task popped twice"), std::string::npos)
+      << r.violation_message;
   EXPECT_FALSE(r.violation_message.empty());
   EXPECT_FALSE(r.violation_trace.empty()) << "violation must carry the schedule";
 }
@@ -183,9 +222,10 @@ TEST(VerifyMutation, SkipExecutorLockIsCaughtByPct) {
   cfg.max_schedules = 10000;
   cfg.seed = 1;
   const verify::ExploreResult r = verify::explore(
-      [] { run_fixture_once("multiprio-coarse", /*with_observer=*/false, /*cpus=*/2); },
-      cfg);
+      [] { run_fixture_once(racy_fifo(), /*with_observer=*/false, /*cpus=*/2); }, cfg);
   EXPECT_TRUE(r.violation) << r.summary();
+  EXPECT_NE(r.violation_message.find("task popped twice"), std::string::npos)
+      << r.violation_message;
 }
 
 TEST(VerifyMutation, SkipBrwDecrementIsCaught) {
@@ -195,7 +235,7 @@ TEST(VerifyMutation, SkipBrwDecrementIsCaught) {
   cfg.mode = verify::ExploreConfig::Mode::Exhaustive;
   cfg.max_schedules = 10000;
   const verify::ExploreResult r = verify::explore(
-      [] { run_fixture_once("multiprio-coarse", /*with_observer=*/false); }, cfg);
+      [] { run_fixture_once(by_name("multiprio-coarse"), /*with_observer=*/false); }, cfg);
   ASSERT_TRUE(r.violation)
       << "an uncorrected best_remaining_work ledger must trip the brw "
       << "upper-bound invariant; " << r.summary();
@@ -211,7 +251,7 @@ TEST(VerifyExplore, PctIsDeterministicPerSeed) {
   cfg.max_schedules = 10000;
   cfg.seed = 42;
   const auto body = [] {
-    run_fixture_once("multiprio-coarse", /*with_observer=*/false, /*cpus=*/2);
+    run_fixture_once(racy_fifo(), /*with_observer=*/false, /*cpus=*/2);
   };
   const verify::ExploreResult a = verify::explore(body, cfg);
   const verify::ExploreResult b = verify::explore(body, cfg);

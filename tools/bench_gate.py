@@ -13,9 +13,10 @@ at W workers than at 1" — which is the quantity the sharded lock protocol
 protects and the one that is comparable across machines.
 
 Only `multiprio` (sharded) sweep points are gated. The `multiprio-coarse`
-baseline points are printed for context but not gated: the coarse engine's
-notify_all herd makes its numbers wildly variant run-to-run (that variance
-is the pathology the sharded protocol removes), and the coarse path is the
+baseline points (MultiPrio behind the single-lock SerializedScheduler
+adapter) are printed for context but not gated: the adapter's notify_all
+herd makes its numbers wildly variant run-to-run (that variance is the
+pathology the sharded protocol removes), and the coarse path is the
 comparison anchor, not the protected quantity.
 
 Usage: tools/bench_gate.py <candidate.json> <baseline.json>

@@ -175,9 +175,8 @@ double process_cpu_seconds() {
 // serial chain is the worst case for wakeup discipline — exactly one task is
 // ever ready, so at width W every completion happens with 2W-1 workers
 // parked. The coarse engine broadcast-wakes all of them per state change;
-// the sharded protocol's waiter-gated, eligibility-filtered notify wakes at
-// most one (and usually none, since the completing worker pops the successor
-// itself). CPU time is the scaling metric: parked workers are free only if
+// the sharded protocol's wake rule wakes none, since the completing worker
+// is awake on the successor's node and absorbs it. CPU time is the scaling metric: parked workers are free only if
 // the protocol does not keep waking them, and on small hosts wall time
 // measures timeslicing, not scheduler overhead.
 RunCost run_executor_once(const std::string& sched, std::size_t workers,

@@ -26,6 +26,7 @@ MultiPrioScheduler::MultiPrioScheduler(SchedContext ctx, MultiPrioConfig config)
   // under every shard lock (pops dereference entries under theirs).
   states_ = std::vector<TaskState>(ctx_.graph->num_tasks());
   in_kernel_ = std::vector<RelaxedAtomic<std::uint8_t>>(ctx_.platform->num_workers());
+  wake_.resize(n_nodes);
   // Resolve instrument names once; the hot paths then pay one null test.
   if (MetricsRegistry* mx = ctx_.observer ? ctx_.observer->metrics() : nullptr) {
     m_stale_discards_ = &mx->counter("multiprio.stale_discards");
@@ -105,46 +106,107 @@ void MultiPrioScheduler::sample_heap_depth(MemNodeId m, double time) {
       time, static_cast<double>(shards_[m.index()].heap.size()));
 }
 
-void MultiPrioScheduler::notify_shard(std::size_t mi, std::size_t inserted) {
-  if (inserted == 0) return;
-  // Waiter-gated targeted wakeup: only the node that received work is
-  // notified, and only when a worker is actually parked there. Safe against
-  // lost wakeups: waiters is written under the shard lock and the epoch was
-  // bumped under that lock before this read, so a worker missing from the
-  // count either saw the new epoch (and will not park) or has yet to run its
-  // failed pop. A zero read means every worker of this node is active and
-  // will pop the task on its next loop — no futex needed.
-  if (shards_[mi].waiters.load() == 0) return;
-  if (inserted == 1) {
-    shards_[mi].cv.notify_one();
-  } else {
-    shards_[mi].cv.notify_all();
+// --- the wake rule -------------------------------------------------------------
+// One rule for every insert (push, push_batch, repush, the worker-removal
+// rebuild), planned under the shard locks and sent after them:
+//  - counting: per node, the workers that are neither parked nor inside a
+//    kernel are scanning; each absorbs one eligible task of the insert;
+//  - progress, never gated: a task none of whose best-arch heaps has a
+//    scanning worker wakes one parked worker there. Best heaps never evict,
+//    so every pushed task reaches an awake best-arch worker;
+//  - parallelism, gated: any further task wakes one more parked worker only
+//    when its calibrated δ on that node's arch is at least kMinWakeTaskTime.
+// Lost-wakeup-free: waiters is exact under the shard locks, the epoch moved
+// under them, so a worker missing from the count either saw the new epoch
+// (and will not park) or has yet to run its failed pop.
+
+template <typename Claim>
+bool MultiPrioScheduler::claim_eligible(TaskId t, Claim&& claim) const {
+  const PushRecord& rec = states_[t.index()].rec;
+  for (const bool best_pass : {true, false}) {
+    for (MemNodeId m : rec.nodes) {
+      const ArchType a = ctx_.platform->node_arch(m);
+      if ((a == rec.best_arch) != best_pass) continue;
+      if (!best_pass && !pop_condition(t, a)) continue;
+      if (claim(m, a)) return true;
+    }
   }
-  if (m_wakeups_ != nullptr) m_wakeups_->inc();
+  return false;
 }
 
-void MultiPrioScheduler::notify_one_waiter(const std::vector<std::size_t>& eligible) {
-  // A newly-pushed task is a single unit of work duplicated across shards:
-  // wake one waiter on the first eligible shard with no worker free to
-  // absorb it, and stop. A worker that is neither parked nor inside a
-  // kernel is scanning — it pops the duplicate on its next loop, and a
-  // woken sibling would just lose the race and re-park (measured: one
-  // wasted futex round trip per completion). Workers executing a kernel do
-  // NOT count as absorbers: a node whose awake workers are all busy in long
-  // kernels would otherwise leave its parked siblings asleep on runnable
-  // work for a full stall timeout. A waiter that loses a race re-parks
-  // against the bumped epoch, so no wakeup is ever lost; a diversion that
-  // becomes attractive later with no push to advertise it is still bounded
-  // by the engine's stall timeout.
-  for (std::size_t mi : eligible) {
-    const std::uint32_t parked = shards_[mi].waiters.load();
-    if (parked == 0) continue;
+void MultiPrioScheduler::plan_wakes(std::span<const TaskId> ts) {
+  bool any_parked = false;
+  for (std::size_t mi = 0; mi < num_shards_; ++mi) {
+    wake_[mi].parked = shards_[mi].waiters.load();
+    any_parked = any_parked || wake_[mi].parked > 0;
+  }
+  if (!any_parked) return;  // the common case: no task is even looked at
+  for (std::size_t mi = 0; mi < num_shards_; ++mi) {
+    NodeWake& nw = wake_[mi];
     const std::size_t live = live_workers_of_node(ctx_, MemNodeId{mi});
-    const std::uint32_t executing = shards_[mi].executing.load();
-    if (live > parked + executing) continue;  // someone is scanning
-    shards_[mi].cv.notify_one();
-    if (m_wakeups_ != nullptr) m_wakeups_->inc();
-    return;
+    const std::size_t busy = nw.parked + shards_[mi].executing.load();
+    nw.capacity = live > busy ? static_cast<std::uint32_t>(live - busy) : 0;
+    nw.awake = nw.capacity > 0;
+  }
+  for (TaskId t : ts) {
+    const TaskState& st = states_[t.index()];
+    if (st.phase.load() != kPending) continue;
+    // Progress: make sure a worker will scan one of the task's best heaps.
+    const PushRecord& rec = st.rec;
+    const auto is_best = [&](MemNodeId m) {
+      return ctx_.platform->node_arch(m) == rec.best_arch;
+    };
+    const bool best_awake = std::any_of(rec.nodes.begin(), rec.nodes.end(), [&](MemNodeId m) {
+      return is_best(m) && wake_[m.index()].awake;
+    });
+    if (!best_awake) {
+      const auto it = std::find_if(rec.nodes.begin(), rec.nodes.end(), [&](MemNodeId m) {
+        return is_best(m) && wake_[m.index()].parked > 0;
+      });
+      if (it != rec.nodes.end()) {
+        claim_wake(*it);
+        ++wake_[it->index()].capacity;  // the woken worker absorbs `t` below
+      }
+    }
+    // Counting: an awake worker absorbs the task...
+    const bool absorbed = claim_eligible(t, [&](MemNodeId m, ArchType) {
+      if (wake_[m.index()].capacity == 0) return false;
+      --wake_[m.index()].capacity;
+      return true;
+    });
+    if (absorbed) continue;
+    // ... else parallelism, gated: wake one more worker if the task pays.
+    (void)claim_eligible(t, [&](MemNodeId m, ArchType a) {
+      if (wake_[m.index()].parked == 0 || !wake_worthy(t, a)) return false;
+      claim_wake(m);
+      return true;
+    });
+  }
+}
+
+void MultiPrioScheduler::claim_wake(MemNodeId m) {
+  NodeWake& nw = wake_[m.index()];
+  --nw.parked;
+  ++nw.wakes;
+  nw.awake = true;
+}
+
+bool MultiPrioScheduler::wake_worthy(TaskId t, ArchType a) const {
+  // Only a calibrated δ counts: the default-rate priors of unmeasured
+  // buckets can be orders of magnitude off. The lookup is safe here: every
+  // caller holds the engine's push-side lock, which serializes
+  // HistoryModel::record.
+  return states_[t.index()].rec.delta[arch_index(a)] >= kMinWakeTaskTime &&
+         ctx_.perf != nullptr && ctx_.perf->is_calibrated(t, a);
+}
+
+void MultiPrioScheduler::send_wakes() {
+  for (std::size_t mi = 0; mi < num_shards_; ++mi) {
+    NodeWake& nw = wake_[mi];
+    if (nw.wakes == 0) continue;
+    for (std::uint32_t k = 0; k < nw.wakes; ++k) shards_[mi].cv.notify_one();
+    if (m_wakeups_ != nullptr) m_wakeups_->inc(nw.wakes);
+    nw.wakes = 0;
   }
 }
 
@@ -250,20 +312,12 @@ void MultiPrioScheduler::push(TaskId t) {
   ensure_task_capacity(t.index() + 1);
   MP_CHECK_MSG(t.index() < states_.size(), "push: task beyond the state table");
   const double t_now = ctx_.observer != nullptr ? obs_time() : 0.0;
-  const std::vector<std::size_t> targets = target_shards(t);
-  std::vector<std::size_t> eligible;
   {
-    AscendingShardLocks locks(*this, targets);
+    AscendingShardLocks locks(*this, target_shards(t));
     if (!push_locked(t, t_now)) return;  // surrendered to drain_unplaced()
-    // Eligibility is judged while the record is stable (under the locks): a
-    // parked worker is only worth waking if its arch could pop `t` right
-    // now — pop_condition is exactly that judgement, and waking a worker it
-    // would refuse is a futex round trip for a guaranteed failed pop.
-    for (std::size_t mi : targets)
-      if (pop_condition(t, ctx_.platform->node_arch(MemNodeId{mi}), nullptr))
-        eligible.push_back(mi);
+    plan_wakes({&t, 1});
   }
-  notify_one_waiter(eligible);
+  send_wakes();
 }
 
 void MultiPrioScheduler::push_batch(const std::vector<TaskId>& ts) {
@@ -280,24 +334,15 @@ void MultiPrioScheduler::push_batch(const std::vector<TaskId>& ts) {
   std::vector<std::size_t> union_targets;
   for (TaskId t : ts)
     for (std::size_t mi : target_shards(t)) union_targets.push_back(mi);
-  std::vector<std::vector<std::size_t>> eligible(ts.size());
   {
     AscendingShardLocks locks(*this, union_targets);
-    std::vector<bool> placed(ts.size());
-    for (std::size_t i = 0; i < ts.size(); ++i) placed[i] = push_locked(ts[i], t_now);
-    // Same wake-eligibility judgement as push(), per task in the batch,
-    // after the whole batch is in (late pushes raise the brw ledger and can
-    // make earlier tasks diversion-eligible). Surrendered tasks never wake.
-    for (std::size_t i = 0; i < ts.size(); ++i) {
-      if (!placed[i]) continue;
-      for (std::size_t mi : target_shards(ts[i]))
-        if (pop_condition(ts[i], ctx_.platform->node_arch(MemNodeId{mi}), nullptr))
-          eligible[i].push_back(mi);
-    }
+    // A surrendered task stays out of the plan (it never became pending).
+    for (TaskId t : ts) (void)push_locked(t, t_now);
+    // Planned once the whole batch is in: late pushes raise the brw ledger
+    // and can make earlier tasks diversion-eligible.
+    plan_wakes(ts);
   }
-  // One wakeup per task, not per duplicate: each task is one unit of work,
-  // so waking every eligible shard buys k-1 guaranteed failed pops.
-  for (const std::vector<std::size_t>& shards : eligible) notify_one_waiter(shards);
+  send_wakes();
 }
 
 bool MultiPrioScheduler::pop_condition(TaskId t, ArchType a, double* brw_out) const {
@@ -500,8 +545,6 @@ void MultiPrioScheduler::repush(TaskId t) {
                    states_[t.index()].phase.load() == kTaken,
                "repush of a task that was never popped");
   const double t_now = ctx_.observer != nullptr ? obs_time() : 0.0;
-  const std::vector<std::size_t> targets = target_shards(t);
-  bool placed = false;
   {
     // All shards, not just the new targets: take() removed the task only
     // from the heap it was popped from, so lazy stale duplicates may sit in
@@ -513,10 +556,9 @@ void MultiPrioScheduler::repush(TaskId t) {
       if (shards_[mi].heap.contains(t)) shards_[mi].heap.remove(t);
     states_[t.index()].phase.store(kIdle);
     states_[t.index()].live_mask.store(0);
-    placed = push_locked(t, t_now);
+    if (push_locked(t, t_now)) plan_wakes({&t, 1});  // else surrendered
   }
-  if (!placed) return;  // surrendered to drain_unplaced()
-  for (std::size_t mi : targets) notify_shard(mi, 1);
+  send_wakes();
 }
 
 std::vector<TaskId> MultiPrioScheduler::notify_worker_removed(WorkerId w) {
@@ -534,7 +576,6 @@ std::vector<TaskId> MultiPrioScheduler::notify_worker_removed(WorkerId w) {
 
   const double t_now = ctx_.observer != nullptr ? obs_time() : 0.0;
   std::vector<TaskId> orphans;
-  std::vector<std::size_t> inserted(num_shards_, 0);
   {
     AscendingShardLocks locks(*this, all_shard_indices());
     std::vector<TaskId> survivors;
@@ -564,7 +605,6 @@ std::vector<TaskId> MultiPrioScheduler::notify_worker_removed(WorkerId w) {
     gain_.reset();
     nod_.reset();
     for (TaskId t : survivors) {
-      for (std::size_t mi : target_shards(t)) ++inserted[mi];
       if (!push_locked(t, t_now)) {
         // A second fail-stop raced this rebuild and took the task's last
         // capable worker: it is an orphan of this removal after all.
@@ -572,10 +612,10 @@ std::vector<TaskId> MultiPrioScheduler::notify_worker_removed(WorkerId w) {
         orphans.push_back(t);
       }
     }
+    plan_wakes(survivors);
     std::sort(orphans.begin(), orphans.end());  // deterministic surrender order
   }
-  for (std::size_t mi = 0; mi < num_shards_; ++mi)
-    notify_shard(mi, inserted[mi]);
+  send_wakes();
   return orphans;
 }
 
@@ -616,8 +656,7 @@ void MultiPrioScheduler::wait_for_work(WorkerId w, std::uint64_t seen,
   // epoch is bumped under this lock by every insert, and the predicate is
   // re-evaluated under the lock. The timeout is the engine's anti-hang
   // bound; spurious returns just cost one retried pop. The waiter count
-  // bracketing the wait (under the lock) is what notify_shard's futex gate
-  // reads.
+  // bracketing the wait (under the lock) is what the wake rule counts.
   sh.waiters.fetch_add(1);
   (void)sh.cv.wait_for(lk, std::chrono::duration<double>(timeout_s), [&] {
     return cancel() || sh.epoch.load() != seen;
@@ -627,7 +666,15 @@ void MultiPrioScheduler::wait_for_work(WorkerId w, std::uint64_t seen,
 
 void MultiPrioScheduler::interrupt_waiters() {
   MP_CHECK(num_shards_ > 0);
-  for (std::size_t mi = 0; mi < num_shards_; ++mi) shards_[mi].cv.notify_all();
+  // Under each shard lock, one at a time: the engine state this interrupt
+  // announces (run finished, tasks abandoned) is read by the cancel
+  // predicate, so an unlocked notify could slip between a waiter's
+  // predicate check and its wait and leave it parked until the timeout.
+  for (std::size_t mi = 0; mi < num_shards_; ++mi) {
+    lock_shard(mi);
+    shards_[mi].cv.notify_all();
+    shards_[mi].order_mu.unlock();  // shard-lock(asc)
+  }
   if (m_wakeups_ != nullptr) m_wakeups_->inc();
 }
 

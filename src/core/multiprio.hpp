@@ -23,6 +23,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -62,6 +63,13 @@ struct MultiPrioConfig {
 
 class MultiPrioScheduler final : public Scheduler {
  public:
+  /// The wake rule's gate: a parked worker is woken for parallelism only
+  /// for a task whose calibrated δ(t, node arch) is at least this long. It
+  /// sits above the 99th percentile of a condvar wake round trip (13 µs on
+  /// a 4-vCPU Xeon host, DESIGN.md §12): a shorter task is done sooner by
+  /// the awake worker that already holds it than by a woken one.
+  static constexpr double kMinWakeTaskTime = 20e-6;
+
   explicit MultiPrioScheduler(SchedContext ctx, MultiPrioConfig config = {});
 
   void push(TaskId t) override;                        // Algorithm 1
@@ -87,8 +95,8 @@ class MultiPrioScheduler final : public Scheduler {
   [[nodiscard]] std::vector<TaskId> drain_unplaced() override;
 
   /// Lock-free per the Internal contract: maintain the per-node count of
-  /// workers inside a kernel, the signal notify_one_waiter() uses to judge
-  /// whether an awake worker can absorb new work promptly.
+  /// workers inside a kernel, which the wake rule subtracts to find the
+  /// node's scanning workers (those that absorb new work without a wake).
   void on_task_start(TaskId t, WorkerId w) override;
   void on_task_end(TaskId t, WorkerId w) override;
 
@@ -197,8 +205,18 @@ class MultiPrioScheduler final : public Scheduler {
     /// Workers of this node currently inside a kernel (on_task_start/end
     /// transitions, guarded by the per-worker in-kernel flag). A worker that
     /// is neither parked nor executing is scanning and absorbs new work
-    /// without a futex; when none exists, notify_one_waiter wakes a waiter.
+    /// without a futex.
     RelaxedAtomic<std::uint32_t> executing{0};
+  };
+
+  /// The wake rule's per-node tally for one insert (push side only, which
+  /// the engine serializes; sized once at construction, so planning an
+  /// insert allocates nothing).
+  struct NodeWake {
+    std::uint32_t parked = 0;    ///< waiters not yet claimed by a wake
+    std::uint32_t capacity = 0;  ///< awake workers not yet claimed by a task
+    std::uint32_t wakes = 0;     ///< notify_one calls to send
+    bool awake = false;          ///< some worker will scan this heap
   };
 
   // The ONLY ways scheduler code may acquire shard locks (enforced by
@@ -283,13 +301,28 @@ class MultiPrioScheduler final : public Scheduler {
   RelaxedAtomic<std::size_t> evictions_{0};
   RelaxedAtomic<std::size_t> pop_rejects_{0};
 
+  // --- the wake rule (DESIGN.md §12) ---------------------------------------
+  /// Plans the wakes an insert of `ts` needs, into wake_. Requires the shard
+  /// locks of every node the tasks went to (waiters is exact under them);
+  /// tasks that are not pending (surrendered to drain_unplaced) are skipped.
+  void plan_wakes(std::span<const TaskId> ts);
+  /// Sends the planned wakes; call after releasing the shard locks.
+  void send_wakes();
+  /// Runs `claim(m, arch)` over the nodes holding `t` that would take it
+  /// now — best-arch nodes first, then those whose pop_condition passes —
+  /// until one claim succeeds; returns whether one did.
+  template <typename Claim>
+  bool claim_eligible(TaskId t, Claim&& claim) const;
+  /// Claims one parked worker of `m` for a wake.
+  void claim_wake(MemNodeId m);
+  /// A task worth a parallelism wake on arch `a`: calibrated, and at least
+  /// kMinWakeTaskTime long.
+  [[nodiscard]] bool wake_worthy(TaskId t, ArchType a) const;
+  std::vector<NodeWake> wake_;
+
   // --- observability (all null without an attached observer/metrics) -------
   [[nodiscard]] double obs_time() const { return ctx_.now ? ctx_.now() : 0.0; }
   void sample_heap_depth(MemNodeId m, double time);
-  void notify_shard(std::size_t mi, std::size_t inserted);
-  /// Single-wake notify for one pushed task: first eligible shard with a
-  /// parked worker, ascending order.
-  void notify_one_waiter(const std::vector<std::size_t>& eligible);
   Counter* m_stale_discards_ = nullptr;   ///< lazily dropped taken duplicates
   Counter* m_window_scans_ = nullptr;     ///< pops that ran the locality window
   Counter* m_window_hits_ = nullptr;      ///< ... where the window changed the pick

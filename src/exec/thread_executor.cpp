@@ -73,14 +73,37 @@ ExecResult ThreadExecutor::run(const ExecSchedulerFactory& make_scheduler,
   ctx.liveness = &liveness;
   ctx.observer = config.observer;
   ctx.push_mu = &push_mu;
-  // Resolve the pop-latency instrument once; per-pop timing is taken only
-  // when it resolved (no steady_clock reads on the observer-free path).
-  // The registry itself is kept around for the per-(codelet, arch) model
-  // audit, whose instrument names are only known per task.
+  // Resolve every instrument once; per-pop timing is taken only when its
+  // histogram resolved (no clock reads on the observer-free path). The
+  // model audit keeps the simulator's names, one histogram pair per
+  // (codelet, arch) a worker of the platform can run.
   MetricsRegistry* metrics =
       config.observer != nullptr ? config.observer->metrics() : nullptr;
   Histogram* pop_latency =
       metrics != nullptr ? &metrics->histogram("exec.pop_latency_s") : nullptr;
+  Counter* stall_counter =
+      metrics != nullptr ? &metrics->counter("exec.stall_timeouts") : nullptr;
+  struct AuditHistograms {
+    Histogram* abs_err = nullptr;
+    Histogram* rel_err = nullptr;
+  };
+  std::vector<AuditHistograms> audit;  // [codelet * kNumArchTypes + arch]
+  if (metrics != nullptr) {
+    audit.resize(graph_.num_codelets() * kNumArchTypes);
+    for (std::size_t c = 0; c < graph_.num_codelets(); ++c) {
+      const Codelet& cl = graph_.codelet(CodeletId{c});
+      for (std::size_t ai = 0; ai < kNumArchTypes; ++ai) {
+        const auto a = static_cast<ArchType>(ai);
+        if (!cl.can_exec(a) || platform_.worker_count(a) == 0) continue;
+        const std::string suffix = cl.name + "." + arch_name(a);
+        audit[c * kNumArchTypes + ai] = {&metrics->histogram("perf_model.abs_err_s." + suffix),
+                                         &metrics->histogram("perf_model.rel_err." + suffix)};
+      }
+    }
+  }
+  // Parks that lasted the full stall timeout: the worker was rescued by the
+  // timeout, not woken by a signal.
+  RelaxedAtomic<std::size_t> stall_timeouts{0};
   std::unique_ptr<Scheduler> sched = make_scheduler(ctx);
   MP_CHECK(sched != nullptr);
   // One locking contract: a policy that does no locking of its own gets the
@@ -202,7 +225,12 @@ ExecResult ThreadExecutor::run(const ExecSchedulerFactory& make_scheduler,
       if (!popped) {
         // Timed wait: a buggy policy must not hang the process — the worker
         // simply retries, and the post-run checks will flag lost tasks.
+        const double park_begin = sync_now_seconds();
         sched->wait_for_work(w, epoch, config.stall_timeout, parked_cancel);
+        if (sync_now_seconds() - park_begin >= config.stall_timeout) {
+          stall_timeouts.fetch_add(1);
+          if (stall_counter != nullptr) stall_counter->inc();
+        }
         continue;
       }
       const TaskId t = *popped;
@@ -290,12 +318,11 @@ ExecResult ThreadExecutor::run(const ExecSchedulerFactory& make_scheduler,
           if (metrics != nullptr) {
             // Same instruments as the simulator, so RunAnalysis-style audits
             // read identically off either engine. dur is clamped ≥ 1e-9 above.
-            const std::string suffix =
-                graph_.codelet_of(t).name + "." + arch_name(arch);
-            metrics->histogram("perf_model.abs_err_s." + suffix)
-                .observe(std::abs(predicted - dur));
-            metrics->histogram("perf_model.rel_err." + suffix)
-                .observe(std::abs(predicted - dur) / dur);
+            const AuditHistograms& h =
+                audit[graph_.task(t).codelet.index() * kNumArchTypes + arch_index(arch)];
+            MP_CHECK_MSG(h.abs_err != nullptr, "task ran on an arch its codelet lacks");
+            h.abs_err->observe(std::abs(predicted - dur));
+            h.rel_err->observe(std::abs(predicted - dur) / dur);
           }
           ++result.tasks_per_worker[w.index()];
           deps.complete(t, ready);
@@ -352,6 +379,7 @@ ExecResult ThreadExecutor::run(const ExecSchedulerFactory& make_scheduler,
                "run ended with tasks neither executed nor abandoned");
   MP_CHECK_MSG(sched->pending_count() == 0, "scheduler still holds tasks");
   result.wall_seconds = sync_now_seconds() - t0;
+  result.stall_timeouts = stall_timeouts.load();
   result.tasks_executed = total - result.fault.tasks_abandoned;
   result.fault.degraded = result.fault.workers_lost > 0 || result.fault.tasks_abandoned > 0;
   return result;

@@ -30,7 +30,8 @@ struct ExecConfig {
   FaultPlan fault;
   /// Decision-event sink shared with the scheduler (wall-clock timestamps).
   /// The executor adds REPUSH / WORKER_LOST / fault events and, when the
-  /// observer exposes a MetricsRegistry, an "exec.pop_latency_s" histogram.
+  /// observer exposes a MetricsRegistry, an "exec.pop_latency_s" histogram
+  /// and an "exec.stall_timeouts" counter.
   /// Null disables all recording. Not owned; must be thread-safe (the
   /// provided observers are).
   SchedObserver* observer = nullptr;
@@ -46,6 +47,10 @@ struct ExecResult {
   std::size_t tasks_executed = 0;
   /// Tasks executed per worker (scheduling-balance diagnostics).
   std::vector<std::size_t> tasks_per_worker;
+  /// Parks that lasted at least ExecConfig::stall_timeout: workers rescued
+  /// by the timeout instead of a wakeup. 0 in a healthy fault-free run;
+  /// also counted in the observer's "exec.stall_timeouts" counter.
+  std::size_t stall_timeouts = 0;
   /// Fault outcome (failures_injected also counts kernels that threw).
   FaultStats fault;
 };

@@ -124,6 +124,7 @@ class Controller {
         break;
       }
       if (truncated_) ++res.truncated;
+      if (timed_out_) ++res.timeout_schedules;
       if (cfg_.mode == ExploreConfig::Mode::Exhaustive && !advance_dfs()) {
         res.exhausted = true;
         break;
@@ -365,6 +366,7 @@ class Controller {
       stop_ = false;
       abort_run_ = false;
       truncated_ = false;
+      timed_out_ = false;
       run_done_ = false;
       if (cfg_.mode == ExploreConfig::Mode::Pct) {
         rng_.seed(cfg_.seed + index);
@@ -576,7 +578,10 @@ class Controller {
           woke = true;
         }
       }
-      if (woke) r = runnable_threads();
+      if (woke) {
+        timed_out_ = true;
+        r = runnable_threads();
+      }
     }
     if (r.empty()) return nullptr;
     if (r.size() == 1) return r.front();
@@ -756,6 +761,7 @@ class Controller {
   bool stop_ = false;       // violation: unwind everything
   bool abort_run_ = false;  // budget overrun: unwind, not a violation
   bool truncated_ = false;
+  bool timed_out_ = false;  // this schedule modelled a cv timeout
   bool run_done_ = false;
   bool violation_ = false;
   std::string violation_msg_;

@@ -12,6 +12,8 @@ std::string ExploreResult::summary() const {
   os << "explored " << schedules << " schedule" << (schedules == 1 ? "" : "s");
   if (exhausted) os << " (exhaustive: schedule space fully covered)";
   if (truncated > 0) os << ", " << truncated << " truncated by the step budget";
+  if (timeout_schedules > 0)
+    os << ", " << timeout_schedules << " rescued by a modelled cv timeout";
   if (violation) {
     os << "\nVIOLATION: " << violation_message << '\n' << violation_trace;
   } else {

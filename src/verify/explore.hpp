@@ -40,6 +40,11 @@ struct ExploreResult {
   std::size_t schedules = 0;       ///< schedules actually run
   bool exhausted = false;          ///< DFS proved there is nothing left
   std::size_t truncated = 0;       ///< schedules cut off by max_steps
+  /// Schedules in which every live thread was blocked and a timed condvar
+  /// wait had to time out for the run to go on: the explorer's model of a
+  /// worker rescued by the stall timeout instead of a signal. A fault-free
+  /// run of a lost-wakeup-free protocol never needs one.
+  std::size_t timeout_schedules = 0;
   bool violation = false;
   std::string violation_message;   ///< what broke (probe / check / deadlock)
   std::string violation_trace;     ///< full schedule, one visible op per line

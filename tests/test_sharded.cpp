@@ -341,6 +341,7 @@ TEST(ShardedExplore, TinyFixtureExhaustsScheduleSpace) {
       },
       cfg);
   EXPECT_FALSE(r.violation) << r.summary();
+  EXPECT_EQ(r.timeout_schedules, 0u) << "lost wakeup: " << r.summary();
   EXPECT_TRUE(r.exhausted) << "DFS must terminate on the tiny sharded fixture, ran "
                            << r.schedules << " schedules";
   EXPECT_GT(r.schedules, 1u);
@@ -354,6 +355,7 @@ TEST(ShardedExplore, FixtureExploresCleanExhaustive) {
   const verify::ExploreResult r =
       verify::explore([] { run_sharded_fixture_once(/*with_observer=*/false); }, cfg);
   EXPECT_FALSE(r.violation) << r.summary();
+  EXPECT_EQ(r.timeout_schedules, 0u) << "lost wakeup: " << r.summary();
   EXPECT_GT(r.schedules, 1u);
 }
 
@@ -366,6 +368,7 @@ TEST(ShardedExplore, FixtureWithObserverExploresCleanPct) {
   const verify::ExploreResult r =
       verify::explore([] { run_sharded_fixture_once(/*with_observer=*/true); }, cfg);
   EXPECT_FALSE(r.violation) << r.summary();
+  EXPECT_EQ(r.timeout_schedules, 0u) << "lost wakeup: " << r.summary();
   EXPECT_EQ(r.schedules, 200u);
 }
 
@@ -380,6 +383,43 @@ TEST(ShardedExplore, TwoSameNodeWorkersExploreClean) {
   const verify::ExploreResult r = verify::explore(
       [] { run_sharded_fixture_once(/*with_observer=*/false, /*cpus=*/2); }, cfg);
   EXPECT_FALSE(r.violation) << r.summary();
+  EXPECT_EQ(r.timeout_schedules, 0u) << "lost wakeup: " << r.summary();
+}
+
+// A CPU worker releases a GPU-best task while the GPU worker is parked: the
+// CPU's pop_condition refuses the task (the GPU is 10x faster and idle), so
+// only a wake of the parked GPU worker lets the run finish without the
+// stall timeout. The explorer models that timeout whenever every thread is
+// blocked; a lost wakeup therefore shows up as a timeout schedule.
+void run_gpu_best_release_once() {
+  TaskGraph g;
+  const auto nop = [](const Task&, std::span<void* const>) {};
+  const CodeletId produce = g.add_codelet("produce", {ArchType::CPU}, nop);
+  const CodeletId consume = g.add_codelet("consume", {ArchType::CPU, ArchType::GPU}, nop);
+  const DataId d = g.add_data(64);
+  SubmitOptions o;
+  o.flops = 1e6;  // δ priors: 100 µs on the CPU, 10 µs on the GPU
+  g.submit(produce, {Access{d, AccessMode::Write}}, o);
+  g.submit(consume, {Access{d, AccessMode::ReadWrite}}, o);
+  Platform p = test::small_platform(1, 1);
+  PerfDatabase db = test::flat_perf();
+  ThreadExecutor exec(g, p, db);
+  ExecConfig ecfg;
+  ecfg.stall_timeout = 0.05;
+  const ExecResult r = exec.run(by_name("multiprio"), ecfg);
+  MP_CHECK(r.tasks_executed == 2);
+  MP_CHECK_MSG(r.tasks_per_worker[1] == 1, "the GPU-best task must run on the GPU");
+}
+
+TEST(ShardedExplore, GpuBestReleaseWakesTheParkedGpuWorker) {
+  if (!verify::exploration_supported()) GTEST_SKIP() << "needs -DMP_VERIFY=ON";
+  verify::ExploreConfig cfg;
+  cfg.mode = verify::ExploreConfig::Mode::Exhaustive;
+  cfg.max_schedules = 10000;  // measured: 420 schedules
+  const verify::ExploreResult r = verify::explore(run_gpu_best_release_once, cfg);
+  EXPECT_FALSE(r.violation) << r.summary();
+  EXPECT_EQ(r.timeout_schedules, 0u) << "lost wakeup: " << r.summary();
+  EXPECT_TRUE(r.exhausted) << r.summary();
 }
 
 TEST(ShardedMutation, SkipNodeLockIsCaughtExhaustive) {

@@ -123,6 +123,7 @@ TEST(VerifyExplore, UnmutatedFixtureExploresClean) {
   const verify::ExploreResult r = verify::explore(
       [] { run_fixture_once(by_name("multiprio-coarse"), /*with_observer=*/false); }, cfg);
   EXPECT_FALSE(r.violation) << r.summary();
+  EXPECT_EQ(r.timeout_schedules, 0u) << "lost wakeup: " << r.summary();
   EXPECT_GT(r.schedules, 1u) << "fixture must actually branch";
   EXPECT_EQ(r.truncated, 0u);
 }
@@ -156,6 +157,7 @@ TEST(VerifyExplore, TinyFixtureExhaustsScheduleSpace) {
       },
       cfg);
   EXPECT_FALSE(r.violation) << r.summary();
+  EXPECT_EQ(r.timeout_schedules, 0u) << "lost wakeup: " << r.summary();
   EXPECT_TRUE(r.exhausted) << "DFS must terminate on the tiny fixture, ran "
                            << r.schedules << " schedules";
   EXPECT_GT(r.schedules, 1u);
@@ -170,6 +172,7 @@ TEST(VerifyExplore, UnmutatedFixtureWithObserverExploresClean) {
   const verify::ExploreResult r = verify::explore(
       [] { run_fixture_once(by_name("multiprio-coarse"), /*with_observer=*/true); }, cfg);
   EXPECT_FALSE(r.violation) << r.summary();
+  EXPECT_EQ(r.timeout_schedules, 0u) << "lost wakeup: " << r.summary();
   EXPECT_EQ(r.schedules, 200u);
 }
 

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <limits>
 #include <mutex>
 
 #include "common/check.hpp"
 #include "core/multiprio.hpp"
+#include "fault/task_lifecycle.hpp"
 #include "obs/metrics.hpp"
 #include "obs/observer.hpp"
 #include "runtime/serialized_scheduler.hpp"
@@ -29,33 +29,21 @@ ExecResult ThreadExecutor::run(const ExecSchedulerFactory& make_scheduler,
   MemoryManager memory(graph_, platform_);
   DepCounters deps(graph_);
   WorkerLiveness liveness(platform_);
-  std::unique_ptr<FaultInjector> injector;
-  if (!config.fault.empty())
-    injector = std::make_unique<FaultInjector>(config.fault, graph_);
-  // Kernel exceptions are retried even without a plan; the default budget
-  // of a default-constructed FaultPlan applies then.
-  const std::size_t retry_budget = config.fault.retry_budget;
-  std::vector<double> lost_at(platform_.num_workers(),
-                              std::numeric_limits<double>::infinity());
-  for (const WorkerLossSpec& l : config.fault.worker_losses) {
-    MP_CHECK_MSG(l.worker.index() < platform_.num_workers(),
-                 "fault plan kills a worker the platform does not have");
-    lost_at[l.worker.index()] = std::min(lost_at[l.worker.index()], l.time);
-  }
 
   // Shim primitives (src/verify/sync.hpp): plain std:: types in normal
   // builds, controlled by the interleaving explorer under MP_VERIFY.
   //
   // Lock hierarchy (DESIGN.md §12): mu → push_mu → shard locks (ascending)
-  // → leaves. `mu` guards the engine bookkeeping (deps, taken/attempts,
-  // abandonment, memory placement); `push_mu` serializes the push side of
+  // → leaves. `mu` guards the engine bookkeeping (deps, taken, the task
+  // lifecycle, memory placement); `push_mu` serializes the push side of
   // the policy (push/push_batch/repush/notify_worker_removed), the liveness
   // flips and the HistoryModel writes its readers key off. A mutex-free
   // policy is wrapped in a SerializedScheduler that takes push_mu for every
   // other call too.
   Mutex mu;
   Mutex push_mu;
-  // Executed + abandoned tasks, readable without `mu` (loop condition and
+  // The lifecycle's executed + abandoned count, republished under `mu`
+  // after every change and readable without it (loop condition and
   // wait_for_work cancel predicate; a stale read only costs one extra
   // failed pop).
   RelaxedAtomic<std::size_t> finished{0};
@@ -73,34 +61,21 @@ ExecResult ThreadExecutor::run(const ExecSchedulerFactory& make_scheduler,
   ctx.liveness = &liveness;
   ctx.observer = config.observer;
   ctx.push_mu = &push_mu;
+  // Kernel exceptions are retried even without a plan, against the budget
+  // of a default-constructed FaultPlan.
+  TaskLifecycle lifecycle(ctx, config.fault);
+  std::vector<double> lost_at(platform_.num_workers(),
+                              std::numeric_limits<double>::infinity());
+  for (const WorkerLossSpec& l : config.fault.worker_losses)
+    lost_at[l.worker.index()] = std::min(lost_at[l.worker.index()], l.time);
   // Resolve every instrument once; per-pop timing is taken only when its
-  // histogram resolved (no clock reads on the observer-free path). The
-  // model audit keeps the simulator's names, one histogram pair per
-  // (codelet, arch) a worker of the platform can run.
+  // histogram resolved (no clock reads on the observer-free path).
   MetricsRegistry* metrics =
       config.observer != nullptr ? config.observer->metrics() : nullptr;
   Histogram* pop_latency =
       metrics != nullptr ? &metrics->histogram("exec.pop_latency_s") : nullptr;
   Counter* stall_counter =
       metrics != nullptr ? &metrics->counter("exec.stall_timeouts") : nullptr;
-  struct AuditHistograms {
-    Histogram* abs_err = nullptr;
-    Histogram* rel_err = nullptr;
-  };
-  std::vector<AuditHistograms> audit;  // [codelet * kNumArchTypes + arch]
-  if (metrics != nullptr) {
-    audit.resize(graph_.num_codelets() * kNumArchTypes);
-    for (std::size_t c = 0; c < graph_.num_codelets(); ++c) {
-      const Codelet& cl = graph_.codelet(CodeletId{c});
-      for (std::size_t ai = 0; ai < kNumArchTypes; ++ai) {
-        const auto a = static_cast<ArchType>(ai);
-        if (!cl.can_exec(a) || platform_.worker_count(a) == 0) continue;
-        const std::string suffix = cl.name + "." + arch_name(a);
-        audit[c * kNumArchTypes + ai] = {&metrics->histogram("perf_model.abs_err_s." + suffix),
-                                         &metrics->histogram("perf_model.rel_err." + suffix)};
-      }
-    }
-  }
   // Parks that lasted the full stall timeout: the worker was rescued by the
   // timeout, not woken by a signal.
   RelaxedAtomic<std::size_t> stall_timeouts{0};
@@ -150,54 +125,23 @@ ExecResult ThreadExecutor::run(const ExecSchedulerFactory& make_scheduler,
   // Popped and not handed back by a failed attempt: a second pop of a taken
   // task is a policy (or locking) bug.
   std::vector<bool> taken(total, false);
-  std::vector<bool> abandoned_mask(total, false);
-  std::vector<std::size_t> attempts(total, 0);  // failed attempts per task
   // Per-handle mutexes enforcing AccessMode::Commute mutual exclusion.
   std::vector<std::unique_ptr<Mutex>> commute_mu(graph_.handles().count());
   for (auto& m : commute_mu) m = std::make_unique<Mutex>();
 
-  // Executor-side event emission; the observers are thread-safe, so no lock
-  // discipline beyond what the call sites already hold. Requires `mu` (the
-  // attempt counter read).
-  auto emit = [&](SchedEventKind k, TaskId t, WorkerId w) {
-    if (config.observer == nullptr) return;
-    SchedEvent e;
-    e.time = elapsed();
-    e.kind = k;
-    e.task = t;
-    e.worker = w;
-    if (w.valid()) e.node = platform_.worker(w).node;
-    if (t.valid()) e.attempt = static_cast<std::uint32_t>(attempts[t.index()]);
-    config.observer->record(e);
-  };
-
-  // Both closures require `mu` to be held by the caller.
-  auto abandon = [&](TaskId t) {
-    std::vector<TaskId> frontier{t};
-    while (!frontier.empty()) {
-      const TaskId cur = frontier.back();
-      frontier.pop_back();
-      if (abandoned_mask[cur.index()]) continue;
-      abandoned_mask[cur.index()] = true;
-      ++result.fault.tasks_abandoned;
-      finished.fetch_add(1);
-      emit(SchedEventKind::TaskAbandoned, cur, WorkerId{});
-      for (TaskId s : graph_.successors(cur)) frontier.push_back(s);
-    }
-  };
   // Fail-stop: liveness flips and the policy rebuilds in one push_mu
   // critical section, so a serialized policy never pops in between; the
-  // orphans it surrenders are abandoned.
+  // orphans it surrenders are abandoned. Requires `mu`.
   auto lose_worker = [&](WorkerId w) {
     std::vector<TaskId> orphans;
     {
       std::lock_guard plock(push_mu);
       liveness.mark_dead(w);
-      ++result.fault.workers_lost;
-      emit(SchedEventKind::WorkerLost, TaskId{}, w);
+      lifecycle.worker_lost(w);
       orphans = sched->notify_worker_removed(w);
     }
-    for (TaskId t : orphans) abandon(t);
+    for (TaskId t : orphans) lifecycle.abandon(t);
+    finished.store(lifecycle.settled());
   };
 
   // The worker loop: pops run without any executor lock (the policy, or the
@@ -239,14 +183,14 @@ ExecResult ThreadExecutor::run(const ExecSchedulerFactory& make_scheduler,
         std::lock_guard lock(mu);
         MP_CHECK_MSG(!taken[t.index()], "task popped twice");
         taken[t.index()] = true;
-        attempt = attempts[t.index()];
+        attempt = lifecycle.attempt(t);
         // Keep logical data placement in sync so locality heuristics see
         // the same world as in simulation (transfers are free functionally).
         std::vector<TransferOp> ops;
         memory.acquire_for_task(t, platform_.worker(w).node, ops);
       }
       double predicted = 0.0;
-      if (metrics != nullptr) {
+      if (lifecycle.audits()) {
         // Pop-time δ(t,a) for the model audit, before this task's own
         // completion re-trains the model. Reads race with history.record()
         // — serialize on push_mu, the lock every record() below holds.
@@ -280,16 +224,14 @@ ExecResult ThreadExecutor::run(const ExecSchedulerFactory& make_scheduler,
       const double dur = std::max(1e-9, sync_now_seconds() - start);
       for (auto it = locks.rbegin(); it != locks.rend(); ++it)
         commute_mu[*it]->unlock();
-      bool straggled = false;
-      if (!failed && injector != nullptr) {
-        if (injector->fail_attempt(t, attempt)) failed = true;
-        const double mult = injector->duration_multiplier(t, attempt);
-        if (mult > 1.0) {
-          // Functional emulation of a straggler: hold the worker as long as
-          // the slowdown would have.
-          sync_sleep_for(std::chrono::duration<double>(dur * (mult - 1.0)));
-          straggled = true;
-        }
+      double mult = 1.0;
+      if (!failed) {
+        failed = lifecycle.attempt_fails(t, attempt);
+        mult = lifecycle.attempt_multiplier(t, attempt);
+        // Functional emulation of a straggler: hold the worker as long as
+        // the slowdown would have. A real kernel cannot be sped up, so a
+        // multiplier below 1 is only counted.
+        if (mult > 1.0) sync_sleep_for(std::chrono::duration<double>(dur * (mult - 1.0)));
       }
 
       // Account the attempt: a failure is retried or abandoned, a success
@@ -298,36 +240,16 @@ ExecResult ThreadExecutor::run(const ExecSchedulerFactory& make_scheduler,
       bool retry = false;
       {
         std::lock_guard lock(mu);
-        if (straggled) {
-          ++result.fault.stragglers_injected;
-          emit(SchedEventKind::FaultStraggler, t, w);
-        }
+        lifecycle.straggled(t, w, mult);
         if (failed) {
-          ++result.fault.failures_injected;
           taken[t.index()] = false;
-          const std::size_t failures = ++attempts[t.index()];
-          emit(SchedEventKind::FaultFailure, t, w);
-          retry = failures <= retry_budget;
-          if (retry) {
-            ++result.fault.retries;
-            emit(SchedEventKind::Repush, t, w);
-          } else {
-            abandon(t);
-          }
+          retry = lifecycle.failed(t, w);
         } else {
-          if (metrics != nullptr) {
-            // Same instruments as the simulator, so RunAnalysis-style audits
-            // read identically off either engine. dur is clamped ≥ 1e-9 above.
-            const AuditHistograms& h =
-                audit[graph_.task(t).codelet.index() * kNumArchTypes + arch_index(arch)];
-            MP_CHECK_MSG(h.abs_err != nullptr, "task ran on an arch its codelet lacks");
-            h.abs_err->observe(std::abs(predicted - dur));
-            h.rel_err->observe(std::abs(predicted - dur) / dur);
-          }
+          lifecycle.completed(t, w, predicted, dur);
           ++result.tasks_per_worker[w.index()];
           deps.complete(t, ready);
-          finished.fetch_add(1);
         }
+        finished.store(lifecycle.settled());
       }
       std::vector<TaskId> unplaced;
       if (!failed || retry) {
@@ -341,7 +263,9 @@ ExecResult ThreadExecutor::run(const ExecSchedulerFactory& make_scheduler,
           // this screen cannot go stale.
           sched->on_task_end(t, w);
           history.record(t, arch, dur);
-          if (result.fault.workers_lost > 0) {
+          // workers_lost only moves under push_mu (lose_worker), so this
+          // read needs no `mu`.
+          if (lifecycle.stats().workers_lost > 0) {
             const auto orphans = std::stable_partition(
                 ready.begin(), ready.end(),
                 [&](TaskId nt) { return task_has_live_worker(ctx, nt); });
@@ -354,7 +278,8 @@ ExecResult ThreadExecutor::run(const ExecSchedulerFactory& make_scheduler,
       }
       if (!unplaced.empty()) {
         std::lock_guard lock(mu);
-        for (TaskId ot : unplaced) abandon(ot);
+        for (TaskId ot : unplaced) lifecycle.abandon(ot);
+        finished.store(lifecycle.settled());
       }
       if (finished.load() >= total) sched->interrupt_waiters();
     }
@@ -375,13 +300,11 @@ ExecResult ThreadExecutor::run(const ExecSchedulerFactory& make_scheduler,
     if (liveness.alive(WorkerId{wi})) threads.emplace_back(worker_body, WorkerId{wi});
   for (auto& th : threads) th.join();
 
-  MP_CHECK_MSG(finished.load() == total,
-               "run ended with tasks neither executed nor abandoned");
+  result.fault = lifecycle.finish();
   MP_CHECK_MSG(sched->pending_count() == 0, "scheduler still holds tasks");
   result.wall_seconds = sync_now_seconds() - t0;
   result.stall_timeouts = stall_timeouts.load();
   result.tasks_executed = total - result.fault.tasks_abandoned;
-  result.fault.degraded = result.fault.workers_lost > 0 || result.fault.tasks_abandoned > 0;
   return result;
 }
 

@@ -34,7 +34,8 @@ struct StragglerSpec {
   CodeletId codelet;
   /// Per-attempt trigger probability in [0, 1].
   double probability = 0.0;
-  /// Duration multiplier applied when triggered (> 1 slows the task down).
+  /// Duration multiplier applied when triggered (> 1 slows the task down;
+  /// < 1 speeds it up in the simulator and is only counted by the executor).
   double multiplier = 4.0;
 };
 
@@ -75,12 +76,6 @@ class FaultInjector {
   /// Duration multiplier for the attempt (1.0 when no straggler triggers).
   [[nodiscard]] double duration_multiplier(TaskId t, std::size_t attempt) const;
 
-  [[nodiscard]] std::size_t retry_budget() const { return plan_.retry_budget; }
-  [[nodiscard]] const std::vector<WorkerLossSpec>& worker_losses() const {
-    return plan_.worker_losses;
-  }
-  [[nodiscard]] const FaultPlan& plan() const { return plan_; }
-
  private:
   /// First spec matching the codelet of `t` wins (wildcards come last only
   /// if the user lists them last — document order matters).
@@ -95,7 +90,7 @@ class FaultInjector {
 struct FaultStats {
   std::size_t failures_injected = 0;   ///< transient failures that fired
   std::size_t retries = 0;             ///< re-pushes (transient + loss drain)
-  std::size_t stragglers_injected = 0; ///< attempts slowed by a straggler
+  std::size_t stragglers_injected = 0; ///< attempts with a multiplier other than 1
   std::size_t tasks_abandoned = 0;     ///< never executed (budget/orphaned + descendants)
   std::size_t workers_lost = 0;        ///< fail-stop losses that fired
   /// True when the run lost capacity or tasks (worker loss or abandonment);

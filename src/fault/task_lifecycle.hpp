@@ -1,0 +1,97 @@
+// TaskLifecycle: the engine-neutral half of running a task — everything the
+// simulator and the threaded executor must decide the same way once an
+// attempt has been popped.
+//
+// It owns the failed-attempt index the fault plan is queried with, the
+// retry-budget verdict, the abandon cascade over the descendant closure,
+// every FaultStats counter, the engine-side REPUSH / WORKER_LOST /
+// FAULT_FAILURE / FAULT_STRAGGLER / TASK_ABANDONED events (stamped with the
+// task's attempt index), the per-(codelet, arch) perf-model audit and the
+// end-of-run conservation check (executed + abandoned == total). The engines
+// keep what is theirs: the clock, data placement, the policy calls and the
+// trace.
+//
+// Not thread-safe. The threaded executor calls the mutating members under its
+// engine lock; the attempt verdicts (attempt_fails / attempt_multiplier) are
+// stateless and may be read without it.
+#pragma once
+
+#include <cstddef>
+#include <memory>
+#include <vector>
+
+#include "fault/fault_plan.hpp"
+#include "obs/events.hpp"
+#include "runtime/scheduler.hpp"
+
+namespace mp {
+
+class Histogram;
+
+class TaskLifecycle {
+ public:
+  /// `ctx` supplies the graph, platform, clock and observer; the plan's loss
+  /// specs must name workers of `ctx.platform`. A default plan injects
+  /// nothing but still sets the retry budget (the executor retries kernels
+  /// that throw against it).
+  TaskLifecycle(const SchedContext& ctx, const FaultPlan& plan);
+
+  // --- stateless verdicts (no lock needed) ----------------------------------
+  /// Does attempt `attempt` of `t` fail transiently under the plan?
+  [[nodiscard]] bool attempt_fails(TaskId t, std::size_t attempt) const;
+  /// Duration multiplier of attempt `attempt` of `t` (1 when none fires).
+  [[nodiscard]] double attempt_multiplier(TaskId t, std::size_t attempt) const;
+  /// True when completions feed the perf-model audit (the observer exposes a
+  /// MetricsRegistry); engines skip the pop-time prediction otherwise.
+  [[nodiscard]] bool audits() const { return !audit_.empty(); }
+
+  // --- per-task state --------------------------------------------------------
+  /// Failed attempts of `t` so far: the index of its next attempt.
+  [[nodiscard]] std::size_t attempt(TaskId t) const { return attempts_[t.index()]; }
+  [[nodiscard]] bool abandoned(TaskId t) const { return abandoned_[t.index()]; }
+  /// Executed + abandoned tasks.
+  [[nodiscard]] std::size_t settled() const { return executed_ + stats_.tasks_abandoned; }
+  [[nodiscard]] const FaultStats& stats() const { return stats_; }
+
+  // --- transitions -----------------------------------------------------------
+  /// An attempt of `t` on `w` ran `multiplier` times its nominal duration.
+  /// Every multiplier other than 1 counts as a straggler (a speed-up too).
+  void straggled(TaskId t, WorkerId w, double multiplier);
+  /// An attempt of `t` on `w` failed (injected, or a kernel that threw).
+  /// Returns true when the budget grants a retry — the caller re-pushes `t` —
+  /// and false when `t` and its descendants were abandoned.
+  [[nodiscard]] bool failed(TaskId t, WorkerId w);
+  /// An attempt drained off the lost worker `w` goes back to the policy
+  /// (the caller re-pushes `t`); the attempt index does not move.
+  void requeued(TaskId t, WorkerId w);
+  /// `w` was lost (fail-stop).
+  void worker_lost(WorkerId w);
+  /// Abandons `t` and its whole descendant closure (none of them can ever
+  /// have its dependencies satisfied); already-abandoned tasks are skipped.
+  void abandon(TaskId t);
+  /// `t` completed on `w` in `duration` seconds against a pop-time
+  /// prediction of `predicted`; feeds the model audit when audits().
+  void completed(TaskId t, WorkerId w, double predicted, double duration);
+  /// End of run: checks that every task executed or was abandoned, sets
+  /// `degraded`, and returns the fault outcome.
+  [[nodiscard]] FaultStats finish();
+
+ private:
+  void emit(SchedEventKind kind, TaskId t, WorkerId w) const;
+
+  struct AuditHistograms {
+    Histogram* abs_err = nullptr;
+    Histogram* rel_err = nullptr;
+  };
+
+  SchedContext ctx_;
+  std::size_t retry_budget_;
+  std::unique_ptr<FaultInjector> injector_;  // null when the plan is empty
+  std::vector<std::size_t> attempts_;        // failed attempts, per task
+  std::vector<bool> abandoned_;              // per task
+  std::size_t executed_ = 0;
+  FaultStats stats_;
+  std::vector<AuditHistograms> audit_;  // [codelet * kNumArchTypes + arch]
+};
+
+}  // namespace mp

@@ -1,13 +1,11 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "core/multiprio.hpp"
-#include "obs/observer.hpp"
 
 namespace mp {
 
@@ -21,11 +19,7 @@ SimEngine::SimEngine(const TaskGraph& graph, const Platform& platform,
   worker_busy_.assign(platform.num_workers(), false);
   pending_.assign(platform.num_workers(), {});
   trypop_pending_.assign(platform.num_workers(), false);
-  exec_end_.assign(graph.num_tasks(), 0.0);
-  exec_duration_.assign(graph.num_tasks(), 0.0);
   predicted_.assign(graph.num_tasks(), 0.0);
-  attempts_.assign(graph.num_tasks(), 0);
-  abandoned_.assign(graph.num_tasks(), false);
   attempt_on_.resize(platform.num_workers());
 }
 
@@ -65,19 +59,6 @@ void SimEngine::request_prefetch(DataId data, MemNodeId node) {
   (void)charge_transfers(ops, now_);
 }
 
-void SimEngine::emit(SchedEventKind kind, TaskId t, WorkerId w) {
-  if (cfg_.observer == nullptr) return;
-  SchedEvent e;
-  e.time = now_;
-  e.kind = kind;
-  e.task = t;
-  e.worker = w;
-  if (w.valid()) e.node = platform_.worker(w).node;
-  if (t.valid() && t.index() < attempts_.size())
-    e.attempt = static_cast<std::uint32_t>(attempts_[t.index()]);
-  cfg_.observer->record(e);
-}
-
 void SimEngine::schedule_try_pop(WorkerId w, double time) {
   if (!liveness_->alive(w)) return;
   if (trypop_pending_[w.index()]) return;
@@ -107,26 +88,11 @@ void SimEngine::wake_idle_workers() {
 void SimEngine::push_ready(TaskId t) {
   // After a loss, a newly released task may have no surviving capable
   // worker; handing it to the scheduler would only strand it there.
-  if (fstats_.workers_lost > 0 && !task_has_live_worker(sched_ctx_, t)) {
-    abandon(t);
+  if (lifecycle_->stats().workers_lost > 0 && !task_has_live_worker(sched_ctx_, t)) {
+    lifecycle_->abandon(t);
     return;
   }
   sched_->push(t);
-}
-
-void SimEngine::abandon(TaskId t) {
-  // The whole descendant closure goes with `t`: none of its successors can
-  // ever satisfy their dependencies. abandoned_ doubles as the visited set.
-  std::vector<TaskId> frontier{t};
-  while (!frontier.empty()) {
-    const TaskId cur = frontier.back();
-    frontier.pop_back();
-    if (abandoned_[cur.index()]) continue;
-    abandoned_[cur.index()] = true;
-    ++fstats_.tasks_abandoned;
-    emit(SchedEventKind::TaskAbandoned, cur, WorkerId{});
-    for (TaskId s : graph_.successors(cur)) frontier.push_back(s);
-  }
 }
 
 double SimEngine::charge_transfers(const std::vector<TransferOp>& ops, double start) {
@@ -171,14 +137,9 @@ bool SimEngine::fill_pending(WorkerId w) {
     Rng rng = Rng::derive(cfg_.seed, t.value());
     duration *= std::max(0.05, 1.0 + cfg_.noise_sigma * rng.next_normal());
   }
-  if (injector_ != nullptr) {
-    const double mult = injector_->duration_multiplier(t, attempts_[t.index()]);
-    if (mult != 1.0) {
-      duration *= mult;
-      ++fstats_.stragglers_injected;
-      emit(SchedEventKind::FaultStraggler, t, w);
-    }
-  }
+  const double mult = lifecycle_->attempt_multiplier(t, lifecycle_->attempt(t));
+  duration *= mult;
+  lifecycle_->straggled(t, w, mult);
 
   // Commute mutual exclusion: reserve the handles' serialization points at
   // the task's exact predicted start (durations are deterministic, so the
@@ -213,10 +174,7 @@ void SimEngine::start_pending(WorkerId w) {
   worker_busy_[w.index()] = true;
 
   const double exec_start = std::max({now_, p.data_ready_at, p.start_floor});
-  const double duration = p.duration;
-  const double end = exec_start + duration;
-  exec_end_[p.task.index()] = end;
-  exec_duration_[p.task.index()] = duration;
+  const double end = exec_start + p.duration;
 
   // Stall the worker actually observed: it was free at now_, data landed at
   // data_ready_at; pipelined transfers that finished during the previous
@@ -270,21 +228,11 @@ void SimEngine::handle_complete(const Event& e) {
   memory_->unpin_task_data(e.task, worker.node);
   worker_busy_[wi] = false;
 
-  if (injector_ != nullptr &&
-      injector_->fail_attempt(e.task, attempts_[e.task.index()])) {
+  if (lifecycle_->attempt_fails(e.task, lifecycle_->attempt(e.task))) {
     // Transient failure: the attempt's time is spent, its result discarded.
     // Data stays coherent (the acquire already happened); the retry simply
     // re-acquires at its next pop, wherever that lands.
-    ++fstats_.failures_injected;
-    const std::size_t failures = ++attempts_[e.task.index()];
-    emit(SchedEventKind::FaultFailure, e.task, e.worker);
-    if (failures > injector_->retry_budget()) {
-      abandon(e.task);
-    } else {
-      ++fstats_.retries;
-      emit(SchedEventKind::Repush, e.task, e.worker);
-      sched_->repush(e.task);
-    }
+    if (lifecycle_->failed(e.task, e.worker)) sched_->repush(e.task);
     schedule_try_pop(e.worker, now_);
     wake_idle_workers();
     return;
@@ -293,19 +241,7 @@ void SimEngine::handle_complete(const Event& e) {
   // Feed the history model with the measured duration (includes noise and
   // straggler slowdown), as StarPU's calibration does.
   history_->record(e.task, worker.arch, std::max(1e-12, run.p.duration));
-  // Model audit: pop-time prediction vs realized duration, bucketed per
-  // (codelet, arch) so the report can call out which δ(t,a) entries lied.
-  if (cfg_.observer != nullptr) {
-    if (MetricsRegistry* mx = cfg_.observer->metrics()) {
-      const double pred = predicted_[e.task.index()];
-      const double obs = run.p.duration;
-      const std::string suffix =
-          graph_.codelet_of(e.task).name + "." + arch_name(worker.arch);
-      mx->histogram("perf_model.abs_err_s." + suffix).observe(std::abs(pred - obs));
-      if (obs > 0.0)
-        mx->histogram("perf_model.rel_err." + suffix).observe(std::abs(pred - obs) / obs);
-    }
-  }
+  lifecycle_->completed(e.task, e.worker, predicted_[e.task.index()], run.p.duration);
   trace_->record(TraceSegment{e.task, e.worker, run.p.popped_at, run.exec_start,
                               e.time, run.stall});
 
@@ -325,8 +261,7 @@ void SimEngine::handle_worker_loss(const Event& e) {
   if (!liveness_->alive(w)) return;  // duplicate loss spec
   const Worker& worker = platform_.worker(w);
   liveness_->mark_dead(w);
-  ++fstats_.workers_lost;
-  emit(SchedEventKind::WorkerLost, TaskId{}, w);
+  lifecycle_->worker_lost(w);
 
   // Drain the interrupted attempt and the pipelined pops. Their pins go
   // before any evacuation; their stale Complete/TryPop events are ignored by
@@ -356,14 +291,13 @@ void SimEngine::handle_worker_loss(const Event& e) {
   std::vector<TaskId> orphans = sched_->notify_worker_removed(w);
   for (TaskId t : drained) {
     if (task_has_live_worker(sched_ctx_, t)) {
-      ++fstats_.retries;
-      emit(SchedEventKind::Repush, t, w);
+      lifecycle_->requeued(t, w);
       sched_->repush(t);
     } else {
       orphans.push_back(t);
     }
   }
-  for (TaskId t : orphans) abandon(t);
+  for (TaskId t : orphans) lifecycle_->abandon(t);
   wake_idle_workers();
 }
 
@@ -390,7 +324,7 @@ std::string SimEngine::stall_diagnostic(std::size_t processed) const {
   std::size_t stuck = 0;
   os << "  stuck tasks:";
   for (std::size_t ti = 0; ti < graph_.num_tasks(); ++ti) {
-    if (executed[ti] || abandoned_[ti]) continue;
+    if (executed[ti] || lifecycle_->abandoned(TaskId{ti})) continue;
     if (++stuck <= 16) os << ' ' << ti;
   }
   os << (stuck > 16 ? " ...\n" : "\n") << "  stuck total: " << stuck << "\n";
@@ -405,12 +339,6 @@ SimResult SimEngine::run(const SchedulerFactory& make_scheduler) {
   trace_ = std::make_unique<Trace>(graph_, platform_);
   deps_ = std::make_unique<DepCounters>(graph_);
   liveness_ = std::make_unique<WorkerLiveness>(platform_);
-  if (!cfg_.fault.empty()) {
-    injector_ = std::make_unique<FaultInjector>(cfg_.fault, graph_);
-    for (const WorkerLossSpec& l : injector_->worker_losses())
-      MP_CHECK_MSG(l.worker.index() < platform_.num_workers(),
-                   "fault plan kills a worker the platform does not have");
-  }
 
   sched_ctx_.graph = &graph_;
   sched_ctx_.platform = &platform_;
@@ -420,19 +348,18 @@ SimResult SimEngine::run(const SchedulerFactory& make_scheduler) {
   sched_ctx_.prefetch = this;
   sched_ctx_.liveness = liveness_.get();
   sched_ctx_.observer = cfg_.observer;
+  lifecycle_ = std::make_unique<TaskLifecycle>(sched_ctx_, cfg_.fault);
   sched_ = make_scheduler(sched_ctx_);
   MP_CHECK(sched_ != nullptr);
   running_ = true;
 
   // Loss events enter the heap first so a loss scheduled at t=0 outraces the
   // initial pop attempts (lower seq wins among simultaneous events).
-  if (injector_ != nullptr) {
-    for (const WorkerLossSpec& l : injector_->worker_losses()) {
-      event_heap_.push_back(
-          Event{l.time, next_seq_++, Event::Kind::WorkerLoss, l.worker, TaskId{}});
-      std::push_heap(event_heap_.begin(), event_heap_.end(),
-                     [](const Event& a, const Event& b) { return a.after(b); });
-    }
+  for (const WorkerLossSpec& l : cfg_.fault.worker_losses) {
+    event_heap_.push_back(
+        Event{l.time, next_seq_++, Event::Kind::WorkerLoss, l.worker, TaskId{}});
+    std::push_heap(event_heap_.begin(), event_heap_.end(),
+                   [](const Event& a, const Event& b) { return a.after(b); });
   }
   for (TaskId t : graph_.initial_ready()) push_ready(t);
   for (std::size_t wi = 0; wi < platform_.num_workers(); ++wi)
@@ -460,21 +387,14 @@ SimResult SimEngine::run(const SchedulerFactory& make_scheduler) {
     }
   }
   running_ = false;
-  fstats_.degraded = fstats_.workers_lost > 0 || fstats_.tasks_abandoned > 0;
 
   // Conservation: every task either executed exactly once or was explicitly
   // abandoned; nothing is stranded inside the scheduler or a worker queue.
-  if (injector_ == nullptr) {
-    MP_CHECK_MSG(trace_->num_executed() == graph_.num_tasks(),
-                 "simulation ended with unexecuted tasks (scheduler lost tasks?)");
-  } else {
-    MP_CHECK_MSG(trace_->num_executed() + fstats_.tasks_abandoned == graph_.num_tasks(),
-                 "fault run lost tasks (neither executed nor abandoned)");
-  }
+  const FaultStats fault = lifecycle_->finish();
   MP_CHECK_MSG(sched_->pending_count() == 0, "scheduler still holds tasks");
   for (std::size_t wi = 0; wi < platform_.num_workers(); ++wi)
     MP_ASSERT(!worker_busy_[wi] && pending_[wi].empty());
-  trace_->validate(/*require_all=*/injector_ == nullptr);
+  trace_->validate(/*require_all=*/cfg_.fault.empty());
 
   SimResult r;
   r.makespan = trace_->makespan();
@@ -487,7 +407,7 @@ SimResult SimEngine::run(const SchedulerFactory& make_scheduler) {
   }
   r.evictions = memory_->eviction_count();
   r.failed_pops = failed_pops_;
-  r.fault = fstats_;
+  r.fault = fault;
   r.idle_per_node.resize(platform_.num_nodes());
   for (std::size_t mi = 0; mi < platform_.num_nodes(); ++mi)
     r.idle_per_node[mi] = trace_->idle_fraction_node(MemNodeId{mi});

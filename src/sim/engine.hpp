@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "fault/fault_plan.hpp"
+#include "fault/task_lifecycle.hpp"
 #include "obs/events.hpp"
 #include "runtime/memory_manager.hpp"
 #include "runtime/perf_model.hpp"
@@ -109,17 +110,11 @@ class SimEngine : public PrefetchSink {
     }
   };
 
-  /// Engine-side event emission (REPUSH, WORKER_LOST, fault kinds); no-op
-  /// without an observer.
-  void emit(SchedEventKind kind, TaskId t, WorkerId w);
   void schedule_try_pop(WorkerId w, double time);
   void wake_idle_workers();
   void handle_try_pop(WorkerId w);
   void handle_complete(const Event& e);
   void handle_worker_loss(const Event& e);
-  /// Marks `t` and its whole descendant closure abandoned (their
-  /// dependencies can never be satisfied once `t` will not execute).
-  void abandon(TaskId t);
   /// Human-readable state dump for the max_events safety valve.
   [[nodiscard]] std::string stall_diagnostic(std::size_t processed) const;
   /// Charges transfer ops to the link timelines; returns when all complete.
@@ -179,18 +174,14 @@ class SimEngine : public PrefetchSink {
   std::vector<std::vector<PendingTask>> pending_;  // per worker, FIFO
   std::vector<bool> trypop_pending_;     // dedup of queued TryPop events
   std::size_t wake_rotor_ = 0;           // rotating wake order start
-  std::vector<double> exec_end_;         // per task
-  std::vector<double> exec_duration_;    // per task (for history recording)
   std::vector<double> predicted_;        // per task, δ(t, arch) at pop time
   std::size_t failed_pops_ = 0;
   bool running_ = false;
 
   // --- fault machinery (inert when cfg_.fault is empty) ---------------------
   std::unique_ptr<WorkerLiveness> liveness_;
-  std::unique_ptr<FaultInjector> injector_;  // null on fault-free runs
-  FaultStats fstats_;
-  std::vector<std::size_t> attempts_;    // failed attempts so far, per task
-  std::vector<bool> abandoned_;          // per task
+  /// Attempts, retries, abandonment, fault stats, engine events, model audit.
+  std::unique_ptr<TaskLifecycle> lifecycle_;
   std::vector<RunningAttempt> attempt_on_;  // per worker
 };
 

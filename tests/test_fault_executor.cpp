@@ -1,18 +1,23 @@
 // Fault tolerance in the threaded executor: thrown kernels become retries,
 // injected transient failures are retried against the budget, exhausted
 // budgets abandon the descendant closure, and fail-stop worker loss degrades
-// onto the survivors.
+// onto the survivors. The parity tests run one graph and plan on both
+// engines: fault outcomes that do not depend on the schedule must agree.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "exec/thread_executor.hpp"
+#include "obs/observer.hpp"
 #include "sched/schedulers.hpp"
+#include "sim/engine.hpp"
 #include "test_util.hpp"
 
 namespace mp {
@@ -220,6 +225,108 @@ TEST(ThreadExecutorFault, StragglersSlowButDoNotBreakTheRun) {
   EXPECT_EQ(r.tasks_executed, 10u);
   EXPECT_EQ(r.fault.stragglers_injected, 10u);
   EXPECT_FALSE(r.fault.degraded);
+}
+
+// --- cross-engine parity -------------------------------------------------------
+
+/// Random DAG over shared handles (ReadWrite plus optional Read accesses),
+/// runnable on both engines: its one codelet has a no-op CPU kernel.
+TaskGraph random_dag(std::uint64_t seed, std::size_t n_tasks) {
+  Rng rng(seed);
+  TaskGraph g;
+  const CodeletId cl = g.add_codelet("work", {ArchType::CPU, ArchType::GPU},
+                                     [](const Task&, std::span<void* const>) {});
+  std::vector<DataId> data;
+  for (std::size_t i = 0; i < n_tasks / 3 + 2; ++i) data.push_back(g.add_data(1024));
+  for (std::size_t i = 0; i < n_tasks; ++i) {
+    std::vector<Access> acc{Access{data[rng.next_in(0, data.size() - 1)], AccessMode::ReadWrite}};
+    const DataId extra = data[rng.next_in(0, data.size() - 1)];
+    if (extra != acc.front().data && rng.next_double() < 0.6)
+      acc.push_back(Access{extra, AccessMode::Read});
+    SubmitOptions o;
+    o.flops = 1e6 * static_cast<double>(1 + rng.next_in(0, 20));
+    (void)g.submit(cl, std::span<const Access>(acc), std::move(o));
+  }
+  return g;
+}
+
+/// Fault outcome and TASK_ABANDONED tasks of one run.
+struct FaultOutcome {
+  FaultStats stats;
+  std::uint64_t straggler_events = 0;
+  std::set<std::size_t> abandoned;
+};
+
+FaultOutcome outcome_of(const FaultStats& stats, const RecordingObserver& obs) {
+  FaultOutcome o{stats, obs.events().count(SchedEventKind::FaultStraggler), {}};
+  for (const SchedEvent& e : obs.events().snapshot())
+    if (e.kind == SchedEventKind::TaskAbandoned) o.abandoned.insert(e.task.index());
+  return o;
+}
+
+FaultOutcome simulated(const TaskGraph& g, const Platform& p, const FaultPlan& plan,
+                       const std::string& policy) {
+  RecordingObserver obs;
+  SimConfig cfg;
+  cfg.fault = plan;
+  cfg.observer = &obs;
+  const SimResult r = simulate(g, p, test::flat_perf(), by_name(policy), cfg);
+  return outcome_of(r.fault, obs);
+}
+
+FaultOutcome executed(const TaskGraph& g, const Platform& p, const FaultPlan& plan,
+                      const std::string& policy) {
+  RecordingObserver obs;
+  ExecConfig cfg;
+  cfg.fault = plan;
+  cfg.observer = &obs;
+  cfg.stall_timeout = 0.05;
+  const PerfDatabase db = test::flat_perf();
+  ThreadExecutor exec(g, p, db);
+  const ExecResult r = exec.run(by_name(policy), cfg);
+  return outcome_of(r.fault, obs);
+}
+
+TEST(EngineFaultParity, SpeedUpStragglersCountOnBothEngines) {
+  // A multiplier below 1 is a valid straggler: both engines count it, even
+  // though the executor cannot make a real kernel run faster.
+  const TaskGraph g = random_dag(3, 24);
+  const Platform p = test::small_platform(2, 1);
+  FaultPlan plan;
+  plan.stragglers.push_back(StragglerSpec{CodeletId{}, 1.0, 0.5});
+  const FaultOutcome sim = simulated(g, p, plan, "eager");
+  const FaultOutcome exec = executed(g, p, plan, "eager");
+  EXPECT_EQ(sim.stats.stragglers_injected, g.num_tasks());
+  EXPECT_EQ(exec.stats.stragglers_injected, sim.stats.stragglers_injected);
+  EXPECT_EQ(sim.straggler_events, g.num_tasks());
+  EXPECT_EQ(exec.straggler_events, sim.straggler_events);
+}
+
+TEST(EngineFaultParity, TransientOutcomeIsScheduleIndependentUnderEveryPolicy) {
+  // Transient failures are a function of (plan seed, task, attempt) and
+  // abandonment follows the DAG, so every policy on either engine must
+  // report the same fault outcome.
+  const TaskGraph g = random_dag(11, 60);
+  const Platform p = test::small_platform(2, 1);
+  FaultPlan plan;
+  plan.transient.push_back(TransientFaultSpec{CodeletId{}, 0.3});
+  plan.retry_budget = 1;
+  const FaultOutcome ref = simulated(g, p, plan, "eager");
+  // The plan must exhaust some budgets without abandoning the whole DAG.
+  ASSERT_GT(ref.stats.tasks_abandoned, 0u);
+  ASSERT_LT(ref.stats.tasks_abandoned, g.num_tasks());
+  ASSERT_EQ(ref.abandoned.size(), ref.stats.tasks_abandoned);
+  for (const std::string& name : scheduler_names()) {
+    for (const auto& [engine, got] : {std::pair{"sim", simulated(g, p, plan, name)},
+                                      std::pair{"exec", executed(g, p, plan, name)}}) {
+      SCOPED_TRACE(std::string(engine) + " " + name);
+      EXPECT_EQ(got.stats.failures_injected, ref.stats.failures_injected);
+      EXPECT_EQ(got.stats.retries, ref.stats.retries);
+      EXPECT_EQ(got.stats.tasks_abandoned, ref.stats.tasks_abandoned);
+      EXPECT_EQ(got.stats.degraded, ref.stats.degraded);
+      EXPECT_EQ(got.abandoned, ref.abandoned);
+    }
+  }
 }
 
 }  // namespace

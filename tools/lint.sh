@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Project lint wall. Two custom rules that clang-tidy cannot express, plus a
+# Project lint wall. Custom rules that clang-tidy cannot express, plus a
 # clang-tidy pass over the core when the binary is available.
 #
 #   1. No naked std synchronization primitives outside src/verify/. All of
@@ -21,6 +21,14 @@
 #      src/core/multiprio.{hpp,cpp}, every code line touching one must be
 #      tagged `// shard-lock(asc)` (forcing the author past the ordering
 #      rule), and the sort in the AscendingShardLocks constructor must stay.
+#
+#   4. One task lifecycle. The REPUSH, WORKER_LOST, FAULT_FAILURE,
+#      FAULT_STRAGGLER and TASK_ABANDONED events (SchedEventKind::Repush,
+#      WorkerLost, FaultFailure, FaultStraggler, TaskAbandoned) are emitted,
+#      and the FaultStats counters changed, only in
+#      src/fault/task_lifecycle.cpp, the one copy both engines call. Readers
+#      in src/obs/ are exempt. A second engine-side copy of attempt counting
+#      or fault accounting drifts from the first.
 #
 # Usage: tools/lint.sh [--no-tidy]   (run from anywhere inside the repo)
 set -u
@@ -113,6 +121,23 @@ if ! awk '/AscendingShardLocks::AscendingShardLocks/,/^}/' src/core/multiprio.cp
      | grep -q 'std::sort'; then
   echo "lint: AscendingShardLocks constructor no longer sorts its shard set —"
   echo "      multi-shard acquisition order is unenforced (deadlock risk)"
+  fail=1
+fi
+
+# ---- Rule 4: one task lifecycle -----------------------------------------------
+lifecycle_kinds='SchedEventKind::(Repush|WorkerLost|FaultFailure|FaultStraggler|TaskAbandoned)\b'
+counter='(failures_injected|retries|stragglers_injected|tasks_abandoned|workers_lost)'
+# A counter behind ++/-- (through any member path) or before ++, --, or an
+# assignment operator; FaultStats' own member declarations are skipped.
+counter_write="(\+\+|--)[][A-Za-z0-9_.>()-]*\b${counter}\b|\b${counter}\b[ \t]*(\+\+|--|[-+*/]?=([^=]|$))"
+stray=$(grep -rnE "${lifecycle_kinds}|${counter_write}" src/ --include='*.hpp' --include='*.cpp' \
+        | grep -vE '^src/(obs/|fault/task_lifecycle\.cpp:)' \
+        | grep -vE ':[0-9]+:[ \t]*(//|\*)' \
+        | grep -vE "^src/fault/fault_plan\.hpp:[0-9]+:[ \t]*std::size_t ${counter} = 0;" || true)
+if [[ -n "$stray" ]]; then
+  echo "lint: lifecycle events or FaultStats counters touched outside"
+  echo "      src/fault/task_lifecycle.cpp — call TaskLifecycle instead:"
+  echo "$stray" | sed 's/^/      /'
   fail=1
 fi
 

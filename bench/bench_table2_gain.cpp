@@ -48,8 +48,12 @@ void table2() {
            "gain(a2) paper", "gain(a2) ours"});
   const char* names[3] = {"t_A", "t_B", "t_C"};
   for (int i = 0; i < 3; ++i) {
-    const double g1 = gain.gain(ctx, tasks[i], ArchType::CPU);
-    const double g2 = gain.gain(ctx, tasks[i], ArchType::GPU);
+    // δ resolved once per task, as MultiPrio's push does.
+    const ArchMask enabled = enabled_archs(ctx, tasks[i]);
+    const std::array<double, kNumArchTypes> delta{
+        history.estimate(tasks[i], ArchType::CPU), history.estimate(tasks[i], ArchType::GPU)};
+    const double g1 = gain.gain(enabled, delta, ArchType::CPU);
+    const double g2 = gain.gain(enabled, delta, ArchType::GPU);
     t.add_row({names[i], fmt_double(cpu_ms[i], 0) + "ms", fmt_double(gpu_ms[i], 0) + "ms",
                fmt_double(paper_a1[i], 3), fmt_double(g1, 3), fmt_double(paper_a2[i], 3),
                fmt_double(g2, 3)});

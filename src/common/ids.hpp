@@ -64,6 +64,17 @@ inline constexpr std::size_t kNumArchTypes = 2;
   return a == ArchType::CPU ? "CPU" : "GPU";
 }
 
+/// A set of architectures, bit arch_index(a) per member.
+using ArchMask = std::uint8_t;
+
+[[nodiscard]] constexpr ArchMask arch_bit(ArchType a) {
+  return static_cast<ArchMask>(1u << arch_index(a));
+}
+
+[[nodiscard]] constexpr bool arch_in(ArchMask m, ArchType a) {
+  return (m & arch_bit(a)) != 0;
+}
+
 }  // namespace mp
 
 namespace std {

@@ -1,25 +1,30 @@
 #include "core/gain.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/check.hpp"
 
 namespace mp {
 
-double GainTracker::gain(const SchedContext& ctx, TaskId t, ArchType a) {
-  const std::vector<ArchType> archs = enabled_archs(ctx, t);
-  MP_CHECK_MSG(!archs.empty(), "gain of a task no architecture can execute");
-  if (archs.size() == 1) return 1.0;  // only one arch can run the task
+double GainTracker::gain(ArchMask enabled, const std::array<double, kNumArchTypes>& delta,
+                         ArchType a) {
+  MP_CHECK_MSG(arch_in(enabled, a), "gain on an arch the task cannot run on");
+  if (std::has_single_bit(enabled)) return 1.0;  // only one arch can run the task
 
-  const ArchType first = best_arch_for(ctx, t);
-  const double delta_a = ctx.perf->estimate(t, a);
+  const std::optional<ArchType> fastest = fastest_arch(enabled, delta);
+  MP_CHECK_MSG(fastest.has_value(), "no comparable estimate among the enabled archs");
+  const ArchType first = *fastest;
+  const double delta_a = delta[arch_index(a)];
   double diff = 0.0;
   if (a == first) {
-    const std::optional<ArchType> second = second_arch_for(ctx, t);
+    const std::optional<ArchType> second =
+        fastest_arch(static_cast<ArchMask>(enabled & ~arch_bit(a)), delta);
     MP_ASSERT(second.has_value());
-    diff = ctx.perf->estimate(t, *second) - delta_a;  // ≥ 0
+    diff = delta[arch_index(*second)] - delta_a;  // ≥ 0
   } else {
-    diff = ctx.perf->estimate(t, first) - delta_a;  // ≤ 0
+    diff = delta[arch_index(first)] - delta_a;  // ≤ 0
   }
 
   double& hd = hd_[arch_index(a)];

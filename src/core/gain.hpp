@@ -18,9 +18,13 @@ namespace mp {
 
 class GainTracker {
  public:
-  /// Gain score of `t` on arch `a`, in [0, 1]. Updates hd(a) as a side
-  /// effect ("recorded so far"). `a` must be enabled for `t`.
-  [[nodiscard]] double gain(const SchedContext& ctx, TaskId t, ArchType a);
+  /// Gain score on arch `a`, in [0, 1], of a task whose estimates are
+  /// already resolved: `enabled` is the task's enabled_archs() set and
+  /// `delta[arch_index(x)]` its δ(t,x) for every x in it (other entries are
+  /// ignored). Updates hd(a) as a side effect ("recorded so far"). `a` must
+  /// be enabled.
+  [[nodiscard]] double gain(ArchMask enabled,
+                            const std::array<double, kNumArchTypes>& delta, ArchType a);
 
   /// Running maximum execution-time difference for `a` (0 until first task).
   [[nodiscard]] double hd(ArchType a) const { return hd_[arch_index(a)]; }

@@ -1,6 +1,7 @@
 #include "core/multiprio.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <sstream>
@@ -43,8 +44,8 @@ MultiPrioScheduler::MultiPrioScheduler(SchedContext ctx, MultiPrioConfig config)
 // --- shard-lock discipline ---------------------------------------------------
 // tools/lint.sh rule 3: every mention of a shard mutex carries the
 // `shard-lock(asc)` tag, and multi-shard acquisition happens only through
-// AscendingShardLocks, which sorts its set — so src/core/ can never take two
-// node locks out of ascending order.
+// AscendingShardLocks, which walks its node_bit set lowest node first — so
+// src/core/ can never take two node locks out of ascending order.
 
 void MultiPrioScheduler::lock_shard(std::size_t mi) const {
   Mutex& mu = shards_[mi].order_mu;  // shard-lock(asc)
@@ -63,23 +64,20 @@ void MultiPrioScheduler::lock_shard(std::size_t mi) const {
   m_lock_wait_->observe(std::max(0.0, sync_now_seconds() - t0));
 }
 
-MultiPrioScheduler::AscendingShardLocks::AscendingShardLocks(
-    const MultiPrioScheduler& s, std::vector<std::size_t> shards)
-    : s_(s), shards_(std::move(shards)) {
-  std::sort(shards_.begin(), shards_.end());
-  shards_.erase(std::unique(shards_.begin(), shards_.end()), shards_.end());
-  for (std::size_t mi : shards_) s_.lock_shard(mi);
+MultiPrioScheduler::AscendingShardLocks::AscendingShardLocks(const MultiPrioScheduler& s,
+                                                             std::uint64_t shards)
+    : s_(s), shards_(shards) {
+  MP_CHECK_MSG((shards_ & ~s_.all_shards()) == 0, "locking a shard that does not exist");
+  for (std::uint64_t rest = shards_; rest != 0; rest &= rest - 1)
+    s_.lock_shard(static_cast<std::size_t>(std::countr_zero(rest)));  // lowest first
 }
 
 MultiPrioScheduler::AscendingShardLocks::~AscendingShardLocks() {
-  for (auto it = shards_.rbegin(); it != shards_.rend(); ++it)
-    s_.shards_[*it].order_mu.unlock();  // shard-lock(asc)
-}
-
-std::vector<std::size_t> MultiPrioScheduler::all_shard_indices() const {
-  std::vector<std::size_t> all(num_shards_);
-  for (std::size_t mi = 0; mi < num_shards_; ++mi) all[mi] = mi;
-  return all;
+  for (std::uint64_t rest = shards_; rest != 0;) {
+    const int mi = 63 - std::countl_zero(rest);  // highest first
+    s_.shards_[mi].order_mu.unlock();  // shard-lock(asc)
+    rest &= ~(std::uint64_t{1} << mi);
+  }
 }
 
 MultiPrioScheduler::TaskState& MultiPrioScheduler::state_of(TaskId t) {
@@ -96,7 +94,7 @@ void MultiPrioScheduler::ensure_task_capacity(std::size_t min_tasks) {
   // every shard lock (the locks those reads hold) and geometrically, so the
   // full-quiescence round stays amortized-rare. Callers are push-side and
   // already serialized against each other.
-  AscendingShardLocks locks(*this, all_shard_indices());
+  AscendingShardLocks locks(*this, all_shards());
   states_.resize(std::max(min_tasks, states_.size() * 2));
 }
 
@@ -124,7 +122,7 @@ template <typename Claim>
 bool MultiPrioScheduler::claim_eligible(TaskId t, Claim&& claim) const {
   const PushRecord& rec = states_[t.index()].rec;
   for (const bool best_pass : {true, false}) {
-    for (MemNodeId m : rec.nodes) {
+    for (const MemNodeId m : nodes_in(rec.nodes)) {
       const ArchType a = ctx_.platform->node_arch(m);
       if ((a == rec.best_arch) != best_pass) continue;
       if (!best_pass && !pop_condition(t, a)) continue;
@@ -153,20 +151,16 @@ void MultiPrioScheduler::plan_wakes(std::span<const TaskId> ts) {
     if (st.phase.load() != kPending) continue;
     // Progress: make sure a worker will scan one of the task's best heaps.
     const PushRecord& rec = st.rec;
-    const auto is_best = [&](MemNodeId m) {
-      return ctx_.platform->node_arch(m) == rec.best_arch;
-    };
-    const bool best_awake = std::any_of(rec.nodes.begin(), rec.nodes.end(), [&](MemNodeId m) {
-      return is_best(m) && wake_[m.index()].awake;
-    });
-    if (!best_awake) {
-      const auto it = std::find_if(rec.nodes.begin(), rec.nodes.end(), [&](MemNodeId m) {
-        return is_best(m) && wake_[m.index()].parked > 0;
-      });
-      if (it != rec.nodes.end()) {
-        claim_wake(*it);
-        ++wake_[it->index()].capacity;  // the woken worker absorbs `t` below
-      }
+    bool best_awake = false;
+    std::optional<MemNodeId> best_parked;
+    for (const MemNodeId m : nodes_in(rec.nodes)) {
+      if (ctx_.platform->node_arch(m) != rec.best_arch) continue;
+      best_awake = best_awake || wake_[m.index()].awake;
+      if (!best_parked && wake_[m.index()].parked > 0) best_parked = m;
+    }
+    if (!best_awake && best_parked) {
+      claim_wake(*best_parked);
+      ++wake_[best_parked->index()].capacity;  // the woken worker absorbs `t` below
     }
     // Counting: an awake worker absorbs the task...
     const bool absorbed = claim_eligible(t, [&](MemNodeId m, ArchType) {
@@ -210,15 +204,15 @@ void MultiPrioScheduler::send_wakes() {
   }
 }
 
-std::vector<std::size_t> MultiPrioScheduler::target_shards(TaskId t) const {
-  std::vector<std::size_t> targets;
+std::uint64_t MultiPrioScheduler::target_nodes(TaskId t) const {
+  std::uint64_t targets = 0;
   for (std::size_t mi = 0; mi < num_shards_; ++mi) {
     const MemNodeId m{mi};
     if (live_workers_of_node(ctx_, m) == 0) continue;
     if (!ctx_.graph->can_exec(t, ctx_.platform->node_arch(m))) continue;
-    targets.push_back(mi);
+    targets |= node_bit(m);
   }
-  return targets;  // ascending by construction
+  return targets;
 }
 
 bool MultiPrioScheduler::push_locked(TaskId t, double t_now) {
@@ -226,15 +220,15 @@ bool MultiPrioScheduler::push_locked(TaskId t, double t_now) {
   MP_CHECK_MSG(st.phase.load() != kPending, "push of an already-pending task");
   MP_ASSERT(st.phase.load() != kTaken);  // repush resets to Idle first
 
-  // Placeability first, before any live-platform judgement (best_arch_for
-  // requires a live enabled arch): if no live capable node remained by the
+  // Placeability first, before any live-platform judgement (the best-arch
+  // verdict requires a live enabled arch): if no live capable node remained by the
   // time the shard locks were held, a fail-stop raced the engine's pre-push
   // liveness screen (the caller's target set can only shrink — liveness
   // never comes back). A task that no platform arch could EVER run is still
   // a config error; a task that merely lost its last live worker is
   // surrendered for the engine to abandon via drain_unplaced().
-  const std::vector<std::size_t> targets = target_shards(t);
-  if (targets.empty()) {
+  const std::uint64_t targets = target_nodes(t);
+  if (targets == 0) {
     bool executable_anywhere = false;
     for (std::size_t mi = 0; mi < num_shards_; ++mi)
       if (ctx_.graph->can_exec(t, ctx_.platform->node_arch(MemNodeId{mi})))
@@ -245,45 +239,44 @@ bool MultiPrioScheduler::push_locked(TaskId t, double t_now) {
     return false;
   }
 
-  const ArchType best = best_arch_for(ctx_, t);
   PushRecord& rec = st.rec;
-  rec.best_arch = best;
-  rec.nodes.clear();
-  rec.brw_added.clear();
-  // Cache the push-time δ(t,a) verdicts: the pop_condition and the take
-  // debit must judge against the same estimates PUSH did (live estimates
-  // drift as the history model re-trains), and reading them from the record
+  rec.nodes = 0;
+  rec.credited = 0;
+  if (cfg_.use_locality) locality_terms(*ctx_.graph, t, rec.locality);
+  // Resolve δ(t,a) once per push: the best-arch verdict, the gain scores,
+  // the pop_condition and the take debit all judge against these estimates
+  // (live estimates drift as the history model re-trains, and a drifting
+  // "best" could evict a task from every heap). Reading them from the record
   // keeps the POP path off the HistoryModel entirely — pops run under only
   // their own shard lock, pushes are serialized by the engine.
+  const ArchMask enabled = enabled_archs(ctx_, t);
   for (std::size_t ai = 0; ai < kNumArchTypes; ++ai) {
     const auto a = static_cast<ArchType>(ai);
-    rec.delta[ai] =
-        ctx_.graph->can_exec(t, a) && live_worker_count(ctx_, a) > 0
-            ? ctx_.perf->estimate(t, a)
-            : 0.0;
+    rec.delta[ai] = arch_in(enabled, a) ? ctx_.perf->estimate(t, a) : 0.0;
   }
+  const std::optional<ArchType> fastest = fastest_arch(enabled, rec.delta);
+  MP_CHECK_MSG(fastest.has_value(), "task has no enabled architecture");
+  const ArchType best = *fastest;
+  rec.best_arch = best;
 
   // Algorithm 1: insert into the heap of every memory node whose (live)
   // workers can execute the task, with the (gain, criticality) scores.
-  std::uint64_t mask = 0;
-  for (std::size_t mi : targets) {
-    const MemNodeId m{mi};
+  for (const MemNodeId m : nodes_in(targets)) {
+    const std::size_t mi = m.index();
     const ArchType a = ctx_.platform->node_arch(m);
     MP_ASSERT(live_worker_count(ctx_, a) > 0);
 
-    const double gain = gain_.gain(ctx_, t, a);
+    const double gain = gain_.gain(enabled, rec.delta, a);
     const double prio = cfg_.use_nod ? nod_.normalized(ctx_, t, m) : 0.0;
     Shard& sh = shards_[mi];
     sh.heap.insert(t, gain, prio);
     ready_count_[mi].fetch_add(1);
-    rec.nodes.push_back(m);
-    mask |= node_bit(m);
+    rec.nodes |= node_bit(m);
     sh.epoch.fetch_add(1);  // wait_for_work predicate sees the insert
 
-    if (a == best) {  // normalized_speedup(t,a) == 1
-      const double d = rec.delta[arch_index(a)];
-      brw_[mi].add(d);
-      rec.brw_added.emplace_back(m, d);
+    if (a == best) {  // the paper's normalized_speedup(t,a) == 1
+      brw_[mi].add(rec.credit());
+      rec.credited |= node_bit(m);
     }
 
     if (ctx_.observer != nullptr) {
@@ -300,8 +293,8 @@ bool MultiPrioScheduler::push_locked(TaskId t, double t_now) {
       sample_heap_depth(m, e.time);
     }
   }
-  MP_CHECK_MSG(mask != 0, "non-empty target set produced an empty live mask");
-  st.live_mask.store(mask);
+  MP_CHECK_MSG(rec.nodes != 0, "non-empty target set produced an empty live mask");
+  st.live_mask.store(rec.nodes);
   st.phase.store(kPending);
   pending_.fetch_add(1);
   return true;
@@ -313,7 +306,7 @@ void MultiPrioScheduler::push(TaskId t) {
   MP_CHECK_MSG(t.index() < states_.size(), "push: task beyond the state table");
   const double t_now = ctx_.observer != nullptr ? obs_time() : 0.0;
   {
-    AscendingShardLocks locks(*this, target_shards(t));
+    AscendingShardLocks locks(*this, target_nodes(t));
     if (!push_locked(t, t_now)) return;  // surrendered to drain_unplaced()
     plan_wakes({&t, 1});
   }
@@ -331,9 +324,8 @@ void MultiPrioScheduler::push_batch(const std::vector<TaskId>& ts) {
   std::size_t max_index = 0;
   for (TaskId t : ts) max_index = std::max(max_index, t.index());
   ensure_task_capacity(max_index + 1);
-  std::vector<std::size_t> union_targets;
-  for (TaskId t : ts)
-    for (std::size_t mi : target_shards(t)) union_targets.push_back(mi);
+  std::uint64_t union_targets = 0;
+  for (TaskId t : ts) union_targets |= target_nodes(t);
   {
     AscendingShardLocks locks(*this, union_targets);
     // A surrendered task stays out of the plan (it never became pending).
@@ -386,19 +378,17 @@ std::optional<MultiPrioScheduler::Candidate> MultiPrioScheduler::select_candidat
   // (the top itself is known live after drop_taken).
   HeapEntry best_entry = top;
   double best_local = -1.0;
-  std::size_t seen = 0;
   heap.for_top([&](const HeapEntry& e) {
     if (e.gain < top.gain - cfg_.epsilon) return false;
-    if (seen >= cfg_.locality_n) return false;
-    ++seen;
-    if (states_[e.task.index()].phase.load() == kTaken) return true;
-    const double local = ls_sdh2(ctx_, m, e.task);
+    const TaskState& st = states_[e.task.index()];
+    if (st.phase.load() == kTaken) return true;
+    const double local = ls_sdh2(*ctx_.memory, m, st.rec.locality);
     if (local > best_local) {
       best_local = local;
       best_entry = e;
     }
     return true;
-  });
+  }, cfg_.locality_n);
   return Candidate{best_entry, std::max(0.0, best_local),
                    best_entry.task != top.task};
 }
@@ -420,8 +410,7 @@ bool MultiPrioScheduler::try_take(TaskId t, MemNodeId from_node, ArchType taker)
   // Grab every still-live duplicate slot wholesale; racing evictors that
   // already cleared their bit have retired their own node's ready count.
   const std::uint64_t mask = st.live_mask.exchange(0);
-  for (MemNodeId m : rec.nodes) {
-    if ((mask & node_bit(m)) == 0) continue;
+  for (const MemNodeId m : nodes_in(rec.nodes & mask)) {
     const std::int64_t prev = ready_count_[m.index()].fetch_sub(1);
     MP_CHECK_MSG(prev > 0, "per-node ready count underflow on take");
   }
@@ -434,7 +423,8 @@ bool MultiPrioScheduler::try_take(TaskId t, MemNodeId from_node, ArchType taker)
   const bool diverted = taker != rec.best_arch;
   const double debit = diverted ? rec.delta[arch_index(taker)] : 0.0;
   if (!verify::mutation_active(verify::Mutation::SkipBrwDecrement)) {
-    for (const auto& [m, credited] : rec.brw_added)
+    const double credited = rec.credit();
+    for (const MemNodeId m : nodes_in(rec.credited))
       brw_[m.index()].sub_clamped(diverted ? std::max(debit, credited) : credited);
   }
   const std::size_t prev_pending = pending_.fetch_sub(1);
@@ -551,7 +541,7 @@ void MultiPrioScheduler::repush(TaskId t) {
     // any heap. Flush them so push starts from a clean slate, as on first
     // push. Their ready counts were already retired when the task was taken
     // — stale entries are not ready work.
-    AscendingShardLocks locks(*this, all_shard_indices());
+    AscendingShardLocks locks(*this, all_shards());
     for (std::size_t mi = 0; mi < num_shards_; ++mi)
       if (shards_[mi].heap.contains(t)) shards_[mi].heap.remove(t);
     states_[t.index()].phase.store(kIdle);
@@ -577,7 +567,7 @@ std::vector<TaskId> MultiPrioScheduler::notify_worker_removed(WorkerId w) {
   const double t_now = ctx_.observer != nullptr ? obs_time() : 0.0;
   std::vector<TaskId> orphans;
   {
-    AscendingShardLocks locks(*this, all_shard_indices());
+    AscendingShardLocks locks(*this, all_shards());
     std::vector<TaskId> survivors;
     // Index order — deterministic rebuild (heap-sequence tiebreaks included).
     for (std::size_t i = 0; i < states_.size(); ++i) {
@@ -717,7 +707,7 @@ bool MultiPrioScheduler::check_invariants(std::string* why) const {
   // Quiescent audit: take every shard lock in ascending order (uncontended
   // passthrough locks inside an explorer probe, which only runs once
   // verify_quiescent() said nobody holds a shard).
-  AscendingShardLocks locks(*this, all_shard_indices());
+  AscendingShardLocks locks(*this, all_shards());
   const std::size_t n_nodes = num_shards_;
 
   std::size_t n_pending = 0;
@@ -730,10 +720,9 @@ bool MultiPrioScheduler::check_invariants(std::string* why) const {
     const std::string tag = "task " + std::to_string(i);
     const std::uint64_t mask = st.live_mask.load();
     if (mask == 0) return fail(tag + " is pending but sits in no heap");
-    std::uint64_t nodes_mask = 0;
-    for (MemNodeId m : st.rec.nodes) {
+    const std::uint64_t nodes_mask = st.rec.nodes;
+    for (const MemNodeId m : nodes_in(nodes_mask)) {
       if (m.index() >= n_nodes) return fail(tag + " records an unknown node");
-      nodes_mask |= node_bit(m);
       if ((mask & node_bit(m)) == 0) continue;  // evicted slot, retired
       if (!shards_[m.index()].heap.contains(TaskId{i}))
         return fail(tag + " records node " + std::to_string(m.value()) +
@@ -742,12 +731,12 @@ bool MultiPrioScheduler::check_invariants(std::string* why) const {
     }
     if ((mask & ~nodes_mask) != 0)
       return fail(tag + " live mask names a node outside its push set");
-    for (const auto& [m, credited] : st.rec.brw_added) {
-      if ((mask & node_bit(m)) == 0)
+    for (const MemNodeId m : nodes_in(st.rec.credited)) {
+      if (m.index() >= n_nodes || (mask & node_bit(m)) == 0)
         return fail(tag + " holds a best-arch credit on node " +
                     std::to_string(m.value()) +
                     " it no longer occupies (best heap must never evict)");
-      credit_sum[m.index()] += credited;
+      credit_sum[m.index()] += st.rec.credit();
     }
   }
   if (pending_.load() != n_pending)

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -174,15 +175,21 @@ class MultiPrioScheduler final : public Scheduler {
   /// Push-time state per task: the arch judged fastest at PUSH and the δ
   /// estimates cached then (the pop_condition must use the same verdicts —
   /// live δ estimates can drift during real execution, and a drifting
-  /// "best" could evict a task from every heap and lose it), plus the brw
-  /// contributions to reverse at POP. `nodes` / `brw_added` are immutable
-  /// between pushes; `live_mask` (bit = node index) is the mutable view of
-  /// which heaps still hold the task as *ready* work.
+  /// "best" could evict a task from every heap and lose it), the heaps it
+  /// went to, the best-arch nodes whose brw it credited (each by
+  /// δ(t, best_arch), reversed at POP), and the task's locality terms (read
+  /// by the POP-side window under the shard lock of a heap holding the
+  /// entry, which the push that wrote them also held). All of it is
+  /// immutable between pushes; `live_mask` (bit = node index) is the mutable
+  /// view of which heaps still hold the task as *ready* work.
   struct PushRecord {
     ArchType best_arch = ArchType::CPU;
     std::array<double, kNumArchTypes> delta{};
-    std::vector<std::pair<MemNodeId, double>> brw_added;
-    std::vector<MemNodeId> nodes;  // ascending node order
+    std::uint64_t nodes = 0;     ///< node_bit set of the heaps pushed into
+    std::uint64_t credited = 0;  ///< node_bit set of the brw credits
+    std::vector<LocalityTerm> locality;  // LS_SDH² terms (when locality is on)
+
+    [[nodiscard]] double credit() const { return delta[arch_index(best_arch)]; }
   };
   struct TaskState {
     RelaxedAtomic<std::uint8_t> phase{kIdle};
@@ -223,19 +230,24 @@ class MultiPrioScheduler final : public Scheduler {
   // tools/lint.sh rule 3): one shard, or a set of shards in ascending node
   // order.
   void lock_shard(std::size_t mi) const;
-  /// RAII over an ascending set of shard indices (sorted by the ctor).
+  /// RAII over a set of shards given as a node_bit set: the ctor locks them
+  /// lowest node first (a bit walk is ascending by construction, and a set
+  /// cannot repeat a node), the dtor unlocks them highest first.
   class AscendingShardLocks {
    public:
-    AscendingShardLocks(const MultiPrioScheduler& s, std::vector<std::size_t> shards);
+    AscendingShardLocks(const MultiPrioScheduler& s, std::uint64_t shards);
     ~AscendingShardLocks();
     AscendingShardLocks(const AscendingShardLocks&) = delete;
     AscendingShardLocks& operator=(const AscendingShardLocks&) = delete;
 
    private:
     const MultiPrioScheduler& s_;
-    std::vector<std::size_t> shards_;
+    std::uint64_t shards_;
   };
-  [[nodiscard]] std::vector<std::size_t> all_shard_indices() const;
+  /// node_bit set of every shard.
+  [[nodiscard]] std::uint64_t all_shards() const {
+    return num_shards_ == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << num_shards_) - 1;
+  }
 
   /// pop_condition (Section V-D): true when `a` is the best arch for `t`
   /// (as judged at PUSH), or the best arch's workers are busy enough that
@@ -271,8 +283,9 @@ class MultiPrioScheduler final : public Scheduler {
   /// were held (a racing fail-stop): the task goes to `unplaced_` instead of
   /// any heap and the caller must not advertise it to waiters.
   [[nodiscard]] bool push_locked(TaskId t, double t_now);
-  /// Target shards of one task = live nodes whose arch can execute it.
-  [[nodiscard]] std::vector<std::size_t> target_shards(TaskId t) const;
+  /// Target nodes of one task (node_bit set) = live nodes whose arch can
+  /// execute it.
+  [[nodiscard]] std::uint64_t target_nodes(TaskId t) const;
 
   [[nodiscard]] TaskState& state_of(TaskId t);
   /// Grows the per-task state table for STF graphs that keep submitting
@@ -281,6 +294,24 @@ class MultiPrioScheduler final : public Scheduler {
   [[nodiscard]] static std::uint64_t node_bit(MemNodeId m) {
     return std::uint64_t{1} << m.index();
   }
+  /// Range over the nodes of a node_bit set, ascending.
+  struct NodeRange {
+    struct It {
+      std::uint64_t rest;
+      MemNodeId operator*() const {
+        return MemNodeId{static_cast<std::size_t>(std::countr_zero(rest))};
+      }
+      It& operator++() {
+        rest &= rest - 1;
+        return *this;
+      }
+      bool operator!=(const It& o) const { return rest != o.rest; }
+    };
+    std::uint64_t bits;
+    [[nodiscard]] It begin() const { return It{bits}; }
+    [[nodiscard]] It end() const { return It{0}; }
+  };
+  [[nodiscard]] static NodeRange nodes_in(std::uint64_t bits) { return NodeRange{bits}; }
 
   MultiPrioConfig cfg_;
   std::unique_ptr<Shard[]> shards_;               // one per memory node

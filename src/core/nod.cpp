@@ -6,27 +6,42 @@
 
 namespace mp {
 
-double nod_score(const SchedContext& ctx, TaskId t, MemNodeId m) {
-  const ArchType a = ctx.platform->node_arch(m);
-  double nod = 0.0;
-  for (TaskId s : ctx.graph->successors(t)) {
-    if (!ctx.graph->can_exec(s, a)) continue;
-    std::size_t preds_on_arch = 0;
-    for (TaskId p : ctx.graph->predecessors(s))
-      if (ctx.graph->can_exec(p, a)) ++preds_on_arch;
-    // When no predecessor targets this arch (yet the successor does), fall
-    // back to the unrestricted in-degree so the term stays well-defined.
-    const std::size_t denom = preds_on_arch > 0 ? preds_on_arch
-                                                : std::max<std::size_t>(1, ctx.graph->in_degree(s));
-    nod += 1.0 / static_cast<double>(denom);
+std::array<double, kNumArchTypes> nod_scores(const TaskGraph& graph, TaskId t) {
+  std::array<double, kNumArchTypes> nod{};
+  for (TaskId s : graph.successors(t)) {
+    const ArchMask s_archs = graph.archs_of(s);
+    std::array<std::size_t, kNumArchTypes> preds_on_arch{};
+    for (TaskId p : graph.predecessors(s)) {
+      const ArchMask p_archs = graph.archs_of(p);
+      for (std::size_t ai = 0; ai < kNumArchTypes; ++ai)
+        if (arch_in(p_archs, static_cast<ArchType>(ai))) ++preds_on_arch[ai];
+    }
+    for (std::size_t ai = 0; ai < kNumArchTypes; ++ai) {
+      if (!arch_in(s_archs, static_cast<ArchType>(ai))) continue;
+      // When no predecessor targets this arch (yet the successor does), fall
+      // back to the unrestricted in-degree so the term stays well-defined.
+      const std::size_t denom = preds_on_arch[ai] > 0
+                                    ? preds_on_arch[ai]
+                                    : std::max<std::size_t>(1, graph.in_degree(s));
+      nod[ai] += 1.0 / static_cast<double>(denom);
+    }
   }
   return nod;
+}
+
+double nod_score(const SchedContext& ctx, TaskId t, MemNodeId m) {
+  return nod_scores(*ctx.graph, t)[arch_index(ctx.platform->node_arch(m))];
 }
 
 double NodNormalizer::normalized(const SchedContext& ctx, TaskId t, MemNodeId m) {
   MP_CHECK_MSG(m.index() < ctx.platform->num_nodes(),
                "nod score for an unknown memory node");
-  const double nod = nod_score(ctx, t, m);
+  if (t.index() >= cache_.size())
+    cache_.resize(std::max(t.index() + 1, ctx.graph->num_tasks()));
+  Cached& c = cache_[t.index()];
+  const std::size_t succs = ctx.graph->successors(t).size();
+  if (c.successors != succs) c = Cached{nod_scores(*ctx.graph, t), succs};
+  const double nod = c.nod[arch_index(ctx.platform->node_arch(m))];
   max_seen_ = std::max(max_seen_, nod);
   return max_seen_ > 0.0 ? nod / max_seen_ : 0.0;
 }

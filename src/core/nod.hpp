@@ -8,26 +8,47 @@
 // successors scores high: finishing it unlocks the most parallelism.
 #pragma once
 
+#include <array>
+#include <cstddef>
+#include <vector>
+
 #include "common/ids.hpp"
 #include "runtime/scheduler.hpp"
 
 namespace mp {
 
+/// Raw NOD values of `t`, one per arch (index arch_index(a)), from a single
+/// walk of its successors.
+[[nodiscard]] std::array<double, kNumArchTypes> nod_scores(const TaskGraph& graph, TaskId t);
+
 /// Raw NOD value of `t` for memory node `m`.
 [[nodiscard]] double nod_score(const SchedContext& ctx, TaskId t, MemNodeId m);
 
 /// Maintains the running maximum used to normalize NOD into [0, 1]
-/// ("all values are normalized between 0 and 1").
+/// ("all values are normalized between 0 and 1"), over raw NOD values
+/// cached per task, every arch at once. NOD(t) only changes when `t` gains
+/// a successor (a successor's predecessors are fixed at its submission), so
+/// an entry is reused while the successor count it was computed at holds.
+///
+/// Not thread-safe: callers serialize (MultiPrio scores on its push side).
 class NodNormalizer {
  public:
   /// Normalized criticality score; updates the running max as a side effect.
   [[nodiscard]] double normalized(const SchedContext& ctx, TaskId t, MemNodeId m);
 
   [[nodiscard]] double max_seen() const { return max_seen_; }
+  /// Restarts the normalization (the cached raw values stay valid).
   void reset() { max_seen_ = 0.0; }
 
  private:
+  struct Cached {
+    std::array<double, kNumArchTypes> nod{};
+    std::size_t successors = kUnresolved;  ///< |λ+(t)| when `nod` was computed
+  };
+  static constexpr std::size_t kUnresolved = ~std::size_t{0};
+
   double max_seen_ = 0.0;
+  std::vector<Cached> cache_;  ///< per task, grown on demand
 };
 
 }  // namespace mp

@@ -4,14 +4,19 @@
 // gain (affinity) score is the primary key, the criticality (NOD) score
 // breaks ties, and insertion order breaks remaining ties (FIFO among equal
 // tasks). Supports removal of arbitrary tasks (the eviction mechanism) via
-// an index map, and non-destructive traversal of the best entries (the
+// a position table, and non-destructive traversal of the best entries (the
 // locality window of Section V-C).
+//
+// Per-task positions live in a dense table indexed by TaskId, grown on
+// insert; a heap is guarded by its owner's lock (MultiPrio: the node's
+// shard lock), which therefore also guards the table's growth and the scan
+// buffer for_top() reuses.
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -37,7 +42,9 @@ class ScoredHeap {
   /// Inserts a task; a task may appear at most once per heap.
   void insert(TaskId t, double gain, double prio);
 
-  [[nodiscard]] bool contains(TaskId t) const { return pos_.count(t) != 0; }
+  [[nodiscard]] bool contains(TaskId t) const {
+    return t.index() < pos_.size() && pos_[t.index()] != kAbsent;
+  }
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   [[nodiscard]] bool empty() const { return entries_.empty(); }
 
@@ -53,19 +60,22 @@ class ScoredHeap {
   /// Drops every entry (used when a memory node leaves the platform). The
   /// insertion counter survives so FIFO tiebreaks stay globally consistent.
   void clear() {
+    for (const HeapEntry& e : entries_) pos_[e.task.index()] = kAbsent;
     entries_.clear();
-    pos_.clear();
   }
 
   /// Visits entries in exact non-increasing priority order, without mutating
-  /// the heap, until `fn` returns false or the heap is exhausted.
-  /// fn: bool(const HeapEntry&).
+  /// the heap, until `fn` returns false, `limit` entries were visited or the
+  /// heap is exhausted. fn: bool(const HeapEntry&); it must not traverse this
+  /// heap itself (the traversal state is one buffer per heap, reused across
+  /// calls).
   template <typename F>
-  void for_top(F&& fn) const {
-    if (entries_.empty()) return;
+  void for_top(F&& fn, std::size_t limit = SIZE_MAX) const {
+    if (entries_.empty() || limit == 0) return;
     // Aux max-heap of indices into entries_, seeded with the root; popping
     // index i exposes children 2i+1 / 2i+2 — yields exact sorted order.
-    std::vector<std::size_t> aux;
+    std::vector<std::size_t>& aux = scan_;
+    aux.clear();
     aux.push_back(0);
     auto less = [this](std::size_t a, std::size_t b) {
       return entries_[b].before(entries_[a]);  // max-heap via std::push_heap
@@ -74,7 +84,7 @@ class ScoredHeap {
       std::pop_heap(aux.begin(), aux.end(), less);
       const std::size_t i = aux.back();
       aux.pop_back();
-      if (!fn(entries_[i])) return;
+      if (!fn(entries_[i]) || --limit == 0) return;
       for (std::size_t c : {2 * i + 1, 2 * i + 2}) {
         if (c < entries_.size()) {
           aux.push_back(c);
@@ -84,16 +94,19 @@ class ScoredHeap {
     }
   }
 
-  /// Verifies the heap property and index-map consistency (tests only).
+  /// Verifies the heap property and position-table consistency (tests only).
   [[nodiscard]] bool validate() const;
 
  private:
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
-  void place(std::size_t i, HeapEntry e);
+  void place(std::size_t i, const HeapEntry& e);
+
+  static constexpr std::uint32_t kAbsent = ~std::uint32_t{0};
 
   std::vector<HeapEntry> entries_;
-  std::unordered_map<TaskId, std::size_t> pos_;
+  std::vector<std::uint32_t> pos_;  ///< per TaskId: index into entries_, or kAbsent
+  mutable std::vector<std::size_t> scan_;  ///< for_top()'s aux heap
   std::uint64_t next_seq_ = 0;
 };
 

@@ -12,9 +12,4 @@ DataId HandleRegistry::register_data(std::size_t bytes, MemNodeId home, void* us
   return id;
 }
 
-const DataHandle& HandleRegistry::get(DataId id) const {
-  MP_CHECK(id.valid() && id.index() < handles_.size());
-  return handles_[id.index()];
-}
-
 }  // namespace mp

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/ids.hpp"
 
 namespace mp {
@@ -29,7 +30,10 @@ class HandleRegistry {
   DataId register_data(std::size_t bytes, MemNodeId home, void* user_ptr = nullptr,
                        std::string name = {});
 
-  [[nodiscard]] const DataHandle& get(DataId id) const;
+  [[nodiscard]] const DataHandle& get(DataId id) const {
+    MP_CHECK(id.valid() && id.index() < handles_.size());
+    return handles_[id.index()];
+  }
   [[nodiscard]] std::size_t count() const { return handles_.size(); }
 
   [[nodiscard]] const std::vector<DataHandle>& all() const { return handles_; }

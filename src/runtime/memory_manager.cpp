@@ -7,9 +7,6 @@
 namespace mp {
 
 namespace {
-[[nodiscard]] std::uint64_t pin_key(DataId d, MemNodeId m) {
-  return (static_cast<std::uint64_t>(d.value()) << 32) | m.value();
-}
 [[nodiscard]] std::uint64_t nbit(MemNodeId m) { return std::uint64_t{1} << m.index(); }
 [[nodiscard]] std::uint64_t nbit(std::size_t i) { return std::uint64_t{1} << i; }
 }  // namespace
@@ -35,6 +32,10 @@ void MemoryManager::sync_new_handles() const {
   // released only after an entry is fully initialized, so the lock-free
   // readers (which never call this) always see consistent state.
   std::lock_guard<Mutex> lock(sync_mu_);
+  for (NodeState& ns : nodes_) {
+    ns.lru.grow(total);
+    ns.pins.resize(total, 0);
+  }
   std::size_t n = synced_count_.load();
   while (n < total) {
     const DataId id{n};
@@ -53,19 +54,11 @@ void MemoryManager::sync_new_handles() const {
     // Home copies consume space on their node (matters only for GPU-homed
     // data, which is unusual; RAM is unlimited).
     NodeState& ns = nodes_[h.home.index()];
-    ns.where[id] = ns.lru.insert(ns.lru.end(), id);
+    ns.lru.push_back(id);
     ns.used += h.bytes;
     ++n;
     synced_count_.store_release(n);
   }
-}
-
-bool MemoryManager::is_valid_on(DataId d, MemNodeId node) const {
-  // Lock-free (scheduler POP-path) query: a handle past the published count
-  // has exactly one copy, at home — the state sync_new_handles() installs.
-  if (d.index() >= synced_count_.load_acquire())
-    return node == graph_.handles().get(d).home;
-  return (data_state(d.index()).valid.load() & nbit(node)) != 0;
 }
 
 std::size_t MemoryManager::bytes_missing(TaskId t, MemNodeId node) const {
@@ -99,23 +92,36 @@ MemNodeId MemoryManager::any_valid_node(std::uint64_t mask) const {
   return MemNodeId{};
 }
 
-void MemoryManager::touch(DataId d, MemNodeId node) {
-  NodeState& ns = nodes_[node.index()];
-  auto it = ns.where.find(d);
-  if (it != ns.where.end()) {
-    ns.lru.erase(it->second);
-    it->second = ns.lru.insert(ns.lru.end(), d);
+void MemoryManager::LruList::push_back(DataId d) {
+  Link& l = link_[d.index()];
+  MP_ASSERT(!l.listed);
+  l = Link{tail_, kNil, true};
+  if (tail_ != kNil) {
+    link_[tail_].next = d.value();
   } else {
-    ns.where[d] = ns.lru.insert(ns.lru.end(), d);
+    head_ = d.value();
   }
+  tail_ = d.value();
+}
+
+void MemoryManager::LruList::erase(DataId d) {
+  Link& l = link_[d.index()];
+  MP_ASSERT(l.listed);
+  (l.prev != kNil ? link_[l.prev].next : head_) = l.next;
+  (l.next != kNil ? link_[l.next].prev : tail_) = l.prev;
+  l = Link{};
+}
+
+void MemoryManager::touch(DataId d, MemNodeId node) {
+  LruList& lru = nodes_[node.index()].lru;
+  if (lru.contains(d)) lru.erase(d);
+  lru.push_back(d);
 }
 
 void MemoryManager::drop_copy(DataId d, MemNodeId node) {
   NodeState& ns = nodes_[node.index()];
-  auto it = ns.where.find(d);
-  if (it == ns.where.end()) return;
-  ns.lru.erase(it->second);
-  ns.where.erase(it);
+  if (!ns.lru.contains(d)) return;
+  ns.lru.erase(d);
   const std::size_t bytes = graph_.handles().get(d).bytes;
   MP_ASSERT(ns.used >= bytes);
   ns.used -= bytes;
@@ -126,12 +132,11 @@ bool MemoryManager::evict_until_fits(std::size_t need, MemNodeId node,
                                      std::vector<TransferOp>& ops) {
   NodeState& ns = nodes_[node.index()];
   if (ns.capacity == 0) return true;  // unlimited
-  auto it = ns.lru.begin();
-  while (ns.used + need > ns.capacity && it != ns.lru.end()) {
-    const DataId victim = *it;
-    ++it;
-    auto pin = pin_count_.find(pin_key(victim, node));
-    if (pin != pin_count_.end() && pin->second > 0) continue;
+  std::uint32_t cur = ns.lru.front();
+  while (ns.used + need > ns.capacity && cur != LruList::kNil) {
+    const DataId victim{cur};
+    cur = ns.lru.next(cur);  // before drop_copy unlinks the victim
+    if (ns.pins[victim.index()] > 0) continue;
     DataState& ds = data_state(victim.index());
     const std::size_t bytes = graph_.handles().get(victim).bytes;
     const bool only_copy_here = ds.valid.load() == nbit(node);
@@ -233,7 +238,7 @@ void MemoryManager::evacuate_node(MemNodeId node, std::vector<TransferOp>& ops) 
     const DataId d{di};
     DataState& ds = data_state(di);
     if ((ds.valid.load() & nbit(node)) == 0) continue;
-    MP_ASSERT(pin_count_.find(pin_key(d, node)) == pin_count_.end());
+    MP_ASSERT(nodes_[node.index()].pins[di] == 0);
     if (ds.valid.load() == nbit(node)) {
       // Sole copy: migrate it to RAM while the link still exists.
       const std::size_t bytes = graph_.handles().get(d).bytes;
@@ -249,14 +254,17 @@ void MemoryManager::evacuate_node(MemNodeId node, std::vector<TransferOp>& ops) 
 }
 
 void MemoryManager::pin_task_data(TaskId t, MemNodeId node) {
-  for (const Access& a : graph_.task(t).accesses) ++pin_count_[pin_key(a.data, node)];
+  sync_new_handles();
+  std::vector<std::uint32_t>& pins = nodes_[node.index()].pins;
+  for (const Access& a : graph_.task(t).accesses) ++pins[a.data.index()];
 }
 
 void MemoryManager::unpin_task_data(TaskId t, MemNodeId node) {
+  std::vector<std::uint32_t>& pins = nodes_[node.index()].pins;
   for (const Access& a : graph_.task(t).accesses) {
-    auto it = pin_count_.find(pin_key(a.data, node));
-    MP_ASSERT(it != pin_count_.end() && it->second > 0);
-    if (--it->second == 0) pin_count_.erase(it);
+    MP_CHECK_MSG(a.data.index() < pins.size() && pins[a.data.index()] > 0,
+                 "unpin of data the task never pinned");
+    --pins[a.data.index()];
   }
 }
 

@@ -12,9 +12,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -59,7 +57,14 @@ class MemoryManager {
 
   // --- queries used by schedulers ----------------------------------------
 
-  [[nodiscard]] bool is_valid_on(DataId d, MemNodeId node) const;
+  [[nodiscard]] bool is_valid_on(DataId d, MemNodeId node) const {
+    // Lock-free (scheduler POP-path) query: a handle past the published
+    // count has exactly one copy, at home — the state sync_new_handles()
+    // installs.
+    if (d.index() >= synced_count_.load_acquire())
+      return node == graph_.handles().get(d).home;
+    return (data_state(d.index()).valid.load() & (std::uint64_t{1} << node.index())) != 0;
+  }
 
   /// Bytes of `t`'s accesses *not* yet valid on `node` — the demand-fetch
   /// volume a scheduler should expect (Dmda's transfer-cost term).
@@ -98,19 +103,47 @@ class MemoryManager {
   static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkShift;
   static constexpr std::size_t kMaxChunks = 1024;  // 1M handles
 
+  /// Intrusive doubly linked list of the handles resident on one node,
+  /// front = least recently used; the links are dense arrays indexed by
+  /// DataId, so a touch is O(1) with no allocation or hashing.
+  class LruList {
+   public:
+    static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+    /// Makes room for handle ids below `handles`.
+    void grow(std::size_t handles) { link_.resize(handles); }
+    [[nodiscard]] bool contains(DataId d) const { return link_[d.index()].listed; }
+    [[nodiscard]] std::uint32_t front() const { return head_; }
+    [[nodiscard]] std::uint32_t next(std::uint32_t d) const { return link_[d].next; }
+    /// Appends `d` as the most recently used (it must not be listed).
+    void push_back(DataId d);
+    /// Unlinks `d` (it must be listed).
+    void erase(DataId d);
+
+   private:
+    struct Link {
+      std::uint32_t prev = kNil;
+      std::uint32_t next = kNil;
+      bool listed = false;
+    };
+    std::vector<Link> link_;
+    std::uint32_t head_ = kNil;
+    std::uint32_t tail_ = kNil;
+  };
+
   struct NodeState {
     std::size_t capacity = 0;  // 0 = unlimited
     std::size_t used = 0;
-    std::list<DataId> lru;  // front = least recently used
-    std::unordered_map<DataId, std::list<DataId>::iterator> where;
+    LruList lru;
+    std::vector<std::uint32_t> pins;  // per handle: running tasks pinning it here
     std::size_t bytes_in = 0;
     std::size_t bytes_out = 0;
   };
 
   /// Appends per-handle state for handles registered after construction
-  /// (STF graphs may keep growing). Called only by the *mutating* entry
-  /// points, which the engine serializes; growth itself is additionally
-  /// guarded by sync_mu_. The lock-free query paths (is_valid_on & friends,
+  /// (STF graphs may keep growing), the per-node LRU links and pin counts
+  /// included. Called only by the *mutating* entry points, which the engine
+  /// serializes; growth itself is additionally guarded by sync_mu_. The lock-free query paths (is_valid_on & friends,
   /// read from scheduler POP paths) never call this: they treat handles at
   /// or above the published synced count as valid-at-home — exactly the
   /// state this function would install — so they never observe growth.
@@ -142,8 +175,7 @@ class MemoryManager {
   mutable RelaxedAtomic<std::size_t> synced_count_;
   mutable std::vector<std::unique_ptr<DataState[]>> chunk_storage_;  // owner; under sync_mu_
   mutable std::vector<RelaxedAtomic<DataState*>> chunk_dir_;         // published pointers
-  mutable std::vector<NodeState> nodes_;
-  std::unordered_map<std::uint64_t, int> pin_count_;  // (data,node) -> pins
+  mutable std::vector<NodeState> nodes_;  // LRU links and pins: mutators only
   std::size_t capacity_overflows_ = 0;
   std::size_t eviction_count_ = 0;
 };

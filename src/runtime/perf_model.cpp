@@ -47,20 +47,37 @@ double PerfDatabase::ground_truth(const TaskGraph& graph, TaskId t, ArchType a) 
 HistoryModel::HistoryModel(const TaskGraph& graph, const PerfDatabase& truth)
     : graph_(graph), truth_(truth) {}
 
-std::uint64_t HistoryModel::key(TaskId t, ArchType a) const {
+std::uint64_t HistoryModel::bias_key(TaskId t, ArchType a) const {
   const Task& task = graph_.task(t);
-  // (codelet, arch, footprint) — StarPU keys history models by a hash of the
-  // data sizes; the footprint byte count plays that role here.
   std::uint64_t h = task.codelet.value();
   h = h * 0x9e3779b97f4a7c15ULL + static_cast<std::uint64_t>(arch_index(a));
   h = h * 0x9e3779b97f4a7c15ULL + static_cast<std::uint64_t>(task.footprint_bytes);
   return h;
 }
 
+HistoryModel::Bucket& HistoryModel::bucket(TaskId t, ArchType a) const {
+  const std::size_t i = t.index() * kNumArchTypes + arch_index(a);
+  if (i >= slot_of_.size()) {
+    MP_CHECK_MSG(t.index() < graph_.num_tasks(), "history query for a task outside the graph");
+    slot_of_.resize(graph_.num_tasks() * kNumArchTypes, kUnresolved);
+  }
+  std::uint32_t& slot = slot_of_[i];
+  if (slot == kUnresolved) {
+    // (codelet, arch, footprint) — StarPU keys history models by a hash of
+    // the data sizes; the footprint byte count plays that role here.
+    const Task& task = graph_.task(t);
+    const BucketKey key{task.codelet.value(), arch_index(a), task.footprint_bytes};
+    const auto [it, fresh] =
+        slot_by_key_.try_emplace(key, static_cast<std::uint32_t>(buckets_.size()));
+    if (fresh) buckets_.emplace_back();
+    slot = it->second;
+  }
+  return buckets_[slot];
+}
+
 double HistoryModel::estimate(TaskId t, ArchType a) const {
-  auto it = buckets_.find(key(t, a));
-  if (it != buckets_.end() && it->second.count >= calibration_min_)
-    return it->second.mean;
+  const Bucket& b = bucket(t, a);
+  if (b.seen && b.count >= calibration_min_) return b.mean;
   // Uncalibrated prior: default-rate estimate from the task's flops.
   const Task& task = graph_.task(t);
   return apply_rate(truth_.rate("", a), task.flops,
@@ -68,13 +85,14 @@ double HistoryModel::estimate(TaskId t, ArchType a) const {
 }
 
 bool HistoryModel::is_calibrated(TaskId t, ArchType a) const {
-  auto it = buckets_.find(key(t, a));
-  return it != buckets_.end() && it->second.count >= calibration_min_;
+  const Bucket& b = bucket(t, a);
+  return b.seen && b.count >= calibration_min_;
 }
 
 void HistoryModel::record(TaskId t, ArchType a, double measured_s) {
   MP_CHECK(measured_s > 0.0);
-  Bucket& b = buckets_[key(t, a)];
+  Bucket& b = bucket(t, a);
+  b.seen = true;
   ++b.count;
   b.mean += (measured_s - b.mean) / static_cast<double>(b.count);
 }
@@ -86,13 +104,13 @@ void HistoryModel::seed_from_truth(double bias_sigma, std::uint64_t bias_seed) {
     for (std::size_t ai = 0; ai < kNumArchTypes; ++ai) {
       const auto a = static_cast<ArchType>(ai);
       if (!cl.can_exec(a)) continue;
-      const std::uint64_t k = key(t, a);
-      Bucket& b = buckets_[k];
+      Bucket& b = bucket(t, a);
+      b.seen = true;
       if (b.count == 0) {
         b.count = calibration_min_;
         b.mean = truth_.ground_truth(graph_, t, a);
         if (bias_sigma > 0.0) {
-          Rng rng = Rng::derive(bias_seed, k);
+          Rng rng = Rng::derive(bias_seed, bias_key(t, a));
           b.mean *= std::exp(bias_sigma * rng.next_normal());
         }
       }

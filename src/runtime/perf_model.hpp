@@ -9,12 +9,17 @@
 //    history of measured executions keyed by (codelet, arch, footprint),
 //    exactly like StarPU's history-based models [21,22]. Benches run it
 //    pre-seeded ("calibrated"), tests also exercise the cold path.
+//    Each (task, arch) resolves to its bucket's slot once; every later
+//    query indexes a flat table, with no hashing.
 #pragma once
 
+#include <compare>
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "common/ids.hpp"
 #include "runtime/task_graph.hpp"
@@ -53,6 +58,11 @@ class PerfDatabase {
 };
 
 /// History-based estimator: the scheduler-visible δ(t,a).
+///
+/// Not thread-safe, queries included: a query resolves (t, a) to a bucket
+/// slot on first use and grows the slot tables as the graph grows, so every
+/// call must be serialized with every other (the threaded engine holds its
+/// push-side lock around each one).
 class HistoryModel {
  public:
   HistoryModel(const TaskGraph& graph, const PerfDatabase& truth);
@@ -83,14 +93,30 @@ class HistoryModel {
   struct Bucket {
     std::uint32_t count = 0;
     double mean = 0.0;
+    bool seen = false;  ///< recorded or seeded at least once
   };
+  /// Exact bucket identity: (codelet, arch, footprint bytes).
+  struct BucketKey {
+    std::uint32_t codelet = 0;
+    std::size_t arch = 0;
+    std::size_t footprint = 0;
+    friend auto operator<=>(const BucketKey&, const BucketKey&) = default;
+  };
+  static constexpr std::uint32_t kUnresolved = ~std::uint32_t{0};
 
-  [[nodiscard]] std::uint64_t key(TaskId t, ArchType a) const;
+  /// Bucket of (t, a), resolved on first use and indexed directly after.
+  [[nodiscard]] Bucket& bucket(TaskId t, ArchType a) const;
+  /// The mixed 64-bit hash of (codelet, arch, footprint) that once keyed the
+  /// buckets; kept only as the per-bucket seed of the calibration bias, so
+  /// biased runs draw the same factors.
+  [[nodiscard]] std::uint64_t bias_key(TaskId t, ArchType a) const;
 
   const TaskGraph& graph_;
   const PerfDatabase& truth_;
   std::uint32_t calibration_min_ = 1;
-  std::unordered_map<std::uint64_t, Bucket> buckets_;
+  mutable std::vector<std::uint32_t> slot_of_;  ///< per (task, arch): index into buckets_
+  mutable std::vector<Bucket> buckets_;
+  mutable std::map<BucketKey, std::uint32_t> slot_by_key_;
 };
 
 }  // namespace mp

@@ -52,16 +52,6 @@ void Platform::add_workers(ArchType arch, MemNodeId node, std::size_t count) {
   if (!known) an.push_back(node);
 }
 
-const MemNode& Platform::node(MemNodeId m) const {
-  MP_CHECK(m.valid() && m.index() < nodes_.size());
-  return nodes_[m.index()];
-}
-
-const Worker& Platform::worker(WorkerId w) const {
-  MP_CHECK(w.valid() && w.index() < workers_.size());
-  return workers_[w.index()];
-}
-
 ArchType Platform::node_arch(MemNodeId m) const {
   const auto& ws = workers_of_node(m);
   MP_CHECK_MSG(!ws.empty(), "node has no workers");

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/ids.hpp"
 
 namespace mp {
@@ -49,8 +50,14 @@ class Platform {
   [[nodiscard]] MemNodeId ram_node() const { return MemNodeId{std::uint32_t{0}}; }
   [[nodiscard]] std::size_t num_nodes() const { return nodes_.size(); }
   [[nodiscard]] std::size_t num_workers() const { return workers_.size(); }
-  [[nodiscard]] const MemNode& node(MemNodeId m) const;
-  [[nodiscard]] const Worker& worker(WorkerId w) const;
+  [[nodiscard]] const MemNode& node(MemNodeId m) const {
+    MP_CHECK(m.valid() && m.index() < nodes_.size());
+    return nodes_[m.index()];
+  }
+  [[nodiscard]] const Worker& worker(WorkerId w) const {
+    MP_CHECK(w.valid() && w.index() < workers_.size());
+    return workers_[w.index()];
+  }
   [[nodiscard]] const std::vector<Worker>& workers() const { return workers_; }
   [[nodiscard]] const std::vector<MemNode>& nodes() const { return nodes_; }
 

@@ -21,55 +21,41 @@ std::size_t live_workers_of_node(const SchedContext& ctx, MemNodeId m) {
 }
 
 bool task_has_live_worker(const SchedContext& ctx, TaskId t) {
-  for (std::size_t ai = 0; ai < kNumArchTypes; ++ai) {
-    const auto a = static_cast<ArchType>(ai);
-    if (ctx.graph->can_exec(t, a) && live_worker_count(ctx, a) > 0) return true;
-  }
-  return false;
+  return enabled_archs(ctx, t) != 0;
 }
 
-std::vector<ArchType> enabled_archs(const SchedContext& ctx, TaskId t) {
-  std::vector<ArchType> out;
+ArchMask enabled_archs(const SchedContext& ctx, TaskId t) {
+  ArchMask out = 0;
   for (std::size_t ai = 0; ai < kNumArchTypes; ++ai) {
     const auto a = static_cast<ArchType>(ai);
-    if (ctx.graph->can_exec(t, a) && live_worker_count(ctx, a) > 0) out.push_back(a);
+    if (ctx.graph->can_exec(t, a) && live_worker_count(ctx, a) > 0) out |= arch_bit(a);
   }
   return out;
 }
 
-ArchType best_arch_for(const SchedContext& ctx, TaskId t) {
+std::optional<ArchType> fastest_arch(ArchMask archs,
+                                     const std::array<double, kNumArchTypes>& delta) {
   double best = std::numeric_limits<double>::infinity();
   std::optional<ArchType> best_a;
-  for (ArchType a : enabled_archs(ctx, t)) {
-    const double d = ctx.perf->estimate(t, a);
-    if (d < best) {
-      best = d;
-      best_a = a;
-    }
+  for (std::size_t ai = 0; ai < kNumArchTypes; ++ai) {
+    const auto a = static_cast<ArchType>(ai);
+    if (!arch_in(archs, a) || !(delta[ai] < best)) continue;
+    best = delta[ai];
+    best_a = a;
   }
-  MP_CHECK_MSG(best_a.has_value(), "task has no enabled architecture");
-  return *best_a;
+  return best_a;
 }
 
-std::optional<ArchType> second_arch_for(const SchedContext& ctx, TaskId t) {
-  const ArchType first = best_arch_for(ctx, t);
-  double best = std::numeric_limits<double>::infinity();
-  std::optional<ArchType> second;
-  for (ArchType a : enabled_archs(ctx, t)) {
-    if (a == first) continue;
-    const double d = ctx.perf->estimate(t, a);
-    if (d < best) {
-      best = d;
-      second = a;
-    }
+ArchType best_arch_for(const SchedContext& ctx, TaskId t) {
+  const ArchMask enabled = enabled_archs(ctx, t);
+  std::array<double, kNumArchTypes> delta{};
+  for (std::size_t ai = 0; ai < kNumArchTypes; ++ai) {
+    const auto a = static_cast<ArchType>(ai);
+    if (arch_in(enabled, a)) delta[ai] = ctx.perf->estimate(t, a);
   }
-  return second;
-}
-
-double normalized_speedup(const SchedContext& ctx, TaskId t, ArchType a) {
-  const ArchType best = best_arch_for(ctx, t);
-  if (best == a) return 1.0;
-  return ctx.perf->estimate(t, best) / ctx.perf->estimate(t, a);
+  const std::optional<ArchType> best = fastest_arch(enabled, delta);
+  MP_CHECK_MSG(best.has_value(), "task has no enabled architecture");
+  return *best;
 }
 
 }  // namespace mp

@@ -219,7 +219,7 @@ class Scheduler {
 // --- helpers shared by several policies ------------------------------------
 // All of these are liveness-aware: with a WorkerLiveness in the context,
 // dead workers do not count as capacity, so after a device loss "best arch"
-// verdicts and speedups are judged against the surviving platform.
+// verdicts are judged against the surviving platform.
 
 /// Is `w` alive (always true without a liveness mask)?
 [[nodiscard]] bool worker_alive(const SchedContext& ctx, WorkerId w);
@@ -234,17 +234,17 @@ class Scheduler {
 [[nodiscard]] bool task_has_live_worker(const SchedContext& ctx, TaskId t);
 
 /// Architectures that both have an implementation of `t` and at least one
-/// live worker on the platform, i.e. the archs the task can actually run on.
-[[nodiscard]] std::vector<ArchType> enabled_archs(const SchedContext& ctx, TaskId t);
+/// live worker on the platform, i.e. the archs the task can actually run on
+/// (bit arch_index(a) per arch; 0 means the task is orphaned).
+[[nodiscard]] ArchMask enabled_archs(const SchedContext& ctx, TaskId t);
+
+/// Fastest arch of `archs` by already-resolved estimates, `delta[arch_index(a)]`
+/// = δ(t,a) (entries outside `archs` are ignored; the lowest arch index wins
+/// ties); nullopt for an empty set.
+[[nodiscard]] std::optional<ArchType> fastest_arch(
+    ArchMask archs, const std::array<double, kNumArchTypes>& delta);
 
 /// Fastest enabled arch for `t` according to δ(t,a); requires ≥1 enabled.
 [[nodiscard]] ArchType best_arch_for(const SchedContext& ctx, TaskId t);
-
-/// Second-fastest enabled arch, or nullopt when only one arch is enabled.
-[[nodiscard]] std::optional<ArchType> second_arch_for(const SchedContext& ctx, TaskId t);
-
-/// 1.0 when `a` is the fastest enabled arch for `t`, < 1.0 otherwise
-/// (δ(t,best)/δ(t,a)) — the paper's normalized_speedup(t,a).
-[[nodiscard]] double normalized_speedup(const SchedContext& ctx, TaskId t, ArchType a);
 
 }  // namespace mp

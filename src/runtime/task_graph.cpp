@@ -58,6 +58,10 @@ TaskId TaskGraph::submit(CodeletId codelet, std::span<const Access> accesses,
   total_flops_ += t.flops;
 
   tasks_.push_back(std::move(t));
+  ArchMask archs = 0;
+  for (std::size_t ai = 0; ai < kNumArchTypes; ++ai)
+    if (codelets_[codelet.index()].where_mask[ai]) archs |= arch_bit(static_cast<ArchType>(ai));
+  archs_.push_back(archs);
   succ_.emplace_back();
   pred_.emplace_back();
 
@@ -122,32 +126,9 @@ void TaskGraph::add_edge(TaskId from, TaskId to) {
   pred_[to.index()].push_back(from);
 }
 
-const Task& TaskGraph::task(TaskId t) const {
-  MP_CHECK(t.valid() && t.index() < tasks_.size());
-  return tasks_[t.index()];
-}
-
-const Codelet& TaskGraph::codelet_of(TaskId t) const {
-  return codelets_[task(t).codelet.index()];
-}
-
 const Codelet& TaskGraph::codelet(CodeletId c) const {
   MP_CHECK(c.valid() && c.index() < codelets_.size());
   return codelets_[c.index()];
-}
-
-std::span<const TaskId> TaskGraph::successors(TaskId t) const {
-  MP_CHECK(t.valid() && t.index() < succ_.size());
-  return succ_[t.index()];
-}
-
-std::span<const TaskId> TaskGraph::predecessors(TaskId t) const {
-  MP_CHECK(t.valid() && t.index() < pred_.size());
-  return pred_[t.index()];
-}
-
-bool TaskGraph::can_exec(TaskId t, ArchType a) const {
-  return codelet_of(t).can_exec(a);
 }
 
 std::size_t TaskGraph::in_degree(TaskId t) const {
@@ -181,6 +162,7 @@ std::vector<TaskId> TaskGraph::initial_ready() const {
 void TaskGraph::self_check() const {
   MP_CHECK(succ_.size() == tasks_.size());
   MP_CHECK(pred_.size() == tasks_.size());
+  MP_CHECK(archs_.size() == tasks_.size());
   for (std::size_t i = 0; i < tasks_.size(); ++i) {
     for (TaskId s : succ_[i]) {
       MP_CHECK(s.index() < tasks_.size());

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/ids.hpp"
 #include "runtime/codelet.hpp"
 #include "runtime/data_handle.hpp"
@@ -51,18 +52,35 @@ class TaskGraph {
   // --- queries ------------------------------------------------------------
 
   [[nodiscard]] std::size_t num_tasks() const { return tasks_.size(); }
-  [[nodiscard]] const Task& task(TaskId t) const;
-  [[nodiscard]] const Codelet& codelet_of(TaskId t) const;
+  [[nodiscard]] const Task& task(TaskId t) const {
+    MP_CHECK(t.valid() && t.index() < tasks_.size());
+    return tasks_[t.index()];
+  }
+  [[nodiscard]] const Codelet& codelet_of(TaskId t) const {
+    return codelets_[task(t).codelet.index()];
+  }
   [[nodiscard]] const Codelet& codelet(CodeletId c) const;
   [[nodiscard]] std::size_t num_codelets() const { return codelets_.size(); }
 
   [[nodiscard]] const HandleRegistry& handles() const { return handles_; }
 
   /// Direct successors λ+(t) / predecessors λ−(t) in the inferred DAG.
-  [[nodiscard]] std::span<const TaskId> successors(TaskId t) const;
-  [[nodiscard]] std::span<const TaskId> predecessors(TaskId t) const;
+  [[nodiscard]] std::span<const TaskId> successors(TaskId t) const {
+    MP_CHECK(t.valid() && t.index() < succ_.size());
+    return succ_[t.index()];
+  }
+  [[nodiscard]] std::span<const TaskId> predecessors(TaskId t) const {
+    MP_CHECK(t.valid() && t.index() < pred_.size());
+    return pred_[t.index()];
+  }
 
-  [[nodiscard]] bool can_exec(TaskId t, ArchType a) const;
+  /// Architectures with an implementation of `t` (its codelet's, copied
+  /// into a dense per-task table at submission).
+  [[nodiscard]] ArchMask archs_of(TaskId t) const {
+    MP_CHECK(t.valid() && t.index() < archs_.size());
+    return archs_[t.index()];
+  }
+  [[nodiscard]] bool can_exec(TaskId t, ArchType a) const { return arch_in(archs_of(t), a); }
 
   /// Number of direct predecessors (|λ−(t)|).
   [[nodiscard]] std::size_t in_degree(TaskId t) const;
@@ -101,6 +119,7 @@ class TaskGraph {
   HandleRegistry handles_;
   std::vector<Codelet> codelets_;
   std::vector<Task> tasks_;
+  std::vector<ArchMask> archs_;  // per task
   std::vector<std::vector<TaskId>> succ_;
   std::vector<std::vector<TaskId>> pred_;
   std::vector<PerData> per_data_;

@@ -16,9 +16,9 @@ SimEngine::SimEngine(const TaskGraph& graph, const Platform& platform,
   graph_.self_check();
   link_free_at_.assign(platform.num_nodes(), 0.0);
   pipeline_free_at_.assign(platform.num_workers(), 0.0);
-  worker_busy_.assign(platform.num_workers(), false);
+  worker_busy_.assign(platform.num_workers(), 0);
   pending_.assign(platform.num_workers(), {});
-  trypop_pending_.assign(platform.num_workers(), false);
+  trypop_pending_.assign(platform.num_workers(), 0);
   predicted_.assign(graph.num_tasks(), 0.0);
   attempt_on_.resize(platform.num_workers());
 }
@@ -61,8 +61,8 @@ void SimEngine::request_prefetch(DataId data, MemNodeId node) {
 
 void SimEngine::schedule_try_pop(WorkerId w, double time) {
   if (!liveness_->alive(w)) return;
-  if (trypop_pending_[w.index()]) return;
-  trypop_pending_[w.index()] = true;
+  if (trypop_pending_[w.index()] != 0) return;
+  trypop_pending_[w.index()] = 1;
   event_heap_.push_back(Event{time, next_seq_++, Event::Kind::TryPop, w, TaskId{}});
   std::push_heap(event_heap_.begin(), event_heap_.end(),
                  [](const Event& a, const Event& b) { return a.after(b); });
@@ -72,15 +72,17 @@ void SimEngine::wake_idle_workers() {
   // Rotate the wake order so no worker class systematically outraces the
   // others to freshly pushed tasks (real workers poll concurrently).
   const std::size_t n = platform_.num_workers();
-  for (std::size_t off = 0; off < n; ++off) {
-    const std::size_t wi = (wake_rotor_ + off) % n;
+  std::size_t wi = wake_rotor_;
+  for (std::size_t off = 0; off < n; ++off, wi = wi + 1 < n ? wi + 1 : 0) {
+    // A worker with a TryPop already queued would drop a second one; skip
+    // it before asking the policy (the hint is a pure query). An idle
+    // worker wants work when its pipeline is empty, a busy one when a
+    // pipeline slot is free.
+    if (trypop_pending_[wi] != 0) continue;
+    const std::size_t queued = pending_[wi].size();
+    if (worker_busy_[wi] != 0 ? queued >= cfg_.pipeline_depth : queued != 0) continue;
     const WorkerId w{wi};
-    if (!liveness_->alive(w)) continue;
-    const bool slots_free = pending_[wi].size() < cfg_.pipeline_depth;
-    const bool wants_work =
-        (!worker_busy_[wi] && pending_[wi].empty()) ||
-        (worker_busy_[wi] && cfg_.pipeline_depth > 0 && slots_free);
-    if (wants_work && sched_->has_work_hint(w)) schedule_try_pop(w, now_);
+    if (liveness_->alive(w) && sched_->has_work_hint(w)) schedule_try_pop(w, now_);
   }
   wake_rotor_ = (wake_rotor_ + 1) % std::max<std::size_t>(1, n);
 }
@@ -127,9 +129,9 @@ bool SimEngine::fill_pending(WorkerId w) {
   // The δ the scheduler believed when it committed this placement — captured
   // now, because completions keep re-training the history model.
   predicted_[t.index()] = history_->estimate(t, worker.arch);
-  std::vector<TransferOp> ops;
-  memory_->acquire_for_task(t, worker.node, ops);
-  const double ready = charge_transfers(ops, now_);
+  fetch_ops_.clear();
+  memory_->acquire_for_task(t, worker.node, fetch_ops_);
+  const double ready = charge_transfers(fetch_ops_, now_);
   memory_->pin_task_data(t, worker.node);
 
   double duration = perf_.ground_truth(graph_, t, worker.arch);
@@ -151,14 +153,11 @@ bool SimEngine::fill_pending(WorkerId w) {
   double& pfa = pipeline_free_at_[w.index()];
   double start = std::max({pfa, now_, ready});
   if (has_commute) {
-    for (const Access& a : graph_.task(t).accesses) {
-      if (a.mode != AccessMode::Commute) continue;
-      auto it = commute_free_at_.find(a.data);
-      if (it != commute_free_at_.end()) start = std::max(start, it->second);
-    }
-    for (const Access& a : graph_.task(t).accesses) {
-      if (a.mode == AccessMode::Commute) commute_free_at_[a.data] = start + duration;
-    }
+    for (const Access& a : graph_.task(t).accesses)
+      if (a.mode == AccessMode::Commute)
+        start = std::max(start, commute_free_at_[a.data.index()]);
+    for (const Access& a : graph_.task(t).accesses)
+      if (a.mode == AccessMode::Commute) commute_free_at_[a.data.index()] = start + duration;
     start_floor = start;
   }
   pfa = start + duration;
@@ -171,7 +170,7 @@ void SimEngine::start_pending(WorkerId w) {
   MP_ASSERT(!pending_[w.index()].empty() && !worker_busy_[w.index()]);
   const PendingTask p = pending_[w.index()].front();
   pending_[w.index()].erase(pending_[w.index()].begin());
-  worker_busy_[w.index()] = true;
+  worker_busy_[w.index()] = 1;
 
   const double exec_start = std::max({now_, p.data_ready_at, p.start_floor});
   const double end = exec_start + p.duration;
@@ -191,7 +190,7 @@ void SimEngine::start_pending(WorkerId w) {
 }
 
 void SimEngine::handle_try_pop(WorkerId w) {
-  trypop_pending_[w.index()] = false;
+  trypop_pending_[w.index()] = 0;
   if (!liveness_->alive(w)) return;  // queued before the worker's loss
   bool took_something = false;
   if (!worker_busy_[w.index()]) {
@@ -226,7 +225,7 @@ void SimEngine::handle_complete(const Event& e) {
   const RunningAttempt run = attempt_on_[wi];
   const Worker& worker = platform_.worker(e.worker);
   memory_->unpin_task_data(e.task, worker.node);
-  worker_busy_[wi] = false;
+  worker_busy_[wi] = 0;
 
   if (lifecycle_->attempt_fails(e.task, lifecycle_->attempt(e.task))) {
     // Transient failure: the attempt's time is spent, its result discarded.
@@ -248,9 +247,9 @@ void SimEngine::handle_complete(const Event& e) {
   // Notify completion before pushing the released successors so policies
   // with push-site locality (LWS) know which worker produced them.
   sched_->on_task_end(e.task, e.worker);
-  std::vector<TaskId> newly;
-  deps_->complete(e.task, newly);
-  for (TaskId t : newly) push_ready(t);
+  released_.clear();
+  deps_->complete(e.task, released_);
+  for (TaskId t : released_) push_ready(t);
 
   schedule_try_pop(e.worker, now_);
   wake_idle_workers();
@@ -271,7 +270,7 @@ void SimEngine::handle_worker_loss(const Event& e) {
   std::vector<TaskId> drained;
   if (worker_busy_[w.index()]) {
     drained.push_back(attempt_on_[w.index()].p.task);
-    worker_busy_[w.index()] = false;
+    worker_busy_[w.index()] = 0;
   }
   for (const PendingTask& p : pending_[w.index()]) drained.push_back(p.task);
   pending_[w.index()].clear();
@@ -339,6 +338,7 @@ SimResult SimEngine::run(const SchedulerFactory& make_scheduler) {
   trace_ = std::make_unique<Trace>(graph_, platform_);
   deps_ = std::make_unique<DepCounters>(graph_);
   liveness_ = std::make_unique<WorkerLiveness>(platform_);
+  commute_free_at_.assign(graph_.handles().count(), 0.0);
 
   sched_ctx_.graph = &graph_;
   sched_ctx_.platform = &platform_;

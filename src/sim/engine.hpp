@@ -168,13 +168,16 @@ class SimEngine : public PrefetchSink {
   /// because durations are fixed at pop time. Basis of the commute
   /// reservations below.
   std::vector<double> pipeline_free_at_;
-  /// Per-handle serialization point for AccessMode::Commute.
-  std::unordered_map<DataId, double> commute_free_at_;
-  std::vector<bool> worker_busy_;
+  /// Per-handle serialization point for AccessMode::Commute, by DataId
+  /// (0 = never reserved; sized in run()).
+  std::vector<double> commute_free_at_;
+  std::vector<std::uint8_t> worker_busy_;
   std::vector<std::vector<PendingTask>> pending_;  // per worker, FIFO
-  std::vector<bool> trypop_pending_;     // dedup of queued TryPop events
+  std::vector<std::uint8_t> trypop_pending_;  // dedup of queued TryPop events
   std::size_t wake_rotor_ = 0;           // rotating wake order start
   std::vector<double> predicted_;        // per task, δ(t, arch) at pop time
+  std::vector<TransferOp> fetch_ops_;    // fill_pending's scratch, reused
+  std::vector<TaskId> released_;         // handle_complete's scratch, reused
   std::size_t failed_pops_ = 0;
   bool running_ = false;
 

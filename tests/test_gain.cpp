@@ -2,11 +2,24 @@
 // cases of Eq. 1.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "core/gain.hpp"
 #include "test_util.hpp"
 
 namespace mp {
 namespace {
+
+/// gain() of `t` on `a` with δ resolved from the context, as MultiPrio's
+/// push resolves it once per task.
+double gain_of(GainTracker& gain, const SchedContext& ctx, TaskId t, ArchType a) {
+  const ArchMask enabled = enabled_archs(ctx, t);
+  std::array<double, kNumArchTypes> delta{};
+  for (std::size_t ai = 0; ai < kNumArchTypes; ++ai)
+    if (arch_in(enabled, static_cast<ArchType>(ai)))
+      delta[ai] = ctx.perf->estimate(t, static_cast<ArchType>(ai));
+  return gain.gain(enabled, delta, a);
+}
 
 /// Table II setting: three tasks, two architecture types (a1 = CPU,
 /// a2 = GPU), δ in milliseconds:
@@ -49,40 +62,40 @@ TEST_F(TableTwo, ReproducesPaperValues) {
   seed_deltas();
   SchedContext ctx = mc.ctx();
   // Process t_A first on both archs: establishes hd(a1) = hd(a2) = 19 ms.
-  EXPECT_NEAR(gain.gain(ctx, tasks[0], ArchType::CPU), 1.0, 1e-12);
-  EXPECT_NEAR(gain.gain(ctx, tasks[0], ArchType::GPU), 0.0, 1e-12);
+  EXPECT_NEAR(gain_of(gain, ctx, tasks[0], ArchType::CPU), 1.0, 1e-12);
+  EXPECT_NEAR(gain_of(gain, ctx, tasks[0], ArchType::GPU), 0.0, 1e-12);
   EXPECT_NEAR(gain.hd(ArchType::CPU), 19e-3, 1e-12);
   EXPECT_NEAR(gain.hd(ArchType::GPU), 19e-3, 1e-12);
   // t_B: paper reports 0.631 / 0.368 (exact: 24/38 and 14/38).
-  EXPECT_NEAR(gain.gain(ctx, tasks[1], ArchType::CPU), 24.0 / 38.0, 1e-12);
-  EXPECT_NEAR(gain.gain(ctx, tasks[1], ArchType::GPU), 14.0 / 38.0, 1e-12);
+  EXPECT_NEAR(gain_of(gain, ctx, tasks[1], ArchType::CPU), 24.0 / 38.0, 1e-12);
+  EXPECT_NEAR(gain_of(gain, ctx, tasks[1], ArchType::GPU), 14.0 / 38.0, 1e-12);
   // t_C: paper reports 0.236 / 0.763 (exact: 9/38 and 29/38).
-  EXPECT_NEAR(gain.gain(ctx, tasks[2], ArchType::CPU), 9.0 / 38.0, 1e-12);
-  EXPECT_NEAR(gain.gain(ctx, tasks[2], ArchType::GPU), 29.0 / 38.0, 1e-12);
+  EXPECT_NEAR(gain_of(gain, ctx, tasks[2], ArchType::CPU), 9.0 / 38.0, 1e-12);
+  EXPECT_NEAR(gain_of(gain, ctx, tasks[2], ArchType::GPU), 29.0 / 38.0, 1e-12);
 }
 
 TEST_F(TableTwo, PaperRoundedValuesMatch) {
   seed_deltas();
   SchedContext ctx = mc.ctx();
-  (void)gain.gain(ctx, tasks[0], ArchType::CPU);  // establish hd
-  (void)gain.gain(ctx, tasks[0], ArchType::GPU);
-  EXPECT_NEAR(gain.gain(ctx, tasks[1], ArchType::CPU), 0.631, 1e-3);
-  EXPECT_NEAR(gain.gain(ctx, tasks[1], ArchType::GPU), 0.368, 1e-3);
-  EXPECT_NEAR(gain.gain(ctx, tasks[2], ArchType::CPU), 0.236, 1e-3);
-  EXPECT_NEAR(gain.gain(ctx, tasks[2], ArchType::GPU), 0.763, 1e-3);
+  (void)gain_of(gain, ctx, tasks[0], ArchType::CPU);  // establish hd
+  (void)gain_of(gain, ctx, tasks[0], ArchType::GPU);
+  EXPECT_NEAR(gain_of(gain, ctx, tasks[1], ArchType::CPU), 0.631, 1e-3);
+  EXPECT_NEAR(gain_of(gain, ctx, tasks[1], ArchType::GPU), 0.368, 1e-3);
+  EXPECT_NEAR(gain_of(gain, ctx, tasks[2], ArchType::CPU), 0.236, 1e-3);
+  EXPECT_NEAR(gain_of(gain, ctx, tasks[2], ArchType::GPU), 0.763, 1e-3);
 }
 
 TEST_F(TableTwo, GainOrderingMatchesPaperNarrative) {
   seed_deltas();
   SchedContext ctx = mc.ctx();
-  const double a1_a = gain.gain(ctx, tasks[0], ArchType::CPU);
-  const double a1_b = gain.gain(ctx, tasks[1], ArchType::CPU);
-  const double a1_c = gain.gain(ctx, tasks[2], ArchType::CPU);
+  const double a1_a = gain_of(gain, ctx, tasks[0], ArchType::CPU);
+  const double a1_b = gain_of(gain, ctx, tasks[1], ArchType::CPU);
+  const double a1_c = gain_of(gain, ctx, tasks[2], ArchType::CPU);
   EXPECT_GT(a1_a, a1_b);  // CPU heap: A first, then B, then C
   EXPECT_GT(a1_b, a1_c);
-  const double a2_a = gain.gain(ctx, tasks[0], ArchType::GPU);
-  const double a2_b = gain.gain(ctx, tasks[1], ArchType::GPU);
-  const double a2_c = gain.gain(ctx, tasks[2], ArchType::GPU);
+  const double a2_a = gain_of(gain, ctx, tasks[0], ArchType::GPU);
+  const double a2_b = gain_of(gain, ctx, tasks[1], ArchType::GPU);
+  const double a2_c = gain_of(gain, ctx, tasks[2], ArchType::GPU);
   EXPECT_GT(a2_c, a2_b);  // GPU heap: C first, then B, then A
   EXPECT_GT(a2_b, a2_a);
 }
@@ -92,11 +105,28 @@ TEST_F(TableTwo, ScoresStayWithinUnitInterval) {
   SchedContext ctx = mc.ctx();
   for (int i = 0; i < 3; ++i) {
     for (ArchType a : {ArchType::CPU, ArchType::GPU}) {
-      const double v = gain.gain(ctx, tasks[i], a);
+      const double v = gain_of(gain, ctx, tasks[i], a);
       EXPECT_GE(v, 0.0);
       EXPECT_LE(v, 1.0);
     }
   }
+}
+
+TEST(Gain, TableTwoFromResolvedDeltas) {
+  // The same Table II walk, fed the δ arrays directly.
+  const ArchMask both = arch_bit(ArchType::CPU) | arch_bit(ArchType::GPU);
+  GainTracker gain;
+  const std::array<double, kNumArchTypes> a{1e-3, 20e-3};
+  const std::array<double, kNumArchTypes> b{5e-3, 10e-3};
+  const std::array<double, kNumArchTypes> c{20e-3, 10e-3};
+  EXPECT_NEAR(gain.gain(both, a, ArchType::CPU), 1.0, 1e-12);
+  EXPECT_NEAR(gain.gain(both, a, ArchType::GPU), 0.0, 1e-12);
+  EXPECT_NEAR(gain.gain(both, b, ArchType::CPU), 24.0 / 38.0, 1e-12);
+  EXPECT_NEAR(gain.gain(both, b, ArchType::GPU), 14.0 / 38.0, 1e-12);
+  EXPECT_NEAR(gain.gain(both, c, ArchType::CPU), 9.0 / 38.0, 1e-12);
+  EXPECT_NEAR(gain.gain(both, c, ArchType::GPU), 29.0 / 38.0, 1e-12);
+  // Entries outside the enabled set are ignored.
+  EXPECT_DOUBLE_EQ(gain.gain(arch_bit(ArchType::CPU), c, ArchType::CPU), 1.0);
 }
 
 TEST(Gain, SingleArchTaskScoresOne) {
@@ -108,7 +138,7 @@ TEST(Gain, SingleArchTaskScoresOne) {
   test::ManualContext mc(g, p, test::flat_perf());
   GainTracker gain;
   SchedContext ctx = mc.ctx();
-  EXPECT_DOUBLE_EQ(gain.gain(ctx, t, ArchType::CPU), 1.0);
+  EXPECT_DOUBLE_EQ(gain_of(gain, ctx, t, ArchType::CPU), 1.0);
 }
 
 TEST(Gain, GpuCapableTaskWithoutGpuWorkersScoresOne) {
@@ -122,7 +152,7 @@ TEST(Gain, GpuCapableTaskWithoutGpuWorkersScoresOne) {
   test::ManualContext mc(g, p, test::flat_perf());
   GainTracker gain;
   SchedContext ctx = mc.ctx();
-  EXPECT_DOUBLE_EQ(gain.gain(ctx, t, ArchType::CPU), 1.0);
+  EXPECT_DOUBLE_EQ(gain_of(gain, ctx, t, ArchType::CPU), 1.0);
 }
 
 TEST(Gain, ZeroContrastGivesNeutralHalf) {
@@ -137,7 +167,7 @@ TEST(Gain, ZeroContrastGivesNeutralHalf) {
   mc.history.record(t, ArchType::GPU, 5e-3);
   GainTracker gain;
   SchedContext ctx = mc.ctx();
-  EXPECT_DOUBLE_EQ(gain.gain(ctx, t, ArchType::CPU), 0.5);
+  EXPECT_DOUBLE_EQ(gain_of(gain, ctx, t, ArchType::CPU), 0.5);
 }
 
 TEST(Gain, HdIsMonotoneNonDecreasing) {
@@ -159,11 +189,11 @@ TEST(Gain, HdIsMonotoneNonDecreasing) {
   }
   GainTracker gain;
   SchedContext ctx = mc.ctx();
-  (void)gain.gain(ctx, ts[0], ArchType::CPU);
+  (void)gain_of(gain, ctx, ts[0], ArchType::CPU);
   const double hd0 = gain.hd(ArchType::CPU);
-  (void)gain.gain(ctx, ts[1], ArchType::CPU);
+  (void)gain_of(gain, ctx, ts[1], ArchType::CPU);
   const double hd1 = gain.hd(ArchType::CPU);
-  (void)gain.gain(ctx, ts[2], ArchType::CPU);
+  (void)gain_of(gain, ctx, ts[2], ArchType::CPU);
   const double hd2 = gain.hd(ArchType::CPU);
   EXPECT_LE(hd0, hd1);
   EXPECT_DOUBLE_EQ(hd1, hd2);  // smaller contrast does not shrink hd

@@ -176,6 +176,46 @@ TEST(MemoryManager, PinnedDataSurvivesEviction) {
   mm.unpin_task_data(t0, w.gpu0);
 }
 
+TEST(MemoryManager, LruOrderFollowsUseAndSkipsPinnedVictims) {
+  World w(/*gpu_capacity=*/350);
+  std::vector<DataId> d;
+  for (int i = 0; i < 6; ++i) d.push_back(w.graph.add_data(100));
+  const TaskId reads_d0 = w.task({Access{d[0], AccessMode::Read}});
+  const TaskId reads_d1 = w.task({Access{d[1], AccessMode::Read}});
+  MemoryManager mm(w.graph, w.platform);
+  std::vector<TransferOp> ops;
+  for (int i = 0; i < 3; ++i) mm.prefetch(d[i], w.gpu0, ops);  // LRU: d0 d1 d2
+  mm.acquire_for_task(reads_d0, w.gpu0, ops);                   // LRU: d1 d2 d0
+  mm.acquire_for_task(reads_d1, w.gpu0, ops);                   // LRU: d2 d0 d1
+  mm.pin_task_data(reads_d1, w.gpu0);
+  const auto resident = [&] {
+    std::vector<bool> out;
+    for (const DataId x : d) out.push_back(mm.is_valid_on(x, w.gpu0));
+    return out;
+  };
+  mm.prefetch(d[3], w.gpu0, ops);  // evicts d2, the least recently used
+  EXPECT_EQ(resident(), (std::vector<bool>{true, true, false, true, false, false}));
+  mm.prefetch(d[4], w.gpu0, ops);  // evicts d0
+  EXPECT_EQ(resident(), (std::vector<bool>{false, true, false, true, true, false}));
+  mm.pin_task_data(reads_d1, w.gpu0);  // pinned twice: d1 is skipped again
+  mm.prefetch(d[5], w.gpu0, ops);      // evicts d3, not the older pinned d1
+  EXPECT_EQ(resident(), (std::vector<bool>{false, true, false, false, true, true}));
+  mm.unpin_task_data(reads_d1, w.gpu0);
+  mm.unpin_task_data(reads_d1, w.gpu0);
+  mm.prefetch(d[2], w.gpu0, ops);  // unpinned: d1 is the oldest again
+  EXPECT_EQ(resident(), (std::vector<bool>{false, false, true, false, true, true}));
+  EXPECT_EQ(mm.eviction_count(), 4u);
+  EXPECT_EQ(mm.capacity_overflows(), 0u);
+}
+
+TEST(MemoryManagerDeath, UnpinWithoutPinIsRejected) {
+  World w;
+  const DataId d = w.graph.add_data(100);
+  const TaskId t = w.task({Access{d, AccessMode::Read}});
+  MemoryManager mm(w.graph, w.platform);
+  EXPECT_DEATH(mm.unpin_task_data(t, w.gpu0), "never pinned");
+}
+
 TEST(MemoryManager, TransferStatsAccumulate) {
   World w;
   const DataId d = w.graph.add_data(100);

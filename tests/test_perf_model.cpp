@@ -147,6 +147,58 @@ TEST(HistoryModel, DifferentFootprintsSeparateBuckets) {
   EXPECT_FALSE(hm.is_calibrated(t1, ArchType::CPU));
 }
 
+TEST(HistoryModel, BucketsWhoseMixedHashesCollideKeepSeparateMeans) {
+  // Buckets were once keyed by h = ((codelet·K + arch)·K + footprint) mod
+  // 2⁶⁴ with K = 0x9e3779b97f4a7c15. Moving one step down in arch index and
+  // K up in footprint leaves that hash unchanged, so (codelet 0, GPU, 64)
+  // and (codelet 0, CPU, 64 + K) used to share one running mean.
+  constexpr std::uint64_t kMix = 0x9e3779b97f4a7c15ULL;
+  TaskGraph g;
+  const CodeletId cl = g.add_codelet("k", {ArchType::CPU, ArchType::GPU});
+  const DataId small = g.add_data(64);
+  const DataId huge = g.add_data(static_cast<std::size_t>(64 + kMix));
+  const TaskId a = g.submit(cl, {Access{small, AccessMode::ReadWrite}});
+  const TaskId b = g.submit(cl, {Access{huge, AccessMode::ReadWrite}});
+  ASSERT_EQ(g.task(b).footprint_bytes - g.task(a).footprint_bytes, kMix);
+  PerfDatabase db = test::flat_perf();
+  HistoryModel hm(g, db);
+  hm.record(a, ArchType::GPU, 0.25);
+  EXPECT_TRUE(hm.is_calibrated(a, ArchType::GPU));
+  EXPECT_FALSE(hm.is_calibrated(b, ArchType::CPU));
+  hm.record(b, ArchType::CPU, 4.0);
+  EXPECT_DOUBLE_EQ(hm.estimate(a, ArchType::GPU), 0.25);
+  EXPECT_DOUBLE_EQ(hm.estimate(b, ArchType::CPU), 4.0);
+}
+
+TEST(HistoryModel, ResolvedSlotSurvivesGraphGrowth) {
+  // STF graphs keep submitting after the model answered its first query:
+  // the per-(task, arch) slot table grows, and earlier slots stay valid.
+  TaskGraph g;
+  const CodeletId cl = g.add_codelet("k", {ArchType::CPU, ArchType::GPU});
+  const DataId d0 = g.add_data(64);
+  SubmitOptions o;
+  o.flops = 1e6;
+  const TaskId t0 = g.submit(cl, {Access{d0, AccessMode::ReadWrite}}, o);
+  PerfDatabase db = test::flat_perf();
+  HistoryModel hm(g, db);
+  const double prior = hm.estimate(t0, ArchType::CPU);
+  hm.record(t0, ArchType::CPU, 0.5);
+  std::vector<TaskId> later;
+  for (int i = 0; i < 100; ++i) {
+    const DataId d = g.add_data(i % 2 == 0 ? 64 : 32);
+    later.push_back(g.submit(cl, {Access{d, AccessMode::ReadWrite}}, o));
+  }
+  EXPECT_DOUBLE_EQ(hm.estimate(t0, ArchType::CPU), 0.5);
+  EXPECT_DOUBLE_EQ(hm.estimate(later[0], ArchType::CPU), 0.5);  // t0's bucket
+  EXPECT_DOUBLE_EQ(hm.estimate(later[1], ArchType::CPU), prior);  // uncalibrated
+  EXPECT_FALSE(hm.is_calibrated(later[1], ArchType::CPU));
+  hm.record(later[99], ArchType::CPU, 1.5);  // footprint 32: its own bucket
+  EXPECT_DOUBLE_EQ(hm.estimate(later[1], ArchType::CPU), 1.5);
+  hm.record(t0, ArchType::CPU, 1.5);  // t0's slot still indexes its bucket
+  EXPECT_DOUBLE_EQ(hm.estimate(later[98], ArchType::CPU), 1.0);
+  EXPECT_FALSE(hm.is_calibrated(t0, ArchType::GPU));
+}
+
 TEST(PerfDatabaseDeath, GroundTruthRequiresImplementation) {
   TaskGraph g;
   const CodeletId cl = g.add_codelet("cpu-only", {ArchType::CPU});

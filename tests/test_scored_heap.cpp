@@ -126,6 +126,71 @@ TEST(ScoredHeap, ForTopFirstIsTop) {
   });
 }
 
+TEST(ScoredHeap, SparseAndOutOfOrderIdsGrowThePositionTable) {
+  ScoredHeap h;
+  EXPECT_FALSE(h.contains(tid(1'000'000)));  // beyond the table: absent
+  for (std::size_t id : {std::size_t{1'000'000}, std::size_t{3}, std::size_t{70'000},
+                         std::size_t{0}, std::size_t{999'999}}) {
+    h.insert(tid(id), 0.5 + static_cast<double>(id % 7) / 10.0, 0.0);
+    ASSERT_TRUE(h.validate()) << id;
+  }
+  EXPECT_EQ(h.size(), 5u);
+  EXPECT_TRUE(h.contains(tid(1'000'000)));
+  EXPECT_FALSE(h.contains(tid(1'000'001)));
+  EXPECT_FALSE(h.contains(tid(4)));
+  h.remove(tid(70'000));
+  ASSERT_TRUE(h.validate());
+  EXPECT_FALSE(h.contains(tid(70'000)));
+  h.pop_top();
+  ASSERT_TRUE(h.validate());
+  EXPECT_EQ(h.size(), 3u);
+}
+
+TEST(ScoredHeap, ClearThenReinsertSameIds) {
+  ScoredHeap h;
+  for (std::size_t i = 0; i < 6; ++i) {
+    h.insert(tid(10 * i), static_cast<double>(i) / 6.0, 0.0);
+    ASSERT_TRUE(h.validate());
+  }
+  h.clear();
+  ASSERT_TRUE(h.validate());
+  EXPECT_TRUE(h.empty());
+  for (std::size_t i = 0; i < 6; ++i) EXPECT_FALSE(h.contains(tid(10 * i)));
+  // The same ids go back in (a node rebuild re-pushes its survivors); the
+  // insertion counter survived, so FIFO ties still follow insertion order.
+  h.insert(tid(30), 0.5, 0.5);
+  ASSERT_TRUE(h.validate());
+  h.insert(tid(0), 0.5, 0.5);
+  ASSERT_TRUE(h.validate());
+  h.insert(tid(50), 0.9, 0.0);
+  ASSERT_TRUE(h.validate());
+  EXPECT_EQ(h.top()->task, tid(50));
+  h.pop_top();
+  ASSERT_TRUE(h.validate());
+  EXPECT_EQ(h.top()->task, tid(30));
+  h.remove(tid(30));
+  ASSERT_TRUE(h.validate());
+  EXPECT_EQ(h.top()->task, tid(0));
+  EXPECT_EQ(h.size(), 1u);
+}
+
+TEST(ScoredHeap, ForTopLimitStopsAfterThatManyEntries) {
+  ScoredHeap h;
+  for (std::size_t i = 0; i < 20; ++i) h.insert(tid(i), static_cast<double>(i), 0.0);
+  std::vector<std::size_t> seen;
+  h.for_top([&](const HeapEntry& e) {
+    seen.push_back(e.task.index());
+    return true;
+  }, 3);
+  EXPECT_EQ(seen, (std::vector<std::size_t>{19, 18, 17}));
+  std::size_t calls = 0;
+  h.for_top([&](const HeapEntry&) {
+    ++calls;
+    return true;
+  }, 0);
+  EXPECT_EQ(calls, 0u);
+}
+
 // Property sweep: random interleavings of insert/remove/pop keep the heap
 // property, the index map, and the exact max ordering.
 class ScoredHeapProperty : public ::testing::TestWithParam<std::uint64_t> {};

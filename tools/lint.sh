@@ -16,11 +16,12 @@
 #
 #   3. Shard-lock hygiene. The per-node shard locks (`order_mu`) define the
 #      bottom of the lock hierarchy and are only deadlock-free because every
-#      multi-shard acquisition goes through AscendingShardLocks, which sorts
-#      its index set. The lock fields must not leak outside
-#      src/core/multiprio.{hpp,cpp}, every code line touching one must be
-#      tagged `// shard-lock(asc)` (forcing the author past the ordering
-#      rule), and the sort in the AscendingShardLocks constructor must stay.
+#      multi-shard acquisition goes through AscendingShardLocks, which takes
+#      its shards as a node bitmask and acquires them lowest bit first. The
+#      lock fields must not leak outside src/core/multiprio.{hpp,cpp}, every
+#      code line touching one must be tagged `// shard-lock(asc)` (forcing
+#      the author past the ordering rule), and the AscendingShardLocks
+#      constructor must keep its lowest-bit-first walk (std::countr_zero).
 #
 #   4. One task lifecycle. The REPUSH, WORKER_LOST, FAULT_FAILURE,
 #      FAULT_STRAGGLER and TASK_ABANDONED events (SchedEventKind::Repush,
@@ -29,6 +30,13 @@
 #      src/fault/task_lifecycle.cpp, the one copy both engines call. Readers
 #      in src/obs/ are exempt. A second engine-side copy of attempt counting
 #      or fault accounting drifts from the first.
+#
+#   5. Dense per-id state on the hot path. In src/core, src/runtime, src/sim
+#      and src/exec, no std::map / std::unordered_map is keyed by TaskId,
+#      DataId or WorkerId, and no std::list is used: state per task, handle
+#      or worker lives in a vector indexed by the id (grown under the lock
+#      that serializes its writers, DESIGN.md §12), so a query is one index
+#      with no hashing, no node allocation and no pointer chase.
 #
 # Usage: tools/lint.sh [--no-tidy]   (run from anywhere inside the repo)
 set -u
@@ -116,11 +124,13 @@ if [[ -n "$untagged" ]]; then
   echo "$untagged" | sed 's/^/      /'
   fail=1
 fi
-# 3c. The AscendingShardLocks constructor must still sort its index set.
+# 3c. The AscendingShardLocks constructor must still acquire its node
+# bitmask lowest bit first.
 if ! awk '/AscendingShardLocks::AscendingShardLocks/,/^}/' src/core/multiprio.cpp \
-     | grep -q 'std::sort'; then
-  echo "lint: AscendingShardLocks constructor no longer sorts its shard set —"
-  echo "      multi-shard acquisition order is unenforced (deadlock risk)"
+     | grep -q 'std::countr_zero'; then
+  echo "lint: AscendingShardLocks constructor no longer walks its shard set"
+  echo "      lowest bit first — multi-shard acquisition order is unenforced"
+  echo "      (deadlock risk)"
   fail=1
 fi
 
@@ -138,6 +148,18 @@ if [[ -n "$stray" ]]; then
   echo "lint: lifecycle events or FaultStats counters touched outside"
   echo "      src/fault/task_lifecycle.cpp — call TaskLifecycle instead:"
   echo "$stray" | sed 's/^/      /'
+  fail=1
+fi
+
+# ---- Rule 5: dense per-id tables on the hot path -------------------------------
+# Pure comment lines are exempt (they may name the structure they replaced).
+sparse=$(grep -rnE '\bstd::(unordered_map|map)<[[:space:]]*(mp::)?(TaskId|DataId|WorkerId)\b|\bstd::list\b' \
+             src/core src/runtime src/sim src/exec --include='*.hpp' --include='*.cpp' \
+         | grep -vE ':[0-9]+:[ \t]*(//|\*)' || true)
+if [[ -n "$sparse" ]]; then
+  echo "lint: map keyed by a task/data/worker id, or std::list, in a hot-path"
+  echo "      directory — use a vector indexed by the id instead:"
+  echo "$sparse" | sed 's/^/      /'
   fail=1
 fi
 

@@ -1,12 +1,12 @@
 // Simulator throughput: wall nanoseconds per simulated task for the
 // `multiprio` policy on tiled Cholesky (N = tiles × 960, expert priorities)
 // over the simulated Intel-V100 node, at about 10⁴, 10⁵ and 3·10⁵ tasks.
-// Each size is built once and simulated `--reps` times (at least 5); only
+// Each size is built once and simulated kReps = 5 times; only
 // SimEngine::run is timed, and each row reports the median and the
 // interquartile range of the per-task cost, plus the simulated makespan so
 // a speed-up can be checked for identical output.
 //
-//   bench_sim_throughput [--smoke] [--reps N] [--label NAME]
+//   bench_sim_throughput [--smoke] [--label NAME]
 //
 // --smoke runs only the 10⁴-task size. --label tags every row (e.g. the
 // build measured). Writes BENCH_sim_throughput.json in the working
@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -27,6 +26,7 @@
 namespace {
 
 constexpr std::size_t kTileSize = 960;
+constexpr std::size_t kReps = 5;
 
 /// Tile counts giving T(T+1)(T+2)/6 ≈ 10⁴, 10⁵ and 3·10⁵ tasks.
 constexpr std::size_t kTiles[] = {39, 84, 121};
@@ -55,9 +55,6 @@ const char* arg_value(int argc, char** argv, const char* flag) {
 int main(int argc, char** argv) {
   using namespace mp;
   const bool smoke = bench::has_flag(argc, argv, "--smoke");
-  const char* reps_arg = arg_value(argc, argv, "--reps");
-  const std::size_t reps =
-      std::max<std::size_t>(5, reps_arg != nullptr ? std::strtoul(reps_arg, nullptr, 10) : 5);
   const char* label_arg = arg_value(argc, argv, "--label");
   const std::string label = label_arg != nullptr ? label_arg : "current";
 
@@ -65,7 +62,7 @@ int main(int argc, char** argv) {
   const SchedulerFactory factory = bench::factory("multiprio");
   std::vector<BenchRecord> records;
   std::printf("Simulator cost per task, multiprio on tiled Cholesky (%s), %zu reps\n",
-              preset.name.c_str(), reps);
+              preset.name.c_str(), kReps);
   std::printf("%8s %9s %14s %12s %12s %10s\n", "tiles", "tasks", "makespan_s",
               "median_ns", "iqr_ns", "tasks/s");
   for (const std::size_t tiles : kTiles) {
@@ -78,7 +75,7 @@ int main(int argc, char** argv) {
 
     std::vector<double> ns_per_task;
     double makespan = 0.0;
-    for (std::size_t r = 0; r < reps; ++r) {
+    for (std::size_t r = 0; r < kReps; ++r) {
       SimEngine engine(graph, preset.platform, preset.perf);
       const double t0 = seconds_now();
       const SimResult res = engine.run(factory);
@@ -99,7 +96,7 @@ int main(int argc, char** argv) {
     rec.param("build", label)
         .param("tiles", tiles)
         .param("tasks", graph.num_tasks())
-        .param("reps", reps)
+        .param("reps", kReps)
         .makespan_s(makespan)
         .extra("ns_per_task", median)
         .extra("ns_per_task_q1", q1)

@@ -75,9 +75,14 @@ HistoryModel::Bucket& HistoryModel::bucket(TaskId t, ArchType a) const {
   return buckets_[slot];
 }
 
+void HistoryModel::set_calibration_min(std::uint32_t n) {
+  MP_CHECK_MSG(n > 0, "an empty bucket never counts as calibrated");
+  calibration_min_ = n;
+}
+
 double HistoryModel::estimate(TaskId t, ArchType a) const {
   const Bucket& b = bucket(t, a);
-  if (b.seen && b.count >= calibration_min_) return b.mean;
+  if (b.count >= calibration_min_) return b.mean;
   // Uncalibrated prior: default-rate estimate from the task's flops.
   const Task& task = graph_.task(t);
   return apply_rate(truth_.rate("", a), task.flops,
@@ -86,13 +91,12 @@ double HistoryModel::estimate(TaskId t, ArchType a) const {
 
 bool HistoryModel::is_calibrated(TaskId t, ArchType a) const {
   const Bucket& b = bucket(t, a);
-  return b.seen && b.count >= calibration_min_;
+  return b.count >= calibration_min_;
 }
 
 void HistoryModel::record(TaskId t, ArchType a, double measured_s) {
   MP_CHECK(measured_s > 0.0);
   Bucket& b = bucket(t, a);
-  b.seen = true;
   ++b.count;
   b.mean += (measured_s - b.mean) / static_cast<double>(b.count);
 }
@@ -105,7 +109,6 @@ void HistoryModel::seed_from_truth(double bias_sigma, std::uint64_t bias_seed) {
       const auto a = static_cast<ArchType>(ai);
       if (!cl.can_exec(a)) continue;
       Bucket& b = bucket(t, a);
-      b.seen = true;
       if (b.count == 0) {
         b.count = calibration_min_;
         b.mean = truth_.ground_truth(graph_, t, a);

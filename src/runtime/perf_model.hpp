@@ -86,14 +86,13 @@ class HistoryModel {
   /// different contention exhibit. All schedulers see the same estimates.
   void seed_from_truth(double bias_sigma = 0.0, std::uint64_t bias_seed = 1);
 
-  /// Minimum sample count before a bucket counts as calibrated.
-  void set_calibration_min(std::uint32_t n) { calibration_min_ = n; }
+  /// Minimum sample count (at least 1) before a bucket counts as calibrated.
+  void set_calibration_min(std::uint32_t n);
 
  private:
   struct Bucket {
     std::uint32_t count = 0;
     double mean = 0.0;
-    bool seen = false;  ///< recorded or seeded at least once
   };
   /// Exact bucket identity: (codelet, arch, footprint bytes).
   struct BucketKey {

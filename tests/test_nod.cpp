@@ -74,6 +74,29 @@ TEST(Nod, NormalizerZeroWhenNoSuccessors) {
   EXPECT_DOUBLE_EQ(norm.normalized(ctx, eg.tasks[0], p.ram_node()), 0.0);
 }
 
+TEST(Nod, NormalizerRecomputesAfterGraphGrowth) {
+  // STF submission may add successors to a task already scored: the cached
+  // NOD must follow. t0 → t1 first; a later reader of d0 adds t0 → t2.
+  TaskGraph g;
+  const CodeletId cl = g.add_codelet("k", {ArchType::CPU});
+  const DataId d0 = g.add_data(8);
+  const TaskId t0 = g.submit(cl, {Access{d0, AccessMode::Write}});
+  g.submit(cl, {Access{d0, AccessMode::Read}});
+  Platform p = test::small_platform(1, 0);
+  test::ManualContext mc(g, p, test::flat_perf());
+  SchedContext ctx = mc.ctx();
+  const MemNodeId ram = p.ram_node();
+  NodNormalizer norm;
+  EXPECT_DOUBLE_EQ(norm.normalized(ctx, t0, ram), 1.0);
+  EXPECT_DOUBLE_EQ(norm.max_seen(), 1.0);
+
+  g.submit(cl, {Access{d0, AccessMode::Read}});
+  ASSERT_EQ(g.successors(t0).size(), 2U);
+  EXPECT_DOUBLE_EQ(nod_score(ctx, t0, ram), 2.0);
+  EXPECT_DOUBLE_EQ(norm.normalized(ctx, t0, ram), 1.0);
+  EXPECT_DOUBLE_EQ(norm.max_seen(), 2.0);  // a stale entry would leave 1.0
+}
+
 TEST(Nod, WideFanOutBeatsNarrow) {
   // t0 releases 5 exclusive successors; t1 releases 1: NOD favors t0.
   test::EdgeGraph eg(9, {{0, 2}, {0, 3}, {0, 4}, {0, 5}, {0, 6}, {1, 7}, {7, 8}});

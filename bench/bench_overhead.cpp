@@ -132,15 +132,8 @@ void BM_PushPopMultiPrioRecording(benchmark::State& state) {
   RecordingObserver obs;
   bench_policy(state, "multiprio", &obs);
 }
-// Same sink with the ring pre-allocated: isolates how much of the recording
-// cost was EventLog regrowth charged to the measured loop.
-void BM_PushPopMultiPrioRecordingReserved(benchmark::State& state) {
-  RecordingObserver obs(EventLog::kDefaultCapacity, /*reserve_upfront=*/true);
-  bench_policy(state, "multiprio", &obs);
-}
 BENCHMARK(BM_PushPopMultiPrioNullSink);
 BENCHMARK(BM_PushPopMultiPrioRecording);
-BENCHMARK(BM_PushPopMultiPrioRecordingReserved);
 
 // ---- multi-worker contention sweep ----------------------------------------
 
@@ -241,7 +234,7 @@ void emit_sweep_records(std::vector<BenchRecord>& records,
       // The timed runs above are observer-free; the contention metrics come
       // from one extra instrumented run (its lock-wait timing path only
       // activates when a MetricsRegistry is attached).
-      RecordingObserver obs(EventLog::kDefaultCapacity, /*reserve_upfront=*/true);
+      RecordingObserver obs;
       run_executor_once(sched, w, kTasks, &obs);
       const Histogram& lock_wait = obs.metrics()->histogram("sched.lock_wait_s");
       const Counter& wakeups = obs.metrics()->counter("sched.wakeups");
@@ -288,12 +281,9 @@ double sweep_ns(const std::vector<SweepPoint>& points, const std::string& sched,
 // google-benchmark cases run) so the emission does not depend on any
 // particular google-benchmark reporter API.
 void emit_overhead_json(std::vector<BenchRecord>& records) {
-  // Each rep gets a FRESH observer from its mode's factory: the lazy ring's
+  // Each rep gets a FRESH observer from its mode's factory: the ring's lazy
   // regrowth cost only exists on a cold EventLog, so reusing one observer
-  // across reps would hide it from the best-of minimum. The lazy mode stays
-  // measured so the reserve-up-front fix is re-checked in the same process,
-  // back to back — cross-invocation numbers on a shared host differ by more
-  // than the effect.
+  // across reps would hide it from the best-of minimum.
   struct Mode {
     const char* name;
     std::unique_ptr<SchedObserver> (*make)();
@@ -304,14 +294,8 @@ void emit_overhead_json(std::vector<BenchRecord>& records) {
        []() -> std::unique_ptr<SchedObserver> {
          return std::make_unique<NullObserver>();
        }},
-      {"recording",
-       []() -> std::unique_ptr<SchedObserver> {
-         return std::make_unique<RecordingObserver>(EventLog::kDefaultCapacity,
-                                                    /*reserve_upfront=*/true);
-       }},
-      {"recording-lazy", []() -> std::unique_ptr<SchedObserver> {
-         return std::make_unique<RecordingObserver>(EventLog::kDefaultCapacity,
-                                                    /*reserve_upfront=*/false);
+      {"recording", []() -> std::unique_ptr<SchedObserver> {
+         return std::make_unique<RecordingObserver>();
        }}};
 
   constexpr std::size_t kTasks = 4096;
@@ -355,8 +339,7 @@ void emit_overhead_json(std::vector<BenchRecord>& records) {
             .makespan_s(elapsed)
             .efficiency(elapsed > 0.0 && baseline_s > 0.0 ? baseline_s / elapsed : 0.0)
             .extra("ns_per_task", elapsed / static_cast<double>(kTasks) * 1e9);
-    if (auto* rec_obs = dynamic_cast<RecordingObserver*>(observer.get());
-        rec_obs != nullptr && std::strcmp(mode.name, "recording") == 0)
+    if (auto* rec_obs = dynamic_cast<RecordingObserver*>(observer.get()))
       rec.events_from(rec_obs->events());
     records.push_back(rec);
   }

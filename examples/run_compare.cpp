@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "apps/dense/dense_builders.hpp"
 #include "obs/analysis.hpp"
@@ -18,7 +19,6 @@
 #include "sched/schedulers.hpp"
 #include "sim/engine.hpp"
 #include "sim/platform_presets.hpp"
-#include "sim/report.hpp"
 
 int main(int argc, char** argv) {
   using namespace mp;
@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
               tiles, nb, preset.name.c_str(), graph.num_tasks(), sched_a.c_str(),
               sched_b.c_str());
 
-  std::vector<RunSummary> summaries;
+  std::vector<RunAnalysis> analyses;
   for (const std::string& sched : {sched_a, sched_b}) {
     RecordingObserver obs;
     SimConfig cfg;
@@ -46,13 +46,11 @@ int main(int argc, char** argv) {
     (void)engine.run([&](SchedContext ctx) {
       return make_scheduler_by_name(sched, std::move(ctx));
     });
-    const RunAnalysis analysis(engine.trace(), graph, preset.platform, preset.perf,
-                               &obs, engine.predicted_durations());
-    const TraceReport report(engine.trace(), graph, preset.platform, &obs);
-    std::printf("--- %s ---\n%s\n", sched.c_str(), analysis.to_string().c_str());
-    summaries.push_back(summarize_run(sched, analysis, report, engine.trace()));
+    analyses.emplace_back(engine.trace(), graph, preset.platform, preset.perf, &obs,
+                          engine.predicted_durations());
+    std::printf("--- %s ---\n%s\n", sched.c_str(), analyses.back().to_string().c_str());
   }
 
-  std::printf("%s", compare_runs(summaries[0], summaries[1]).c_str());
+  std::printf("%s", compare_runs(sched_a, analyses[0], sched_b, analyses[1]).c_str());
   return 0;
 }

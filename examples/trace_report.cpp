@@ -1,7 +1,8 @@
 // Post-mortem trace analysis: run one DAG under two schedulers with a
-// recording observer attached, print where the time went (per-codelet
-// placement, per-node utilization, bound ratios, scheduler-event rollup)
-// and export the run for visual inspection:
+// recording observer attached, print where the time went (RunAnalysis:
+// bounds, per-codelet placement, per-node utilization, idle blame, model
+// audit; then the scheduler-event rollup) and export the run for visual
+// inspection:
 //
 //   <sched>_trace.csv   executed segments (one row per task)
 //   <sched>_events.csv  scheduler decision events (PUSH/POP/EVICT/...)
@@ -20,7 +21,6 @@
 #include "sched/schedulers.hpp"
 #include "sim/engine.hpp"
 #include "sim/platform_presets.hpp"
-#include "sim/report.hpp"
 
 namespace {
 
@@ -55,11 +55,10 @@ int main(int argc, char** argv) {
     (void)engine.run([&](SchedContext ctx) {
       return make_scheduler_by_name(sched, std::move(ctx));
     });
-    const TraceReport report(engine.trace(), graph, preset.platform, &obs);
-    std::printf("--- %s ---\n%s\n", sched, report.to_string().c_str());
     const RunAnalysis analysis(engine.trace(), graph, preset.platform, preset.perf,
                                &obs, engine.predicted_durations());
-    std::printf("%s\n", analysis.to_string().c_str());
+    std::printf("--- %s ---\n%s\n%s\n", sched, analysis.to_string().c_str(),
+                obs.rollup().c_str());
 
     const std::string base(sched);
     const std::string trace_csv = base + "_trace.csv";

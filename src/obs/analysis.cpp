@@ -32,12 +32,46 @@ double best_duration(const TaskGraph& graph, const Platform& platform,
 RunAnalysis::RunAnalysis(const Trace& trace, const TaskGraph& graph,
                          const Platform& platform, const PerfDatabase& perf,
                          const RecordingObserver* obs, std::span<const double> predicted)
-    : trace_(trace) {
+    : makespan_s_(trace.makespan()), gflops_(trace.gflops()) {
+  compute_tables(trace, graph, platform);
   compute_bounds(graph, platform, perf);
-  compute_critical_path(graph);
-  compute_idle_blame(platform, obs);
-  compute_model_audit(graph, platform, predicted);
+  compute_critical_path(trace, graph);
+  compute_idle_blame(trace, platform, obs);
+  compute_model_audit(trace, graph, platform, predicted);
   if (obs != nullptr && obs->events().dropped() > 0) events_truncated_ = true;
+}
+
+void RunAnalysis::compute_tables(const Trace& trace, const TaskGraph& graph,
+                                 const Platform& platform) {
+  nodes_.resize(platform.num_nodes());
+  for (std::size_t mi = 0; mi < platform.num_nodes(); ++mi) {
+    NodeReport& nr = nodes_[mi];
+    nr.node = MemNodeId{mi};
+    nr.name = platform.node(nr.node).name;
+    nr.idle_fraction = trace.idle_fraction_node(nr.node);
+  }
+  std::map<std::string, CodeletReport> by_codelet;
+  for (const TraceSegment& s : trace.segments()) {
+    const Worker& w = platform.worker(s.worker);
+    const double busy = s.end - s.exec_start;
+    const std::string& name = graph.codelet_of(s.task).name;
+    CodeletReport& cr = by_codelet[name];
+    cr.codelet = name;
+    if (w.arch == ArchType::GPU) {
+      ++cr.count_gpu;
+      cr.busy_gpu_s += busy;
+    } else {
+      ++cr.count_cpu;
+      cr.busy_cpu_s += busy;
+    }
+    cr.stall_s += s.data_stall;
+    ++nodes_[w.node.index()].tasks;
+    nodes_[w.node.index()].busy_s += busy;
+  }
+  for (auto& [_, cr] : by_codelet) codelets_.push_back(cr);
+  std::sort(codelets_.begin(), codelets_.end(), [](const auto& a, const auto& b) {
+    return a.busy_cpu_s + a.busy_gpu_s > b.busy_cpu_s + b.busy_gpu_s;
+  });
 }
 
 void RunAnalysis::compute_bounds(const TaskGraph& graph, const Platform& platform,
@@ -123,17 +157,17 @@ void RunAnalysis::compute_bounds(const TaskGraph& graph, const Platform& platfor
   area_bound_s_ = hi;
 }
 
-void RunAnalysis::compute_critical_path(const TaskGraph& graph) {
-  cp_tasks_ = trace_.practical_critical_path();
+void RunAnalysis::compute_critical_path(const Trace& trace, const TaskGraph& graph) {
+  cp_tasks_ = trace.practical_critical_path();
   std::vector<double> exec_s(graph.num_tasks(), 0.0);
-  for (const TraceSegment& s : trace_.segments())
+  for (const TraceSegment& s : trace.segments())
     exec_s[s.task.index()] = s.end - s.exec_start;
   for (TaskId t : cp_tasks_) cp_exec_s_ += exec_s[t.index()];
 }
 
-void RunAnalysis::compute_idle_blame(const Platform& platform,
+void RunAnalysis::compute_idle_blame(const Trace& trace, const Platform& platform,
                                      const RecordingObserver* obs) {
-  const double makespan = trace_.makespan();
+  const double makespan = makespan_s_;
   const std::size_t nw = platform.num_workers();
 
   // Per-worker decision context from the event log: pop_condition reject
@@ -155,7 +189,7 @@ void RunAnalysis::compute_idle_blame(const Platform& platform,
   };
   std::vector<std::vector<Seg>> segs(nw);
   double last_exec_start = 0.0;  // platform-wide: when runnable work last remained
-  for (const TraceSegment& s : trace_.segments()) {
+  for (const TraceSegment& s : trace.segments()) {
     segs[s.worker.index()].push_back(Seg{s.exec_start, s.end, s.data_stall});
     last_exec_start = std::max(last_exec_start, s.exec_start);
   }
@@ -167,7 +201,7 @@ void RunAnalysis::compute_idle_blame(const Platform& platform,
     WorkerIdleBlame& blame = idle_[wi];
     blame.worker = WorkerId{wi};
     blame.name = platform.worker(blame.worker).name;
-    blame.total_idle_s = std::max(0.0, makespan - trace_.busy_time(blame.worker));
+    blame.total_idle_s = std::max(0.0, makespan - trace.busy_time(blame.worker));
     total_idle_s_ += blame.total_idle_s;
 
     // Attribute one idle gap [g0, g1): loss-drain tail first, then the
@@ -222,7 +256,8 @@ void RunAnalysis::compute_idle_blame(const Platform& platform,
   }
 }
 
-void RunAnalysis::compute_model_audit(const TaskGraph& graph, const Platform& platform,
+void RunAnalysis::compute_model_audit(const Trace& trace, const TaskGraph& graph,
+                                      const Platform& platform,
                                       std::span<const double> predicted) {
   if (predicted.empty()) return;
   struct Acc {
@@ -232,7 +267,7 @@ void RunAnalysis::compute_model_audit(const TaskGraph& graph, const Platform& pl
   std::map<std::pair<std::string, std::size_t>, Acc> by_bucket;
   double total_abs = 0.0;
   std::size_t total_n = 0;
-  for (const TraceSegment& s : trace_.segments()) {
+  for (const TraceSegment& s : trace.segments()) {
     if (s.task.index() >= predicted.size()) continue;
     const double pred = predicted[s.task.index()];
     if (!(pred > 0.0)) continue;  // never popped through the history model
@@ -262,13 +297,11 @@ void RunAnalysis::compute_model_audit(const TaskGraph& graph, const Platform& pl
 double RunAnalysis::bound_s() const { return std::max(area_bound_s_, cp_bound_s_); }
 
 double RunAnalysis::efficiency() const {
-  const double mk = trace_.makespan();
-  return mk > 0.0 ? bound_s() / mk : 0.0;
+  return makespan_s_ > 0.0 ? bound_s() / makespan_s_ : 0.0;
 }
 
 double RunAnalysis::area_efficiency() const {
-  const double mk = trace_.makespan();
-  return mk > 0.0 ? area_bound_s_ / mk : 0.0;
+  return makespan_s_ > 0.0 ? area_bound_s_ / makespan_s_ : 0.0;
 }
 
 double RunAnalysis::idle_cause_total(IdleCause c) const {
@@ -279,7 +312,7 @@ double RunAnalysis::idle_cause_total(IdleCause c) const {
 
 std::string RunAnalysis::to_string() const {
   std::ostringstream os;
-  const double mk = trace_.makespan();
+  const double mk = makespan_s_;
   os << "makespan " << fmt_double(mk, 4) << " s; lower bounds: area "
      << fmt_double(area_bound_s_, 4) << " s, critical path " << fmt_double(cp_bound_s_, 4)
      << " s\n";
@@ -291,6 +324,19 @@ std::string RunAnalysis::to_string() const {
      << fmt_percent(mk > 0.0 ? cp_exec_s_ / mk : 0.0) << " of makespan)\n";
   if (events_truncated_)
     os << "WARNING: event log truncated; eviction/drain attribution is partial\n";
+
+  Table ct({"codelet", "on CPU", "on GPU", "CPU busy (s)", "GPU busy (s)", "stall (s)"});
+  for (const CodeletReport& c : codelets_) {
+    ct.add_row({c.codelet, std::to_string(c.count_cpu), std::to_string(c.count_gpu),
+                fmt_double(c.busy_cpu_s, 3), fmt_double(c.busy_gpu_s, 3),
+                fmt_double(c.stall_s, 3)});
+  }
+  Table nt({"node", "tasks", "busy (s)", "idle"});
+  for (const NodeReport& n : nodes_) {
+    nt.add_row({n.name, std::to_string(n.tasks), fmt_double(n.busy_s, 3),
+                fmt_percent(n.idle_fraction)});
+  }
+  os << ct.to_ascii() << nt.to_ascii();
 
   Table bt({"worker", "idle (s)", "starvation", "eviction", "dep-wait", "drain"});
   for (const WorkerIdleBlame& b : idle_) {

@@ -2,9 +2,12 @@
 //
 // RunAnalysis consumes a completed run (execution Trace + optionally the
 // RecordingObserver's decision events and the engine's pop-time δ(t,a)
-// predictions) and answers the three questions a scheduler comparison needs
+// predictions) and answers the questions a scheduler comparison needs
 // (Beaumont & Marchal, arXiv:1404.3913):
 //
+//  * where the time went — per-codelet placement and busy seconds, and
+//    per-memory-node task counts, busy seconds and idle fraction (every
+//    node of the platform, including those whose workers ran nothing);
 //  * bounds — the area lower bound (fractional CPU/GPU allocation LP, solved
 //    exactly) and the critical-path lower bound (best-arch weighted longest
 //    DAG path), with the makespan reported as an efficiency ratio against
@@ -19,8 +22,10 @@
 //    arch): mean absolute error, mean relative error and signed bias, the
 //    numbers that say whether the gain heuristic (Eq. 1) was fed truth.
 //
-// Lives in obs/ but is compiled into mp_sim (it needs the Trace types), the
-// same arrangement as obs/export.*.
+// The analysis is a value: it copies what it reports out of the run, so it
+// may outlive the engine, trace and graph it was built from. Lives in obs/
+// but is compiled into mp_sim (it needs the Trace types), the same
+// arrangement as obs/export.*.
 #pragma once
 
 #include <array>
@@ -57,6 +62,25 @@ inline constexpr std::size_t kNumIdleCauses = 4;
   return "?";
 }
 
+/// Aggregated execution statistics for one codelet type.
+struct CodeletReport {
+  std::string codelet;
+  std::size_t count_cpu = 0;
+  std::size_t count_gpu = 0;
+  double busy_cpu_s = 0.0;
+  double busy_gpu_s = 0.0;
+  double stall_s = 0.0;  ///< data stalls attributed to this codelet
+};
+
+/// Aggregated statistics for one memory node's workers.
+struct NodeReport {
+  MemNodeId node;
+  std::string name;
+  std::size_t tasks = 0;
+  double busy_s = 0.0;
+  double idle_fraction = 0.0;
+};
+
 /// One worker's idle time, decomposed. The buckets partition the idle
 /// intervals arithmetically, so by_cause sums to total_idle_s exactly (to
 /// floating-point association error, well under 1e-9).
@@ -84,10 +108,20 @@ class RunAnalysis {
   /// it every non-dep-wait gap falls back to starvation/drain. `predicted`
   /// (optional) is the per-task δ(t, executed arch) the scheduler believed
   /// at pop time — SimEngine::predicted_durations() — and enables the model
-  /// audit. All referenced objects must outlive the analysis.
+  /// audit. The arguments are only read during construction.
   RunAnalysis(const Trace& trace, const TaskGraph& graph, const Platform& platform,
               const PerfDatabase& perf, const RecordingObserver* obs = nullptr,
               std::span<const double> predicted = {});
+
+  [[nodiscard]] double makespan_s() const { return makespan_s_; }
+  [[nodiscard]] double gflops() const { return gflops_; }
+
+  // --- where the time went ---------------------------------------------------
+
+  /// Busiest first (CPU + GPU busy seconds).
+  [[nodiscard]] const std::vector<CodeletReport>& codelets() const { return codelets_; }
+  /// One entry per platform memory node, node id order.
+  [[nodiscard]] const std::vector<NodeReport>& nodes() const { return nodes_; }
 
   // --- critical path over the *executed* schedule --------------------------
 
@@ -132,18 +166,25 @@ class RunAnalysis {
   /// the blame decomposition may be under-attributed (totals still sum).
   [[nodiscard]] bool events_truncated() const { return events_truncated_; }
 
-  /// Human-readable report: bounds, efficiency, blame table, model table.
+  /// Human-readable report: bounds, efficiency, codelet and node tables,
+  /// blame table, model table.
   [[nodiscard]] std::string to_string() const;
 
  private:
   void compute_bounds(const TaskGraph& graph, const Platform& platform,
                       const PerfDatabase& perf);
-  void compute_critical_path(const TaskGraph& graph);
-  void compute_idle_blame(const Platform& platform, const RecordingObserver* obs);
-  void compute_model_audit(const TaskGraph& graph, const Platform& platform,
-                           std::span<const double> predicted);
+  void compute_tables(const Trace& trace, const TaskGraph& graph,
+                      const Platform& platform);
+  void compute_critical_path(const Trace& trace, const TaskGraph& graph);
+  void compute_idle_blame(const Trace& trace, const Platform& platform,
+                          const RecordingObserver* obs);
+  void compute_model_audit(const Trace& trace, const TaskGraph& graph,
+                           const Platform& platform, std::span<const double> predicted);
 
-  const Trace& trace_;
+  double makespan_s_ = 0.0;
+  double gflops_ = 0.0;
+  std::vector<CodeletReport> codelets_;
+  std::vector<NodeReport> nodes_;
   std::vector<TaskId> cp_tasks_;
   double cp_exec_s_ = 0.0;
   double area_bound_s_ = 0.0;

@@ -3,44 +3,17 @@
 // CLI prints — the "why did A beat B on this DAG" view.
 #pragma once
 
-#include <array>
 #include <string>
-#include <vector>
 
 #include "obs/analysis.hpp"
-#include "sim/report.hpp"
 
 namespace mp {
 
-/// Everything compare_runs needs from one run, detached from the engine so
-/// summaries can outlive (or be loaded independently of) the runs they
-/// describe.
-struct RunSummary {
-  std::string label;  ///< scheduler name, git rev, ... — the column header
-  double makespan_s = 0.0;
-  double gflops = 0.0;
-  double area_bound_s = 0.0;
-  double cp_bound_s = 0.0;
-  double efficiency = 0.0;       ///< vs max(area, cp) bound
-  double area_efficiency = 0.0;  ///< vs area bound (the regression-gate ratio)
-  std::size_t critical_path_tasks = 0;
-  double critical_path_exec_s = 0.0;
-  double total_idle_s = 0.0;
-  std::array<double, kNumIdleCauses> idle_by_cause{};
-  std::vector<WorkerIdleBlame> idle;        ///< per worker, id order
-  std::vector<CodeletReport> codelets;      ///< busiest first (TraceReport order)
-  std::vector<ModelAccuracy> model;         ///< sorted by (codelet, arch)
-  double model_mae_s = 0.0;
-  bool events_truncated = false;
-};
-
-/// Collapses one analyzed run into a RunSummary.
-[[nodiscard]] RunSummary summarize_run(std::string label, const RunAnalysis& analysis,
-                                       const TraceReport& report, const Trace& trace);
-
 /// Headline metrics + per-codelet + per-worker + model-accuracy delta tables
-/// of two runs (same DAG and platform assumed; bounds are printed for both
-/// so a mismatch is visible rather than silent).
-[[nodiscard]] std::string compare_runs(const RunSummary& a, const RunSummary& b);
+/// of two runs labelled `label_a` / `label_b` (scheduler name, git rev, ...;
+/// the column headers). Same DAG and platform assumed; bounds are printed
+/// for both so a mismatch is visible rather than silent.
+[[nodiscard]] std::string compare_runs(const std::string& label_a, const RunAnalysis& a,
+                                       const std::string& label_b, const RunAnalysis& b);
 
 }  // namespace mp

@@ -6,10 +6,8 @@
 
 namespace mp {
 
-EventLog::EventLog(std::size_t capacity, bool reserve_upfront)
-    : capacity_(capacity ? capacity : 1) {
-  ring_.reserve(reserve_upfront ? capacity_
-                                : std::min<std::size_t>(capacity_, 4096));
+EventLog::EventLog(std::size_t capacity) : capacity_(capacity ? capacity : 1) {
+  ring_.reserve(std::min<std::size_t>(capacity_, 4096));
 }
 
 void EventLog::append(SchedEvent e) {

@@ -26,13 +26,8 @@ namespace mp {
 /// "EVICT events == eviction_total()" hold even on over-long runs.
 class EventLog {
  public:
-  /// `reserve_upfront` pre-allocates the full ring at construction instead
-  /// of growing it lazily. Lazy growth keeps idle logs tiny, but each
-  /// vector regrow happens *inside* append()'s lock and stalls every
-  /// concurrent emitter — measurement-grade runs (bench_overhead) pay the
-  /// memory up front to keep append() allocation-free.
-  explicit EventLog(std::size_t capacity = kDefaultCapacity,
-                    bool reserve_upfront = false);
+  /// The ring grows lazily up to `capacity`, so idle logs stay tiny.
+  explicit EventLog(std::size_t capacity = kDefaultCapacity);
 
   /// Records the event, stamping a globally ordered seq.
   void append(SchedEvent e);
@@ -88,9 +83,8 @@ class NullObserver final : public SchedObserver {
 /// The standard observer: bounded EventLog + MetricsRegistry.
 class RecordingObserver final : public SchedObserver {
  public:
-  explicit RecordingObserver(std::size_t event_capacity = EventLog::kDefaultCapacity,
-                             bool reserve_upfront = false)
-      : log_(event_capacity, reserve_upfront) {}
+  explicit RecordingObserver(std::size_t event_capacity = EventLog::kDefaultCapacity)
+      : log_(event_capacity) {}
 
   void record(const SchedEvent& e) override { log_.append(e); }
   [[nodiscard]] MetricsRegistry* metrics() override { return &metrics_; }

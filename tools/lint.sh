@@ -38,6 +38,15 @@
 #      that serializes its writers, DESIGN.md §12), so a query is one index
 #      with no hashing, no node allocation and no pointer chase.
 #
+#   6. Portable binaries, bit-identical kernels. No CMakeLists.txt passes
+#      -march=, -mavx* or -mfma: the instruction set is chosen at run time by
+#      the tile-kernel dispatch (src/apps/dense/tile_kernels.cpp), whose
+#      variants carry their own target attributes. And tile_kernels.cpp keeps
+#      its -ffp-contract=off source property in src/CMakeLists.txt: without
+#      it the compiler may fuse a multiply and subtract into an FMA in one
+#      variant and not another, and the variants stop being bit-identical to
+#      each other and to the unblocked loops the tests hold them to.
+#
 # Usage: tools/lint.sh [--no-tidy]   (run from anywhere inside the repo)
 set -u
 
@@ -160,6 +169,25 @@ if [[ -n "$sparse" ]]; then
   echo "lint: map keyed by a task/data/worker id, or std::list, in a hot-path"
   echo "      directory — use a vector indexed by the id instead:"
   echo "$sparse" | sed 's/^/      /'
+  fail=1
+fi
+
+# ---- Rule 6: no ISA flags in the build, fp-contract off for the kernels --------
+# Every CMakeLists.txt of the source tree (build trees are skipped).
+isa_flags=$(find . -name CMakeLists.txt -not -path './build*' -not -path './.bench_build/*' \
+                -not -path './cmake-build-*' -print0 \
+            | xargs -0 grep -nE -- '-march=|-mavx|-mfma' || true)
+if [[ -n "$isa_flags" ]]; then
+  echo "lint: instruction-set flags in a CMakeLists.txt — binaries must stay"
+  echo "      portable; add a variant to the tile-kernel dispatch instead:"
+  echo "$isa_flags" | sed 's/^/      /'
+  fail=1
+fi
+if ! grep -qE '^set_source_files_properties\(apps/dense/tile_kernels\.cpp PROPERTIES COMPILE_OPTIONS -ffp-contract=off\)' \
+     src/CMakeLists.txt; then
+  echo "lint: src/CMakeLists.txt no longer compiles apps/dense/tile_kernels.cpp"
+  echo "      with -ffp-contract=off — its variants may fuse into FMAs and stop"
+  echo "      being bit-identical"
   fail=1
 fi
 

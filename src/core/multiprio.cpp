@@ -14,7 +14,7 @@
 namespace mp {
 
 MultiPrioScheduler::MultiPrioScheduler(SchedContext ctx, MultiPrioConfig config)
-    : Scheduler(std::move(ctx)), cfg_(config) {
+    : Scheduler(std::move(ctx)), cfg_(config), nod_(*ctx_.graph) {
   const std::size_t n_nodes = ctx_.platform->num_nodes();
   MP_CHECK_MSG(n_nodes <= 64,
                "PushRecord::live_mask is a uint64 bitmask (max 64 memory nodes)");
@@ -22,9 +22,8 @@ MultiPrioScheduler::MultiPrioScheduler(SchedContext ctx, MultiPrioConfig config)
   shards_ = std::make_unique<Shard[]>(n_nodes);
   ready_count_ = std::vector<RelaxedAtomic<std::int64_t>>(n_nodes);
   brw_ = std::vector<RelaxedAtomic<double>>(n_nodes);
-  // Task table sized for the graph as submitted so far; STF graphs that
-  // keep growing go through ensure_task_capacity(), which reallocates only
-  // under every shard lock (pops dereference entries under theirs).
+  // Sized once from the finished graph and never reallocated, so pops
+  // dereference entries under their own shard lock only.
   states_ = std::vector<TaskState>(ctx_.graph->num_tasks());
   in_kernel_ = std::vector<RelaxedAtomic<std::uint8_t>>(ctx_.platform->num_workers());
   wake_.resize(n_nodes);
@@ -84,18 +83,6 @@ MultiPrioScheduler::TaskState& MultiPrioScheduler::state_of(TaskId t) {
   MP_CHECK_MSG(t.index() < states_.size(),
                "task id outside the graph the scheduler was built for");
   return states_[t.index()];
-}
-
-void MultiPrioScheduler::ensure_task_capacity(std::size_t min_tasks) {
-  if (min_tasks <= states_.size()) return;
-  // STF graphs keep growing after scheduler construction, so the state
-  // table must too. Growing reallocates it, which would race with pops
-  // dereferencing their shard's entries — growth therefore happens under
-  // every shard lock (the locks those reads hold) and geometrically, so the
-  // full-quiescence round stays amortized-rare. Callers are push-side and
-  // already serialized against each other.
-  AscendingShardLocks locks(*this, all_shards());
-  states_.resize(std::max(min_tasks, states_.size() * 2));
 }
 
 void MultiPrioScheduler::sample_heap_depth(MemNodeId m, double time) {
@@ -302,8 +289,8 @@ bool MultiPrioScheduler::push_locked(TaskId t, double t_now) {
 
 void MultiPrioScheduler::push(TaskId t) {
   verify_point("multiprio.push", this);
-  ensure_task_capacity(t.index() + 1);
-  MP_CHECK_MSG(t.index() < states_.size(), "push: task beyond the state table");
+  MP_CHECK_MSG(t.index() < states_.size(),
+               "task id outside the graph the scheduler was built for");
   const double t_now = ctx_.observer != nullptr ? obs_time() : 0.0;
   {
     AscendingShardLocks locks(*this, target_nodes(t));
@@ -321,9 +308,6 @@ void MultiPrioScheduler::push_batch(const std::vector<TaskId>& ts) {
   // One grouped acquisition: the union of every task's target shards, taken
   // once in ascending order, then every insert — a completion that releases
   // k tasks costs one lock round instead of k.
-  std::size_t max_index = 0;
-  for (TaskId t : ts) max_index = std::max(max_index, t.index());
-  ensure_task_capacity(max_index + 1);
   std::uint64_t union_targets = 0;
   for (TaskId t : ts) union_targets |= target_nodes(t);
   {

@@ -18,6 +18,11 @@
 // RelaxedAtomics whose single commit point is the Pending→Taken CAS. The
 // single-lock baseline ("multiprio-coarse") is this policy wrapped in a
 // SerializedScheduler; the decision code is the same.
+//
+// The scheduler is built from a finished graph: the per-task state table is
+// sized once at construction and never reallocates, so a POP dereferences
+// entries under its own shard lock only. A push of a task submitted after
+// construction trips an always-on check.
 #pragma once
 
 #include <array>
@@ -288,9 +293,6 @@ class MultiPrioScheduler final : public Scheduler {
   [[nodiscard]] std::uint64_t target_nodes(TaskId t) const;
 
   [[nodiscard]] TaskState& state_of(TaskId t);
-  /// Grows the per-task state table for STF graphs that keep submitting
-  /// after construction (under all shard locks — reallocation vs pop reads).
-  void ensure_task_capacity(std::size_t min_tasks);
   [[nodiscard]] static std::uint64_t node_bit(MemNodeId m) {
     return std::uint64_t{1} << m.index();
   }
@@ -318,7 +320,7 @@ class MultiPrioScheduler final : public Scheduler {
   std::size_t num_shards_ = 0;
   std::vector<RelaxedAtomic<std::int64_t>> ready_count_;  // per node
   std::vector<RelaxedAtomic<double>> brw_;        // best_remaining_work per node
-  std::vector<TaskState> states_;                 // per task, grown on demand
+  std::vector<TaskState> states_;                 // per task, sized once
   /// Push-race casualties awaiting drain_unplaced(); push-side calls are
   /// serialized by the engine, so no lock of its own.
   std::vector<TaskId> unplaced_;

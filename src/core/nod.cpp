@@ -36,11 +36,10 @@ double nod_score(const SchedContext& ctx, TaskId t, MemNodeId m) {
 double NodNormalizer::normalized(const SchedContext& ctx, TaskId t, MemNodeId m) {
   MP_CHECK_MSG(m.index() < ctx.platform->num_nodes(),
                "nod score for an unknown memory node");
-  if (t.index() >= cache_.size())
-    cache_.resize(std::max(t.index() + 1, ctx.graph->num_tasks()));
+  MP_CHECK_MSG(t.index() < cache_.size(),
+               "task id outside the graph the normalizer was built for");
   Cached& c = cache_[t.index()];
-  const std::size_t succs = ctx.graph->successors(t).size();
-  if (c.successors != succs) c = Cached{nod_scores(*ctx.graph, t), succs};
+  if (!c.resolved) c = Cached{nod_scores(*ctx.graph, t), true};
   const double nod = c.nod[arch_index(ctx.platform->node_arch(m))];
   max_seen_ = std::max(max_seen_, nod);
   return max_seen_ > 0.0 ? nod / max_seen_ : 0.0;

@@ -26,13 +26,16 @@ namespace mp {
 
 /// Maintains the running maximum used to normalize NOD into [0, 1]
 /// ("all values are normalized between 0 and 1"), over raw NOD values
-/// cached per task, every arch at once. NOD(t) only changes when `t` gains
-/// a successor (a successor's predecessors are fixed at its submission), so
-/// an entry is reused while the successor count it was computed at holds.
+/// cached per task, every arch at once. Built from a finished graph: the
+/// cache is sized once, each entry is computed on the task's first query
+/// and reused after, and a task submitted after construction trips an
+/// always-on check.
 ///
 /// Not thread-safe: callers serialize (MultiPrio scores on its push side).
 class NodNormalizer {
  public:
+  explicit NodNormalizer(const TaskGraph& graph) : cache_(graph.num_tasks()) {}
+
   /// Normalized criticality score; updates the running max as a side effect.
   [[nodiscard]] double normalized(const SchedContext& ctx, TaskId t, MemNodeId m);
 
@@ -43,12 +46,11 @@ class NodNormalizer {
  private:
   struct Cached {
     std::array<double, kNumArchTypes> nod{};
-    std::size_t successors = kUnresolved;  ///< |λ+(t)| when `nod` was computed
+    bool resolved = false;
   };
-  static constexpr std::size_t kUnresolved = ~std::size_t{0};
 
   double max_seen_ = 0.0;
-  std::vector<Cached> cache_;  ///< per task, grown on demand
+  std::vector<Cached> cache_;  ///< per task
 };
 
 }  // namespace mp

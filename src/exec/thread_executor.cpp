@@ -126,8 +126,7 @@ ExecResult ThreadExecutor::run(const ExecSchedulerFactory& make_scheduler,
   // task is a policy (or locking) bug.
   std::vector<bool> taken(total, false);
   // Per-handle mutexes enforcing AccessMode::Commute mutual exclusion.
-  std::vector<std::unique_ptr<Mutex>> commute_mu(graph_.handles().count());
-  for (auto& m : commute_mu) m = std::make_unique<Mutex>();
+  std::vector<Mutex> commute_mu(graph_.handles().count());
 
   // Fail-stop: liveness flips and the policy rebuilds in one push_mu
   // critical section, so a serialized policy never pops in between; the
@@ -213,7 +212,7 @@ ExecResult ThreadExecutor::run(const ExecSchedulerFactory& make_scheduler,
       // hold the handle mutexes for the kernel, locking in sorted order.
       std::sort(locks.begin(), locks.end());
       locks.erase(std::unique(locks.begin(), locks.end()), locks.end());
-      for (std::uint32_t d : locks) commute_mu[d]->lock();
+      for (std::uint32_t d : locks) commute_mu[d].lock();
       const double start = sync_now_seconds();
       bool failed = false;
       try {
@@ -223,7 +222,7 @@ ExecResult ThreadExecutor::run(const ExecSchedulerFactory& make_scheduler,
       }
       const double dur = std::max(1e-9, sync_now_seconds() - start);
       for (auto it = locks.rbegin(); it != locks.rend(); ++it)
-        commute_mu[*it]->unlock();
+        commute_mu[*it].unlock();
       double mult = 1.0;
       if (!failed) {
         failed = lifecycle.attempt_fails(t, attempt);

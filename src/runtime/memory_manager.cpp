@@ -12,52 +12,22 @@ namespace {
 }  // namespace
 
 MemoryManager::MemoryManager(const TaskGraph& graph, const Platform& platform)
-    : graph_(graph), platform_(platform) {
+    : graph_(graph), platform_(platform), states_(graph.handles().count()) {
   const std::size_t n_nodes = platform.num_nodes();
   MP_CHECK_MSG(n_nodes <= 64, "DataState::valid is a uint64 bitmask (max 64 memory nodes)");
-  nodes_.resize(n_nodes);
+  nodes_.reserve(n_nodes);
   for (std::size_t i = 0; i < n_nodes; ++i)
-    nodes_[i].capacity = platform.node(MemNodeId{i}).capacity_bytes;
-  chunk_storage_.resize(kMaxChunks);
-  chunk_dir_ = std::vector<RelaxedAtomic<DataState*>>(kMaxChunks);
-  sync_new_handles();
-}
-
-void MemoryManager::sync_new_handles() const {
-  const std::size_t total = graph_.handles().count();
-  if (synced_count_.load() >= total) return;
-  // Growth is serialized: the engine already funnels every mutating entry
-  // point through its bookkeeping lock, and sync_mu_ makes the grow path
-  // independently safe. Chunks never move once published, and the count is
-  // released only after an entry is fully initialized, so the lock-free
-  // readers (which never call this) always see consistent state.
-  std::lock_guard<Mutex> lock(sync_mu_);
-  for (NodeState& ns : nodes_) {
-    ns.lru.grow(total);
-    ns.pins.resize(total, 0);
-  }
-  std::size_t n = synced_count_.load();
-  while (n < total) {
-    const DataId id{n};
+    nodes_.emplace_back(states_.size(), platform.node(MemNodeId{i}).capacity_bytes);
+  for (std::size_t i = 0; i < states_.size(); ++i) {
+    const DataId id{i};
     const DataHandle& h = graph_.handles().get(id);
-    const std::size_t chunk = n >> kChunkShift;
-    MP_CHECK_MSG(chunk < kMaxChunks,
-                 "handle count exceeds the MemoryManager chunk directory "
-                 "(raise kMaxChunks)");
-    if (chunk_storage_[chunk] == nullptr) {
-      chunk_storage_[chunk] = std::make_unique<DataState[]>(kChunkSize);
-      chunk_dir_[chunk].store_release(chunk_storage_[chunk].get());
-    }
-    DataState& ds = data_state(n);
-    ds.valid.store(nbit(h.home));
-    ds.owner = h.home;
+    states_[i].valid.store(nbit(h.home));
+    states_[i].owner = h.home;
     // Home copies consume space on their node (matters only for GPU-homed
     // data, which is unusual; RAM is unlimited).
     NodeState& ns = nodes_[h.home.index()];
     ns.lru.push_back(id);
     ns.used += h.bytes;
-    ++n;
-    synced_count_.store_release(n);
   }
 }
 
@@ -70,12 +40,9 @@ std::size_t MemoryManager::bytes_missing(TaskId t, MemNodeId node) const {
 }
 
 double MemoryManager::estimated_transfer_time(TaskId t, MemNodeId node) const {
-  const std::size_t synced = synced_count_.load_acquire();
   double time = 0.0;
   for (const Access& a : graph_.task(t).accesses) {
-    const std::uint64_t mask = a.data.index() < synced
-                                   ? data_state(a.data.index()).valid.load()
-                                   : nbit(graph_.handles().get(a.data).home);
+    const std::uint64_t mask = state(a.data).valid.load();
     if ((mask & nbit(node)) != 0) continue;
     const MemNodeId src = any_valid_node(mask);
     time += platform_.transfer_time(graph_.handles().get(a.data).bytes, src, node);
@@ -125,7 +92,7 @@ void MemoryManager::drop_copy(DataId d, MemNodeId node) {
   const std::size_t bytes = graph_.handles().get(d).bytes;
   MP_ASSERT(ns.used >= bytes);
   ns.used -= bytes;
-  data_state(d.index()).valid.fetch_and(~nbit(node));
+  state(d).valid.fetch_and(~nbit(node));
 }
 
 bool MemoryManager::evict_until_fits(std::size_t need, MemNodeId node,
@@ -137,7 +104,7 @@ bool MemoryManager::evict_until_fits(std::size_t need, MemNodeId node,
     const DataId victim{cur};
     cur = ns.lru.next(cur);  // before drop_copy unlinks the victim
     if (ns.pins[victim.index()] > 0) continue;
-    DataState& ds = data_state(victim.index());
+    DataState& ds = state(victim);
     const std::size_t bytes = graph_.handles().get(victim).bytes;
     const bool only_copy_here = ds.valid.load() == nbit(node);
     if (only_copy_here) {
@@ -161,7 +128,7 @@ bool MemoryManager::evict_until_fits(std::size_t need, MemNodeId node,
 }
 
 void MemoryManager::make_resident(DataId d, MemNodeId node, std::vector<TransferOp>& ops) {
-  DataState& ds = data_state(d.index());
+  DataState& ds = state(d);
   if ((ds.valid.load() & nbit(node)) != 0) {
     touch(d, node);
     return;
@@ -178,13 +145,12 @@ void MemoryManager::make_resident(DataId d, MemNodeId node, std::vector<Transfer
 }
 
 void MemoryManager::acquire_for_task(TaskId t, MemNodeId node, std::vector<TransferOp>& ops) {
-  sync_new_handles();
   for (const Access& a : graph_.task(t).accesses) {
     if (mode_reads(a.mode)) {
       make_resident(a.data, node, ops);
     } else {
       // Write-only: no fetch needed, just allocation on the node.
-      DataState& ds = data_state(a.data.index());
+      DataState& ds = state(a.data);
       if ((ds.valid.load() & nbit(node)) == 0) {
         const std::size_t bytes = graph_.handles().get(a.data).bytes;
         (void)evict_until_fits(bytes, node, ops);
@@ -195,7 +161,7 @@ void MemoryManager::acquire_for_task(TaskId t, MemNodeId node, std::vector<Trans
     }
     if (mode_writes(a.mode)) {
       // Invalidate every other copy; this node becomes the owner.
-      DataState& ds = data_state(a.data.index());
+      DataState& ds = state(a.data);
       const std::uint64_t others = ds.valid.load() & ~nbit(node);
       for (std::size_t i = 0; i < platform_.num_nodes(); ++i) {
         if ((others & nbit(i)) == 0) continue;
@@ -208,8 +174,7 @@ void MemoryManager::acquire_for_task(TaskId t, MemNodeId node, std::vector<Trans
 }
 
 void MemoryManager::prefetch(DataId d, MemNodeId node, std::vector<TransferOp>& ops) {
-  sync_new_handles();
-  DataState& ds = data_state(d.index());
+  DataState& ds = state(d);
   if ((ds.valid.load() & nbit(node)) != 0) return;
   const std::size_t bytes = graph_.handles().get(d).bytes;
   std::vector<TransferOp> evictions;
@@ -230,13 +195,11 @@ void MemoryManager::prefetch(DataId d, MemNodeId node, std::vector<TransferOp>& 
 }
 
 void MemoryManager::evacuate_node(MemNodeId node, std::vector<TransferOp>& ops) {
-  sync_new_handles();
   const MemNodeId ram = platform_.ram_node();
   if (node == ram) return;  // RAM loss is unsurvivable and not modelled
-  const std::size_t synced = synced_count_.load();
-  for (std::size_t di = 0; di < synced; ++di) {
+  for (std::size_t di = 0; di < states_.size(); ++di) {
     const DataId d{di};
-    DataState& ds = data_state(di);
+    DataState& ds = states_[di];
     if ((ds.valid.load() & nbit(node)) == 0) continue;
     MP_ASSERT(nodes_[node.index()].pins[di] == 0);
     if (ds.valid.load() == nbit(node)) {
@@ -254,9 +217,11 @@ void MemoryManager::evacuate_node(MemNodeId node, std::vector<TransferOp>& ops) 
 }
 
 void MemoryManager::pin_task_data(TaskId t, MemNodeId node) {
-  sync_new_handles();
   std::vector<std::uint32_t>& pins = nodes_[node.index()].pins;
-  for (const Access& a : graph_.task(t).accesses) ++pins[a.data.index()];
+  for (const Access& a : graph_.task(t).accesses) {
+    check_handle(a.data);
+    ++pins[a.data.index()];
+  }
 }
 
 void MemoryManager::unpin_task_data(TaskId t, MemNodeId node) {

@@ -8,13 +8,18 @@
 // immediately and the returned TransferOps carry the byte counts the engine
 // must charge to the link timeline. STF dependencies guarantee no
 // conflicting accesses overlap, so no in-flight states are needed.
+//
+// The manager is built from a finished graph: its per-handle tables are
+// sized once in the constructor and never reallocate, so the lock-free
+// scheduler queries index them directly. A handle registered after
+// construction trips an always-on check.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/ids.hpp"
 #include "runtime/platform.hpp"
 #include "runtime/task_graph.hpp"
@@ -57,13 +62,9 @@ class MemoryManager {
 
   // --- queries used by schedulers ----------------------------------------
 
+  /// Lock-free: schedulers call it from their POP path.
   [[nodiscard]] bool is_valid_on(DataId d, MemNodeId node) const {
-    // Lock-free (scheduler POP-path) query: a handle past the published
-    // count has exactly one copy, at home — the state sync_new_handles()
-    // installs.
-    if (d.index() >= synced_count_.load_acquire())
-      return node == graph_.handles().get(d).home;
-    return (data_state(d.index()).valid.load() & (std::uint64_t{1} << node.index())) != 0;
+    return (state(d).valid.load() & (std::uint64_t{1} << node.index())) != 0;
   }
 
   /// Bytes of `t`'s accesses *not* yet valid on `node` — the demand-fetch
@@ -95,14 +96,6 @@ class MemoryManager {
     MemNodeId owner;          // node holding the authoritative copy if dirty
   };
 
-  // Per-handle state lives in fixed-size chunks behind a directory of
-  // published pointers: growth (serialized under sync_mu_) never moves an
-  // existing DataState, so the lock-free reader paths can index entries
-  // below synced_count_ while a mutator appends new ones.
-  static constexpr std::size_t kChunkShift = 10;
-  static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkShift;
-  static constexpr std::size_t kMaxChunks = 1024;  // 1M handles
-
   /// Intrusive doubly linked list of the handles resident on one node,
   /// front = least recently used; the links are dense arrays indexed by
   /// DataId, so a touch is O(1) with no allocation or hashing.
@@ -110,8 +103,8 @@ class MemoryManager {
    public:
     static constexpr std::uint32_t kNil = ~std::uint32_t{0};
 
-    /// Makes room for handle ids below `handles`.
-    void grow(std::size_t handles) { link_.resize(handles); }
+    /// Holds handle ids below `handles`.
+    explicit LruList(std::size_t handles) : link_(handles) {}
     [[nodiscard]] bool contains(DataId d) const { return link_[d.index()].listed; }
     [[nodiscard]] std::uint32_t front() const { return head_; }
     [[nodiscard]] std::uint32_t next(std::uint32_t d) const { return link_[d].next; }
@@ -132,6 +125,8 @@ class MemoryManager {
   };
 
   struct NodeState {
+    NodeState(std::size_t handles, std::size_t capacity_bytes)
+        : capacity(capacity_bytes), lru(handles), pins(handles, 0) {}
     std::size_t capacity = 0;  // 0 = unlimited
     std::size_t used = 0;
     LruList lru;
@@ -140,19 +135,19 @@ class MemoryManager {
     std::size_t bytes_out = 0;
   };
 
-  /// Appends per-handle state for handles registered after construction
-  /// (STF graphs may keep growing), the per-node LRU links and pin counts
-  /// included. Called only by the *mutating* entry points, which the engine
-  /// serializes; growth itself is additionally guarded by sync_mu_. The lock-free query paths (is_valid_on & friends,
-  /// read from scheduler POP paths) never call this: they treat handles at
-  /// or above the published synced count as valid-at-home — exactly the
-  /// state this function would install — so they never observe growth.
-  void sync_new_handles() const;
-
-  /// Indexed access into the chunked store; `i` must be below the published
-  /// synced count (readers) or the lock-held growth frontier (mutators).
-  [[nodiscard]] DataState& data_state(std::size_t i) const {
-    return chunk_dir_[i >> kChunkShift].load_acquire()[i & (kChunkSize - 1)];
+  /// Trips the always-on check for a handle the graph registered after
+  /// this manager was built.
+  void check_handle(DataId d) const {
+    MP_CHECK_MSG(d.index() < states_.size(),
+                 "data handle registered after the MemoryManager was built");
+  }
+  [[nodiscard]] const DataState& state(DataId d) const {
+    check_handle(d);
+    return states_[d.index()];
+  }
+  [[nodiscard]] DataState& state(DataId d) {
+    check_handle(d);
+    return states_[d.index()];
   }
 
   void make_resident(DataId d, MemNodeId node, std::vector<TransferOp>& ops);
@@ -166,16 +161,8 @@ class MemoryManager {
 
   const TaskGraph& graph_;
   const Platform& platform_;
-  /// Serializes sync_new_handles() growth (belt to the engine's own
-  /// serialization of the mutating entry points).
-  mutable Mutex sync_mu_;
-  /// Handles with initialized DataState, published with release after the
-  /// entry is fully written; readers load-acquire and fall back to
-  /// valid-at-home for anything newer.
-  mutable RelaxedAtomic<std::size_t> synced_count_;
-  mutable std::vector<std::unique_ptr<DataState[]>> chunk_storage_;  // owner; under sync_mu_
-  mutable std::vector<RelaxedAtomic<DataState*>> chunk_dir_;         // published pointers
-  mutable std::vector<NodeState> nodes_;  // LRU links and pins: mutators only
+  std::vector<DataState> states_;  // per handle; sized once, never reallocated
+  std::vector<NodeState> nodes_;   // LRU links and pins: mutators only
   std::size_t capacity_overflows_ = 0;
   std::size_t eviction_count_ = 0;
 };

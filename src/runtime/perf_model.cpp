@@ -45,7 +45,7 @@ double PerfDatabase::ground_truth(const TaskGraph& graph, TaskId t, ArchType a) 
 }
 
 HistoryModel::HistoryModel(const TaskGraph& graph, const PerfDatabase& truth)
-    : graph_(graph), truth_(truth) {}
+    : graph_(graph), truth_(truth), slot_of_(graph.num_tasks() * kNumArchTypes, kUnresolved) {}
 
 std::uint64_t HistoryModel::bias_key(TaskId t, ArchType a) const {
   const Task& task = graph_.task(t);
@@ -57,10 +57,7 @@ std::uint64_t HistoryModel::bias_key(TaskId t, ArchType a) const {
 
 HistoryModel::Bucket& HistoryModel::bucket(TaskId t, ArchType a) const {
   const std::size_t i = t.index() * kNumArchTypes + arch_index(a);
-  if (i >= slot_of_.size()) {
-    MP_CHECK_MSG(t.index() < graph_.num_tasks(), "history query for a task outside the graph");
-    slot_of_.resize(graph_.num_tasks() * kNumArchTypes, kUnresolved);
-  }
+  MP_CHECK_MSG(i < slot_of_.size(), "task id outside the graph the history model was built for");
   std::uint32_t& slot = slot_of_[i];
   if (slot == kUnresolved) {
     // (codelet, arch, footprint) — StarPU keys history models by a hash of

@@ -10,7 +10,8 @@
 //    exactly like StarPU's history-based models [21,22]. Benches run it
 //    pre-seeded ("calibrated"), tests also exercise the cold path.
 //    Each (task, arch) resolves to its bucket's slot once; every later
-//    query indexes a flat table, with no hashing.
+//    query indexes a flat table sized once from the finished graph, with
+//    no hashing.
 #pragma once
 
 #include <compare>
@@ -59,10 +60,14 @@ class PerfDatabase {
 
 /// History-based estimator: the scheduler-visible δ(t,a).
 ///
+/// Built from a finished graph: the per-(task, arch) slot table is sized
+/// once in the constructor, and a task submitted after construction trips
+/// an always-on check.
+///
 /// Not thread-safe, queries included: a query resolves (t, a) to a bucket
-/// slot on first use and grows the slot tables as the graph grows, so every
-/// call must be serialized with every other (the threaded engine holds its
-/// push-side lock around each one).
+/// slot on first use, which may append a bucket, so every call must be
+/// serialized with every other (the threaded engine holds its push-side
+/// lock around each one).
 class HistoryModel {
  public:
   HistoryModel(const TaskGraph& graph, const PerfDatabase& truth);

@@ -19,7 +19,6 @@ SimEngine::SimEngine(const TaskGraph& graph, const Platform& platform,
   worker_busy_.assign(platform.num_workers(), 0);
   pending_.assign(platform.num_workers(), {});
   trypop_pending_.assign(platform.num_workers(), 0);
-  predicted_.assign(graph.num_tasks(), 0.0);
   attempt_on_.resize(platform.num_workers());
 }
 
@@ -334,6 +333,7 @@ SimResult SimEngine::run(const SchedulerFactory& make_scheduler) {
   deps_ = std::make_unique<DepCounters>(graph_);
   liveness_ = std::make_unique<WorkerLiveness>(platform_);
   commute_free_at_.assign(graph_.handles().count(), 0.0);
+  predicted_.assign(graph_.num_tasks(), 0.0);
 
   sched_ctx_.graph = &graph_;
   sched_ctx_.platform = &platform_;

@@ -374,12 +374,6 @@ class RelaxedAtomic {
 
   [[nodiscard]] T load() const { return v_.load(std::memory_order_relaxed); }
   void store(T v) { v_.store(v, std::memory_order_relaxed); }
-  /// Acquire/release pair for one-way publication (grow-only stores whose
-  /// readers must see the published element fully initialized — the
-  /// MemoryManager's handle-state directory). Still explorer-invisible:
-  /// publication is monotonic, so every interleaving of these is benign.
-  [[nodiscard]] T load_acquire() const { return v_.load(std::memory_order_acquire); }
-  void store_release(T v) { v_.store(v, std::memory_order_release); }
   T exchange(T v) { return v_.exchange(v, std::memory_order_relaxed); }
   bool compare_exchange(T& expected, T desired) {
     return v_.compare_exchange_strong(expected, desired,

@@ -226,27 +226,18 @@ TEST(MemoryManager, TransferStatsAccumulate) {
   EXPECT_EQ(mm.total_bytes_from(w.platform.ram_node()), 100u);
 }
 
-TEST(MemoryManager, LateRegisteredHandlesAnswerFromHomeFallback) {
-  // Handles registered after construction must be answerable by the
-  // lock-free query paths (a scheduler's POP runs them without any lock)
-  // without growing any state: below the published synced count they read
-  // the chunked store, above it they fall back to valid-at-home.
+TEST(MemoryManagerDeath, HandleRegisteredAfterConstructionTripsTheCheck) {
   World w;
   const DataId d0 = w.graph.add_data(100);
   MemoryManager mm(w.graph, w.platform);
-  const DataId d1 = w.graph.add_data(50);
-  EXPECT_TRUE(mm.is_valid_on(d1, w.platform.ram_node()));
-  EXPECT_FALSE(mm.is_valid_on(d1, w.gpu0));
-  const TaskId t = w.task({Access{d0, AccessMode::Read}, Access{d1, AccessMode::Read}});
-  EXPECT_EQ(mm.bytes_missing(t, w.gpu0), 150u);
-  EXPECT_GT(mm.estimated_transfer_time(t, w.gpu0), 0.0);
-  EXPECT_DOUBLE_EQ(mm.estimated_transfer_time(t, w.platform.ram_node()), 0.0);
-  // The first mutating entry point syncs the late handle into the store.
+  const DataId late = w.graph.add_data(50);
+  EXPECT_TRUE(mm.is_valid_on(d0, w.platform.ram_node()));
+  EXPECT_DEATH((void)mm.is_valid_on(late, w.platform.ram_node()),
+               "registered after the MemoryManager was built");
+  const TaskId t = w.task({Access{d0, AccessMode::Read}, Access{late, AccessMode::Read}});
   std::vector<TransferOp> ops;
-  mm.acquire_for_task(t, w.gpu0, ops);
-  EXPECT_EQ(ops.size(), 2u);
-  EXPECT_TRUE(mm.is_valid_on(d1, w.gpu0));
-  EXPECT_EQ(mm.bytes_missing(t, w.gpu0), 0u);
+  EXPECT_DEATH(mm.acquire_for_task(t, w.gpu0, ops),
+               "registered after the MemoryManager was built");
 }
 
 TEST(MemoryManager, GpuToGpuReadsPreferRamSource) {

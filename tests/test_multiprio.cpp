@@ -2,6 +2,8 @@
 // and 2), the pop_condition, and the eviction mechanism.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "core/multiprio.hpp"
 #include "test_util.hpp"
 
@@ -9,7 +11,15 @@ namespace mp {
 namespace {
 
 /// 2 CPUs on RAM + 1 GPU. δ is controlled via recorded history samples.
+/// Tasks are added first; ctx() then builds the context from the finished
+/// graph and records each task's δ samples into its history model.
 struct World {
+  struct Sample {
+    TaskId task;
+    ArchType arch;
+    double seconds;
+  };
+
   TaskGraph graph;
   Platform platform = test::small_platform(2, 1);
   MemNodeId ram;
@@ -17,33 +27,39 @@ struct World {
   CodeletId both;
   CodeletId cpu_only;
   CodeletId gpu_only;
-  test::ManualContext mc;
+  std::optional<test::ManualContext> mc;
 
   World()
       : ram(platform.ram_node()),
         both(graph.add_codelet("both", {ArchType::CPU, ArchType::GPU})),
         cpu_only(graph.add_codelet("conly", {ArchType::CPU})),
-        gpu_only(graph.add_codelet("gonly", {ArchType::GPU})),
-        mc(graph, platform, test::flat_perf()) {}
+        gpu_only(graph.add_codelet("gonly", {ArchType::GPU})) {}
 
   TaskId add_task(CodeletId cl, double cpu_s, double gpu_s) {
     const DataId d = graph.add_data(next_bytes_++);
     const TaskId t = graph.submit(cl, {Access{d, AccessMode::ReadWrite}});
-    if (graph.codelet(cl).can_exec(ArchType::CPU)) mc.history.record(t, ArchType::CPU, cpu_s);
-    if (graph.codelet(cl).can_exec(ArchType::GPU)) mc.history.record(t, ArchType::GPU, gpu_s);
+    if (graph.codelet(cl).can_exec(ArchType::CPU)) samples_.push_back({t, ArchType::CPU, cpu_s});
+    if (graph.codelet(cl).can_exec(ArchType::GPU)) samples_.push_back({t, ArchType::GPU, gpu_s});
     return t;
+  }
+
+  SchedContext ctx() {
+    mc.emplace(graph, platform, test::flat_perf());
+    for (const Sample& s : samples_) mc->history.record(s.task, s.arch, s.seconds);
+    return mc->ctx();
   }
 
   WorkerId cpu_worker() const { return platform.workers_of_node(ram)[0]; }
   WorkerId gpu_worker() const { return platform.workers_of_node(gpu)[0]; }
 
   std::size_t next_bytes_ = 100;
+  std::vector<Sample> samples_;
 };
 
 TEST(MultiPrio, PushDuplicatesIntoAllCapableHeaps) {
   World w;
-  MultiPrioScheduler s(w.mc.ctx());
   const TaskId t = w.add_task(w.both, 10e-3, 1e-3);
+  MultiPrioScheduler s(w.ctx());
   s.push(t);
   EXPECT_EQ(s.ready_tasks_count(w.ram), 1u);
   EXPECT_EQ(s.ready_tasks_count(w.gpu), 1u);
@@ -54,8 +70,8 @@ TEST(MultiPrio, PushDuplicatesIntoAllCapableHeaps) {
 
 TEST(MultiPrio, SingleArchTaskOnlyInItsHeap) {
   World w;
-  MultiPrioScheduler s(w.mc.ctx());
   const TaskId t = w.add_task(w.cpu_only, 10e-3, 0.0);
+  MultiPrioScheduler s(w.ctx());
   s.push(t);
   EXPECT_EQ(s.ready_tasks_count(w.ram), 1u);
   EXPECT_EQ(s.ready_tasks_count(w.gpu), 0u);
@@ -63,8 +79,8 @@ TEST(MultiPrio, SingleArchTaskOnlyInItsHeap) {
 
 TEST(MultiPrio, BestRemainingWorkAccumulatesOnBestArchNode) {
   World w;
-  MultiPrioScheduler s(w.mc.ctx());
   const TaskId t = w.add_task(w.both, 10e-3, 1e-3);  // GPU best
+  MultiPrioScheduler s(w.ctx());
   s.push(t);
   EXPECT_DOUBLE_EQ(s.best_remaining_work(w.gpu), 1e-3);
   EXPECT_DOUBLE_EQ(s.best_remaining_work(w.ram), 0.0);
@@ -72,8 +88,8 @@ TEST(MultiPrio, BestRemainingWorkAccumulatesOnBestArchNode) {
 
 TEST(MultiPrio, PopByBestArchWorkerAlwaysAllowed) {
   World w;
-  MultiPrioScheduler s(w.mc.ctx());
   const TaskId t = w.add_task(w.both, 10e-3, 1e-3);
+  MultiPrioScheduler s(w.ctx());
   s.push(t);
   const auto popped = s.pop(w.gpu_worker());
   ASSERT_TRUE(popped.has_value());
@@ -84,9 +100,9 @@ TEST(MultiPrio, PopByBestArchWorkerAlwaysAllowed) {
 
 TEST(MultiPrio, PopRemovesDuplicatesLazily) {
   World w;
-  MultiPrioScheduler s(w.mc.ctx());
   const TaskId t0 = w.add_task(w.both, 10e-3, 1e-3);
   const TaskId t1 = w.add_task(w.both, 1e-3, 10e-3);  // CPU best
+  MultiPrioScheduler s(w.ctx());
   s.push(t0);
   s.push(t1);
   ASSERT_EQ(s.pop(w.gpu_worker()), std::optional<TaskId>(t0));
@@ -98,10 +114,10 @@ TEST(MultiPrio, PopRemovesDuplicatesLazily) {
 
 TEST(MultiPrio, PopConditionRejectsSlowWorkerWhenBestIsFree) {
   World w;
-  MultiPrioScheduler s(w.mc.ctx());
   // One GPU-best task; GPU has nothing else queued: a CPU worker must not
   // steal it (eviction instead).
   const TaskId t = w.add_task(w.both, 100e-3, 1e-3);
+  MultiPrioScheduler s(w.ctx());
   s.push(t);
   // brw(GPU) after this push is 1 ms, not > 100 ms: condition fails.
   const auto popped = s.pop(w.cpu_worker());
@@ -115,13 +131,13 @@ TEST(MultiPrio, PopConditionRejectsSlowWorkerWhenBestIsFree) {
 
 TEST(MultiPrio, PopConditionAllowsSlowWorkerWhenBestIsBusy) {
   World w;
-  MultiPrioScheduler s(w.mc.ctx());
   // Pile lots of GPU-best work (brw ≈ 50 ms), then a small task whose CPU
   // time (10 ms) is below the backlog: the CPU may take it.
   for (int i = 0; i < 50; ++i) (void)0;
   std::vector<TaskId> backlog;
   for (int i = 0; i < 50; ++i) backlog.push_back(w.add_task(w.both, 20e-3, 1e-3));
   const TaskId small = w.add_task(w.both, 10e-3, 1e-3);
+  MultiPrioScheduler s(w.ctx());
   for (TaskId t : backlog) s.push(t);
   s.push(small);
   const auto popped = s.pop(w.cpu_worker());
@@ -132,8 +148,8 @@ TEST(MultiPrio, EvictionDisabledTakesGreedily) {
   World w;
   MultiPrioConfig cfg;
   cfg.use_eviction = false;
-  MultiPrioScheduler s(w.mc.ctx(), cfg);
   const TaskId t = w.add_task(w.both, 100e-3, 1e-3);
+  MultiPrioScheduler s(w.ctx(), cfg);
   s.push(t);
   EXPECT_EQ(s.pop(w.cpu_worker()), std::optional<TaskId>(t));
   EXPECT_EQ(s.eviction_total(), 0u);
@@ -141,10 +157,10 @@ TEST(MultiPrio, EvictionDisabledTakesGreedily) {
 
 TEST(MultiPrio, GainOrdersHeapPerArch) {
   World w;
-  MultiPrioScheduler s(w.mc.ctx());
   // t_A strongly CPU-favored, t_C strongly GPU-favored (Table II shape).
   const TaskId ta = w.add_task(w.both, 1e-3, 20e-3);
   const TaskId tc = w.add_task(w.both, 20e-3, 10e-3);
+  MultiPrioScheduler s(w.ctx());
   s.push(ta);
   s.push(tc);
   EXPECT_EQ(s.heap(w.ram).top()->task, ta);
@@ -185,12 +201,12 @@ TEST(MultiPrio, LocalityWindowPicksLocalTask) {
   MultiPrioConfig cfg;
   cfg.locality_n = 10;
   cfg.epsilon = 0.8;
-  MultiPrioScheduler s(w.mc.ctx(), cfg);
   // Two GPU-favored tasks with close scores; t1's data is on the GPU.
   const TaskId t0 = w.add_task(w.both, 20e-3, 1e-3);
   const TaskId t1 = w.add_task(w.both, 20e-3, 1.05e-3);
+  MultiPrioScheduler s(w.ctx(), cfg);
   std::vector<TransferOp> ops;
-  w.mc.memory.prefetch(w.graph.task(t1).accesses[0].data, w.gpu, ops);
+  w.mc->memory.prefetch(w.graph.task(t1).accesses[0].data, w.gpu, ops);
   s.push(t0);
   s.push(t1);
   // Without locality t0 (higher gain via earlier seq / equal) would win;
@@ -204,11 +220,11 @@ TEST(MultiPrio, LocalityDisabledTakesTopOfHeap) {
   World w;
   MultiPrioConfig cfg;
   cfg.use_locality = false;
-  MultiPrioScheduler s(w.mc.ctx(), cfg);
   const TaskId t0 = w.add_task(w.both, 20e-3, 1e-3);
   const TaskId t1 = w.add_task(w.both, 20e-3, 1.05e-3);
+  MultiPrioScheduler s(w.ctx(), cfg);
   std::vector<TransferOp> ops;
-  w.mc.memory.prefetch(w.graph.task(t1).accesses[0].data, w.gpu, ops);
+  w.mc->memory.prefetch(w.graph.task(t1).accesses[0].data, w.gpu, ops);
   s.push(t0);
   s.push(t1);
   const auto top = s.heap(w.gpu).top()->task;
@@ -217,16 +233,16 @@ TEST(MultiPrio, LocalityDisabledTakesTopOfHeap) {
 
 TEST(MultiPrio, EmptyPopReturnsNothing) {
   World w;
-  MultiPrioScheduler s(w.mc.ctx());
+  MultiPrioScheduler s(w.ctx());
   EXPECT_FALSE(s.pop(w.cpu_worker()).has_value());
   EXPECT_FALSE(s.pop(w.gpu_worker()).has_value());
 }
 
 TEST(MultiPrio, HasWorkHintTracksHeaps) {
   World w;
-  MultiPrioScheduler s(w.mc.ctx());
-  EXPECT_FALSE(s.has_work_hint(w.cpu_worker()));
   const TaskId t = w.add_task(w.cpu_only, 5e-3, 0.0);
+  MultiPrioScheduler s(w.ctx());
+  EXPECT_FALSE(s.has_work_hint(w.cpu_worker()));
   s.push(t);
   EXPECT_TRUE(s.has_work_hint(w.cpu_worker()));
   EXPECT_FALSE(s.has_work_hint(w.gpu_worker()));
@@ -234,8 +250,8 @@ TEST(MultiPrio, HasWorkHintTracksHeaps) {
 
 TEST(MultiPrio, CpuOnlyTaskNeverStarves) {
   World w;
-  MultiPrioScheduler s(w.mc.ctx());
   const TaskId t = w.add_task(w.cpu_only, 5e-3, 0.0);
+  MultiPrioScheduler s(w.ctx());
   s.push(t);
   // CPU is the best (only) arch: pop_condition is trivially true.
   EXPECT_EQ(s.pop(w.cpu_worker()), std::optional<TaskId>(t));
@@ -245,11 +261,21 @@ TEST(MultiPrio, MaxTriesBoundsEvictionsPerPop) {
   World w;
   MultiPrioConfig cfg;
   cfg.max_tries = 2;
-  MultiPrioScheduler s(w.mc.ctx(), cfg);
-  for (int i = 0; i < 10; ++i) s.push(w.add_task(w.both, 100e-3, 1e-3));
+  std::vector<TaskId> ts;
+  for (int i = 0; i < 10; ++i) ts.push_back(w.add_task(w.both, 100e-3, 1e-3));
+  MultiPrioScheduler s(w.ctx(), cfg);
+  for (TaskId t : ts) s.push(t);
   const std::size_t before = s.eviction_total();
   EXPECT_FALSE(s.pop(w.cpu_worker()).has_value());
   EXPECT_LE(s.eviction_total() - before, cfg.max_tries + 1);
+}
+
+TEST(MultiPrioDeath, PushOfTaskSubmittedAfterConstructionTripsTheCheck) {
+  World w;
+  (void)w.add_task(w.both, 10e-3, 1e-3);
+  MultiPrioScheduler s(w.ctx());
+  const TaskId late = w.add_task(w.both, 10e-3, 1e-3);
+  EXPECT_DEATH(s.push(late), "outside the graph the scheduler was built for");
 }
 
 }  // namespace

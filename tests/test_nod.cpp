@@ -56,7 +56,7 @@ TEST(Nod, NormalizerKeepsUnitRange) {
   Platform p = test::small_platform(2, 0);
   test::ManualContext mc(eg.graph, p, test::flat_perf());
   SchedContext ctx = mc.ctx();
-  NodNormalizer norm;
+  NodNormalizer norm(eg.graph);
   const MemNodeId ram = p.ram_node();
   const double first = norm.normalized(ctx, eg.tasks[1], ram);  // NOD 2.5
   EXPECT_DOUBLE_EQ(first, 1.0);  // first value defines the running max
@@ -70,31 +70,20 @@ TEST(Nod, NormalizerZeroWhenNoSuccessors) {
   Platform p = test::small_platform(1, 0);
   test::ManualContext mc(eg.graph, p, test::flat_perf());
   SchedContext ctx = mc.ctx();
-  NodNormalizer norm;
+  NodNormalizer norm(eg.graph);
   EXPECT_DOUBLE_EQ(norm.normalized(ctx, eg.tasks[0], p.ram_node()), 0.0);
 }
 
-TEST(Nod, NormalizerRecomputesAfterGraphGrowth) {
-  // STF submission may add successors to a task already scored: the cached
-  // NOD must follow. t0 → t1 first; a later reader of d0 adds t0 → t2.
-  TaskGraph g;
-  const CodeletId cl = g.add_codelet("k", {ArchType::CPU});
-  const DataId d0 = g.add_data(8);
-  const TaskId t0 = g.submit(cl, {Access{d0, AccessMode::Write}});
-  g.submit(cl, {Access{d0, AccessMode::Read}});
+TEST(NodDeath, TaskSubmittedAfterConstructionTripsTheCheck) {
+  test::EdgeGraph eg(2, {{0, 1}});
   Platform p = test::small_platform(1, 0);
-  test::ManualContext mc(g, p, test::flat_perf());
+  test::ManualContext mc(eg.graph, p, test::flat_perf());
   SchedContext ctx = mc.ctx();
-  const MemNodeId ram = p.ram_node();
-  NodNormalizer norm;
-  EXPECT_DOUBLE_EQ(norm.normalized(ctx, t0, ram), 1.0);
-  EXPECT_DOUBLE_EQ(norm.max_seen(), 1.0);
-
-  g.submit(cl, {Access{d0, AccessMode::Read}});
-  ASSERT_EQ(g.successors(t0).size(), 2U);
-  EXPECT_DOUBLE_EQ(nod_score(ctx, t0, ram), 2.0);
-  EXPECT_DOUBLE_EQ(norm.normalized(ctx, t0, ram), 1.0);
-  EXPECT_DOUBLE_EQ(norm.max_seen(), 2.0);  // a stale entry would leave 1.0
+  NodNormalizer norm(eg.graph);
+  const TaskId late = eg.graph.submit(eg.graph.task(eg.tasks[0]).codelet,
+                                      {Access{eg.graph.add_data(8), AccessMode::ReadWrite}});
+  EXPECT_DEATH((void)norm.normalized(ctx, late, p.ram_node()),
+               "outside the graph the normalizer was built for");
 }
 
 TEST(Nod, WideFanOutBeatsNarrow) {

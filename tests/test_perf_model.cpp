@@ -170,24 +170,24 @@ TEST(HistoryModel, BucketsWhoseMixedHashesCollideKeepSeparateMeans) {
   EXPECT_DOUBLE_EQ(hm.estimate(b, ArchType::CPU), 4.0);
 }
 
-TEST(HistoryModel, ResolvedSlotSurvivesGraphGrowth) {
-  // STF graphs keep submitting after the model answered its first query:
-  // the per-(task, arch) slot table grows, and earlier slots stay valid.
+TEST(HistoryModel, ResolvedSlotsStayValidAsNewBucketsResolve) {
+  // t0's slot resolves on the first query; later tasks resolve theirs (and
+  // append buckets) afterwards, and t0's slot keeps indexing its bucket.
   TaskGraph g;
   const CodeletId cl = g.add_codelet("k", {ArchType::CPU, ArchType::GPU});
   const DataId d0 = g.add_data(64);
   SubmitOptions o;
   o.flops = 1e6;
   const TaskId t0 = g.submit(cl, {Access{d0, AccessMode::ReadWrite}}, o);
-  PerfDatabase db = test::flat_perf();
-  HistoryModel hm(g, db);
-  const double prior = hm.estimate(t0, ArchType::CPU);
-  hm.record(t0, ArchType::CPU, 0.5);
   std::vector<TaskId> later;
   for (int i = 0; i < 100; ++i) {
     const DataId d = g.add_data(i % 2 == 0 ? 64 : 32);
     later.push_back(g.submit(cl, {Access{d, AccessMode::ReadWrite}}, o));
   }
+  PerfDatabase db = test::flat_perf();
+  HistoryModel hm(g, db);
+  const double prior = hm.estimate(t0, ArchType::CPU);
+  hm.record(t0, ArchType::CPU, 0.5);
   EXPECT_DOUBLE_EQ(hm.estimate(t0, ArchType::CPU), 0.5);
   EXPECT_DOUBLE_EQ(hm.estimate(later[0], ArchType::CPU), 0.5);  // t0's bucket
   EXPECT_DOUBLE_EQ(hm.estimate(later[1], ArchType::CPU), prior);  // uncalibrated
@@ -197,6 +197,17 @@ TEST(HistoryModel, ResolvedSlotSurvivesGraphGrowth) {
   hm.record(t0, ArchType::CPU, 1.5);  // t0's slot still indexes its bucket
   EXPECT_DOUBLE_EQ(hm.estimate(later[98], ArchType::CPU), 1.0);
   EXPECT_FALSE(hm.is_calibrated(t0, ArchType::GPU));
+}
+
+TEST(HistoryModelDeath, TaskSubmittedAfterConstructionTripsTheCheck) {
+  TaskGraph g;
+  const CodeletId cl = g.add_codelet("k", {ArchType::CPU});
+  g.submit(cl, {Access{g.add_data(64), AccessMode::ReadWrite}});
+  PerfDatabase db = test::flat_perf();
+  HistoryModel hm(g, db);
+  const TaskId late = g.submit(cl, {Access{g.add_data(64), AccessMode::ReadWrite}});
+  EXPECT_DEATH((void)hm.estimate(late, ArchType::CPU),
+               "outside the graph the history model was built for");
 }
 
 TEST(PerfDatabaseDeath, GroundTruthRequiresImplementation) {

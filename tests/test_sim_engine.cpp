@@ -194,6 +194,20 @@ TEST(SimEngine, PrefetchReducesFetchStallForDmda) {
   EXPECT_LT(e_dmda.trace().makespan(), e_dm.trace().makespan());
 }
 
+TEST(SimEngine, TaskSubmittedAfterConstructionIsRunAndPredicted) {
+  // Per-run tables are sized in run(), so a task submitted between
+  // construction and run() gets its slot like every other.
+  test::EdgeGraph eg(1, {}, 1e6, {ArchType::CPU});
+  Platform p = test::small_platform(1, 0);
+  PerfDatabase db = test::flat_perf();
+  SimEngine engine(eg.graph, p, db);
+  eg.graph.submit(eg.graph.task(eg.tasks[0]).codelet,
+                  {Access{eg.graph.add_data(8), AccessMode::ReadWrite}});
+  const SimResult r = engine.run(eager_factory());
+  EXPECT_EQ(r.tasks_executed, 2u);
+  EXPECT_EQ(engine.predicted_durations().size(), 2u);
+}
+
 TEST(SimEngineDeath, EngineIsSingleShot) {
   test::EdgeGraph eg(1, {}, 1e6, {ArchType::CPU});
   Platform p = test::small_platform(1, 0);

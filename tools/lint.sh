@@ -34,9 +34,9 @@
 #   5. Dense per-id state on the hot path. In src/core, src/runtime, src/sim
 #      and src/exec, no std::map / std::unordered_map is keyed by TaskId,
 #      DataId or WorkerId, and no std::list is used: state per task, handle
-#      or worker lives in a vector indexed by the id (grown under the lock
-#      that serializes its writers, DESIGN.md §12), so a query is one index
-#      with no hashing, no node allocation and no pointer chase.
+#      or worker lives in a vector indexed by the id (sized once from the
+#      finished graph, DESIGN.md §12), so a query is one index with no
+#      hashing, no node allocation and no pointer chase.
 #
 #   6. Portable binaries, bit-identical kernels. No CMakeLists.txt passes
 #      -march=, -mavx* or -mfma: the instruction set is chosen at run time by

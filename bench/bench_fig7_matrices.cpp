@@ -1,33 +1,31 @@
 // Regenerates Fig. 7: the sparse-matrix set. Prints the published
 // rows/cols/nnz (matched exactly by the generators) and the paper's op
 // count next to the op count our own multifrontal symbolic analysis finds
-// on the synthetic stand-ins.
+// on the synthetic stand-ins, with the wall time of that analysis.
+#include <chrono>
 #include <cstdio>
 
 #include "apps/sparseqr/generators.hpp"
 #include "apps/sparseqr/symbolic.hpp"
 #include "bench_util.hpp"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace mp;
   using namespace mp::sqr;
-  const bool full = mp::bench::full_mode(argc, argv);
 
-  std::printf("Fig. 7 — QR_MUMPS matrix set (synthetic stand-ins)%s\n\n",
-              full ? "" : " [quick: largest two skipped; pass --full]");
-  Table t({"matrix", "rows", "cols", "nnz", "paper Gflop", "ours Gflop", "fronts"});
+  std::printf("Fig. 7 — QR_MUMPS matrix set (synthetic stand-ins)\n\n");
+  Table t({"matrix", "rows", "cols", "nnz", "paper Gflop", "ours Gflop", "fronts", "analyze s"});
   for (const MatrixSpec& spec : paper_matrix_specs()) {
-    if (!full && spec.gflop_target > 50000.0) {
-      t.add_row({spec.name, std::to_string(spec.rows), std::to_string(spec.cols),
-                 std::to_string(spec.nnz), fmt_double(spec.gflop_target, 0), "(--full)",
-                 "-"});
-      continue;
-    }
     const SparseMatrix m = generate(spec);
-    const SymbolicAnalysis sym = analyze(tall_orientation(m));
+    const SparseMatrix tall = tall_orientation(m);
+    const auto t0 = std::chrono::steady_clock::now();
+    const SymbolicAnalysis sym = analyze(tall);
+    const double secs =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     t.add_row({spec.name, std::to_string(m.rows), std::to_string(m.cols),
                std::to_string(m.nnz()), fmt_double(spec.gflop_target, 0),
-               fmt_double(sym.total_flops / 1e9, 0), std::to_string(sym.fronts.size())});
+               fmt_double(sym.total_flops / 1e9, 0), std::to_string(sym.fronts.size()),
+               fmt_double(secs, 3)});
   }
   std::printf("%s\n", t.to_ascii().c_str());
   std::printf("rows/cols/nnz match the published table exactly; the op count is\n"

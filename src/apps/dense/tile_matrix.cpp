@@ -46,26 +46,39 @@ void TileMatrix::fill_random(std::uint64_t seed) {
 
 void TileMatrix::fill_spd(std::uint64_t seed) {
   fill_random(seed);
-  // Symmetrize and shift: A := (A + Aᵀ)/2 + n·I.
-  const std::size_t n = this->n();
-  std::vector<double> full = to_full();
-  for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t i = 0; i < j; ++i) {
-      const double s = 0.5 * (full[j * n + i] + full[i * n + j]);
-      full[j * n + i] = s;
-      full[i * n + j] = s;
+  // Symmetrize and shift in place, tile by tile: A := (A + Aᵀ)/2 + n·I.
+  // Entry (a, b) of tile (ti, tj) pairs with entry (b, a) of tile (tj, ti).
+  const double shift = static_cast<double>(n());
+  for (std::size_t tj = 0; tj < t_; ++tj) {
+    for (std::size_t ti = 0; ti < tj; ++ti) {
+      double* upper = tile(ti, tj);
+      double* lower = tile(tj, ti);
+      for (std::size_t b = 0; b < nb_; ++b)
+        for (std::size_t a = 0; a < nb_; ++a) {
+          const double s = 0.5 * (upper[b * nb_ + a] + lower[a * nb_ + b]);
+          upper[b * nb_ + a] = s;
+          lower[a * nb_ + b] = s;
+        }
     }
-    full[j * n + j] += static_cast<double>(n);
+    double* diag = tile(tj, tj);
+    for (std::size_t b = 0; b < nb_; ++b) {
+      for (std::size_t a = 0; a < b; ++a) {
+        const double s = 0.5 * (diag[b * nb_ + a] + diag[a * nb_ + b]);
+        diag[b * nb_ + a] = s;
+        diag[a * nb_ + b] = s;
+      }
+      diag[b * nb_ + b] += shift;
+    }
   }
-  from_full(full);
 }
 
 void TileMatrix::fill_diag_dominant(std::uint64_t seed) {
   fill_random(seed);
-  const std::size_t n = this->n();
-  std::vector<double> full = to_full();
-  for (std::size_t j = 0; j < n; ++j) full[j * n + j] += static_cast<double>(n);
-  from_full(full);
+  const double shift = static_cast<double>(n());
+  for (std::size_t t = 0; t < t_; ++t) {
+    double* diag = tile(t, t);
+    for (std::size_t b = 0; b < nb_; ++b) diag[b * nb_ + b] += shift;
+  }
 }
 
 std::vector<double> TileMatrix::to_full() const {

@@ -1,6 +1,8 @@
 #include "apps/sparseqr/dag_builder.hpp"
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
 #include "common/check.hpp"
 
@@ -47,9 +49,9 @@ SparseQrStats build_sparseqr(TaskGraph& graph, const SymbolicAnalysis& sym,
       std::size_t area = 0;
       for (std::size_t j = p * opts.panel_cols; j < p * opts.panel_cols + width; ++j)
         area += depth(j);
-      panels[fi].push_back(graph.add_data(area * sizeof(double), nullptr,
-                                          "F" + std::to_string(fi) + "p" +
-                                              std::to_string(p)));
+      std::string name = "F";
+      name.append(std::to_string(fi)).append("p").append(std::to_string(p));
+      panels[fi].push_back(graph.add_data(area * sizeof(double), nullptr, std::move(name)));
       ++stats.panels;
     }
     first_border_panel[fi] = f.k() / opts.panel_cols;  // panels holding the CB

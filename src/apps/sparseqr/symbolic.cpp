@@ -1,15 +1,46 @@
 #include "apps/sparseqr/symbolic.hpp"
 
 #include <algorithm>
-#include <numeric>
+#include <span>
 
 #include "common/check.hpp"
 
 namespace mp::sqr {
+namespace {
+
+constexpr std::uint32_t kNone = 0xffffffffu;
+
+/// Items grouped by a key, as one flat array: group g is
+/// idx[ptr[g], ptr[g + 1]), items in ascending id order.
+struct Groups {
+  std::vector<std::size_t> ptr;
+  std::vector<std::uint32_t> idx;
+
+  [[nodiscard]] std::size_t size(std::size_t g) const { return ptr[g + 1] - ptr[g]; }
+  [[nodiscard]] std::span<const std::uint32_t> operator[](std::size_t g) const {
+    return {idx.data() + ptr[g], size(g)};
+  }
+};
+
+/// Counting sort of items 0..key.size()-1 into n_groups groups by key;
+/// items keyed kNone belong to no group.
+Groups group_by(const std::vector<std::uint32_t>& key, std::size_t n_groups) {
+  Groups g;
+  g.ptr.assign(n_groups + 1, 0);
+  for (std::uint32_t k : key)
+    if (k != kNone) ++g.ptr[k + 1];
+  for (std::size_t i = 0; i < n_groups; ++i) g.ptr[i + 1] += g.ptr[i];
+  g.idx.resize(g.ptr[n_groups]);
+  std::vector<std::size_t> cursor(g.ptr.begin(), g.ptr.end() - 1);
+  for (std::uint32_t i = 0; i < key.size(); ++i)
+    if (key[i] != kNone) g.idx[cursor[key[i]]++] = i;
+  return g;
+}
+
+}  // namespace
 
 std::vector<std::uint32_t> column_etree(const SparseMatrix& a) {
   const std::size_t n = a.cols;
-  constexpr std::uint32_t kNone = 0xffffffffu;
   std::vector<std::uint32_t> parent(n, kNone);
   std::vector<std::uint32_t> ancestor(n, kNone);
   // prev[r]: last column whose pattern contains row r (Gilbert–Ng–Peyton).
@@ -34,31 +65,32 @@ std::vector<std::uint32_t> column_etree(const SparseMatrix& a) {
 
 std::vector<std::uint32_t> postorder(const std::vector<std::uint32_t>& parent) {
   const std::size_t n = parent.size();
-  std::vector<std::vector<std::uint32_t>> children(n);
+  std::vector<std::uint32_t> parent_of(n, kNone);
   std::vector<std::uint32_t> roots;
   for (std::uint32_t j = 0; j < n; ++j) {
     if (parent[j] == j) {
       roots.push_back(j);
     } else {
       MP_CHECK_MSG(parent[j] > j, "etree parents must follow children");
-      children[parent[j]].push_back(j);
+      parent_of[j] = parent[j];
     }
   }
+  const Groups children = group_by(parent_of, n);
   std::vector<std::uint32_t> post;
   post.reserve(n);
   // Iterative DFS emitting children before parents.
   struct Item {
     std::uint32_t node;
-    std::uint32_t next_child;
+    std::size_t next_child;
   };
   std::vector<Item> stack;
   for (std::uint32_t r : roots) {
-    stack.push_back({r, 0});
+    stack.push_back({r, children.ptr[r]});
     while (!stack.empty()) {
       Item& top = stack.back();
-      if (top.next_child < children[top.node].size()) {
-        const std::uint32_t c = children[top.node][top.next_child++];
-        stack.push_back({c, 0});
+      if (top.next_child < children.ptr[top.node + 1]) {
+        const std::uint32_t c = children.idx[top.next_child++];
+        stack.push_back({c, children.ptr[c]});
       } else {
         post.push_back(top.node);
         stack.pop_back();
@@ -106,73 +138,132 @@ SymbolicAnalysis analyze(const SparseMatrix& a, AnalysisOptions opts) {
   out.etree_parent = column_etree(a);
   out.post = postorder(out.etree_parent);
   const std::size_t n = a.cols;
-  constexpr std::uint32_t kNone = 0xffffffffu;
 
   // Relabel columns by post-order rank; the etree is preserved under its own
   // post-order, and fronts then own consecutive column ranges.
   std::vector<std::uint32_t> rank(n);
   for (std::uint32_t i = 0; i < n; ++i) rank[out.post[i]] = i;
   std::vector<std::uint32_t> parent_r(n);  // parent in rank space
-  std::vector<std::uint32_t> n_children(n, 0);
+  std::vector<std::uint32_t> parent_key(n, kNone);
   for (std::uint32_t j = 0; j < n; ++j) {
     const std::uint32_t pj = out.etree_parent[j];
     parent_r[rank[j]] = (pj == j) ? rank[j] : rank[pj];
+    if (pj != j) parent_key[rank[j]] = rank[pj];
   }
-  std::vector<std::vector<std::uint32_t>> etree_children(n);
-  for (std::uint32_t j = 0; j < n; ++j) {
-    if (parent_r[j] != j) {
-      ++n_children[parent_r[j]];
-      etree_children[parent_r[j]].push_back(j);
+  const Groups etree_children = group_by(parent_key, n);
+
+  // Row patterns in rank space: visiting the columns in rank order appends
+  // every row's entries already sorted, so a row's first entry is its
+  // leftmost column.
+  Groups rows;
+  rows.ptr.assign(a.rows + 1, 0);
+  for (std::uint32_t r : a.row_idx) ++rows.ptr[r + 1];
+  for (std::size_t r = 0; r < a.rows; ++r) rows.ptr[r + 1] += rows.ptr[r];
+  rows.idx.resize(a.nnz());
+  {
+    std::vector<std::size_t> cursor(rows.ptr.begin(), rows.ptr.end() - 1);
+    for (std::uint32_t jr = 0; jr < n; ++jr) {
+      const std::uint32_t j = out.post[jr];
+      for (std::size_t k = a.col_ptr[j]; k < a.col_ptr[j + 1]; ++k)
+        rows.idx[cursor[a.row_idx[k]]++] = jr;
     }
   }
+  std::vector<std::uint32_t> leftmost(a.rows, kNone);
+  for (std::size_t r = 0; r < a.rows; ++r)
+    if (rows.size(r) > 0) leftmost[r] = rows[r].front();
+  const Groups rows_by_leftmost = group_by(leftmost, n);
 
-  // Row patterns in rank space, bucketed by (rank-space) leftmost column.
-  const SparseMatrix at = a.transposed();  // rows of A as "columns"
-  std::vector<std::vector<std::uint32_t>> rows_by_leftmost(n);
-  std::vector<std::vector<std::uint32_t>> row_pattern(a.rows);
-  for (std::size_t r = 0; r < a.rows; ++r) {
-    const std::size_t b = at.col_ptr[r];
-    const std::size_t e = at.col_ptr[r + 1];
-    if (b == e) continue;
-    auto& pat = row_pattern[r];
-    pat.reserve(e - b);
-    for (std::size_t k = b; k < e; ++k) pat.push_back(rank[at.row_idx[k]]);
-    std::sort(pat.begin(), pat.end());
-    rows_by_leftmost[pat.front()].push_back(static_cast<std::uint32_t>(r));
+  // Pass 1: the size of every column's R border, the only per-column
+  // structure amalgamation reads. border(j) = {x > j} of the rows assembled
+  // at j and the borders of j's etree children. Along a chain (j's only
+  // child is j−1, by post-order) one open set is updated in place: drop j,
+  // add the new row entries. A chain whose parent joins several children
+  // hands its finished border to a stack; post-order pops a join's children
+  // as the top entries.
+  std::vector<std::size_t> col_border_size(n, 0);
+  {
+    std::vector<std::uint32_t> mark(n, kNone);  // == chain: x is in the open set
+    std::vector<std::uint32_t> members;         // every x added to the open set
+    std::vector<std::uint32_t> handed;          // finished chain borders, stacked
+    std::vector<std::size_t> handed_start;
+    std::uint32_t chain = kNone;  // first column of the open chain
+    std::size_t size = 0;
+    auto add = [&](std::uint32_t x) {
+      if (mark[x] == chain) return;
+      mark[x] = chain;
+      members.push_back(x);
+      ++size;
+    };
+    for (std::uint32_t j = 0; j < n; ++j) {
+      const std::size_t nc = etree_children.size(j);
+      if (nc == 1) {
+        if (mark[j] == chain) {
+          mark[j] = kNone;
+          --size;
+        }
+      } else {
+        chain = j;
+        members.clear();
+        size = 0;
+        if (nc > 0) {
+          MP_CHECK(handed_start.size() >= nc);
+          const std::size_t top = handed_start.size() - nc;
+          for (std::size_t k = handed_start[top]; k < handed.size(); ++k)
+            if (handed[k] > j) add(handed[k]);
+          handed.resize(handed_start[top]);
+          handed_start.resize(top);
+        }
+      }
+      for (std::uint32_t r : rows_by_leftmost[j])
+        for (std::uint32_t x : rows[r])
+          if (x > j) add(x);
+      col_border_size[j] = size;
+      // Chain columns below j were dropped as they were reached, so every
+      // member still marked lies above j.
+      const std::uint32_t p = parent_r[j];
+      if (p != j && etree_children.size(p) != 1) {
+        handed_start.push_back(handed.size());
+        for (std::uint32_t x : members)
+          if (mark[x] == chain) handed.push_back(x);
+      }
+    }
+    MP_CHECK(handed_start.empty());
   }
 
-  // Single post-order sweep. For each column (rank space == post-order):
-  //   * exact column border = {x > j} of (assembled-row patterns union
-  //     etree-children borders) — children borders are freed right after;
-  //   * fill-aware supernode amalgamation into the single open front;
-  //   * front row counts from assembled rows + closed children fronts'
-  //     contribution blocks (registered against the parent *column*).
+  // Single post-order sweep: fill-aware supernode amalgamation into the
+  // single open front, and front row counts from assembled rows + closed
+  // children fronts' contribution blocks (registered against the parent
+  // *column*).
   std::vector<Front>& fronts = out.fronts;
   std::vector<std::uint32_t> front_of(n, kNone);
-  std::vector<std::vector<std::uint32_t>> col_border(n);
-  std::vector<std::size_t> col_border_size(n, 0);  // survives border clearing
-  std::vector<std::size_t> col_rows(n, 0);
-  std::vector<std::size_t> pending_cb(n, 0);              // per parent column
+  std::vector<std::size_t> pending_cb(n, 0);  // per parent column
   std::vector<std::vector<std::uint32_t>> pending_children(n);
-  std::vector<std::uint32_t> front_union;  // border union of the open front
-  std::vector<std::uint32_t> merged;
-  std::vector<std::uint32_t> tmp;
-
-  auto merge_into = [&tmp](std::vector<std::uint32_t>& dst,
-                           const std::vector<std::uint32_t>& src) {
-    tmp.clear();
-    std::set_union(dst.begin(), dst.end(), src.begin(), src.end(),
-                   std::back_inserter(tmp));
-    dst.swap(tmp);
-  };
+  std::vector<std::uint32_t> in_border(n, kNone);  // == front index: x is in its border
 
   auto close_front = [&]() {
     if (fronts.empty()) return;
+    const auto fi = static_cast<std::uint32_t>(fronts.size() - 1);
     Front& f = fronts.back();
     const std::uint32_t last = f.cols.back();
-    f.border.clear();
-    for (std::uint32_t x : front_union)
-      if (x > last) f.border.push_back(x);
+    // Pass 2: the front's border is border(last), the entries > last of its
+    // assembled rows and its child fronts' borders (a front is an etree
+    // chain). It equals the union of its columns' borders above last,
+    // because border(c) \ {parent(c)} ⊆ border(parent(c)).
+    auto add = [&](std::uint32_t x) {
+      if (x <= last || in_border[x] == fi) return;
+      in_border[x] = fi;
+      f.border.push_back(x);
+    };
+    for (std::uint32_t c : f.cols)
+      for (std::uint32_t r : rows_by_leftmost[c])
+        for (std::uint32_t x : rows[r]) add(x);
+    for (std::uint32_t ch : f.children)
+      for (std::uint32_t x : fronts[ch].border) add(x);
+    std::sort(f.border.begin(), f.border.end());
+    MP_CHECK_MSG(f.border.size() == col_border_size[last],
+                 "front border disagrees with its last column's border size");
+    MP_CHECK_MSG(f.border.empty() ? parent_r[last] == last : f.border.front() == parent_r[last],
+                 "the first border column must be the etree parent");
     // Staircase-aware flops: a row participates only from the pivot at
     // which it enters the front (child CB rows enter with their parent
     // column, original rows with their leftmost pivot).
@@ -182,7 +273,7 @@ SymbolicAnalysis analyze(const SparseMatrix& a, AnalysisOptions opts) {
     f.rows_at_pivot.reserve(f.cols.size());
     for (std::size_t i = 0; i < f.cols.size(); ++i) {
       const std::uint32_t c = f.cols[i];
-      rows_in += static_cast<double>(col_rows[c] + pending_cb[c]);
+      rows_in += static_cast<double>(rows_by_leftmost.size(c) + pending_cb[c]);
       f.rows_at_pivot.push_back(static_cast<std::uint32_t>(rows_in));
       const double active = rows_in - static_cast<double>(i);
       if (active <= 0.0) continue;
@@ -197,48 +288,26 @@ SymbolicAnalysis analyze(const SparseMatrix& a, AnalysisOptions opts) {
     const std::uint32_t p = parent_r[last];
     if (p != last) {
       pending_cb[p] += f.cb_rows();
-      pending_children[p].push_back(static_cast<std::uint32_t>(fronts.size() - 1));
+      pending_children[p].push_back(fi);
     }
   };
 
   for (std::uint32_t j = 0; j < n; ++j) {
-    // Exact border of column j.
-    merged.clear();
-    merged.push_back(j);
-    for (std::uint32_t r : rows_by_leftmost[j]) {
-      merge_into(merged, row_pattern[r]);
-      ++col_rows[j];
-    }
-    for (std::uint32_t c : etree_children[j]) {
-      merge_into(merged, col_border[c]);
-      col_border[c].clear();
-      col_border[c].shrink_to_fit();
-    }
-    auto& bj = col_border[j];
-    bj.clear();
-    for (std::uint32_t x : merged)
-      if (x > j) bj.push_back(x);
-    col_border_size[j] = bj.size();
-
-    // Amalgamation decision (the chain child's border vector was just
-    // consumed and freed above; its recorded size drives the fill check).
     bool extend = false;
     if (!fronts.empty()) {
       const std::uint32_t last = fronts.back().cols.back();
-      extend = parent_r[last] == j && n_children[j] == 1 &&
+      extend = parent_r[last] == j && etree_children.size(j) == 1 &&
                fronts.back().cols.size() < opts.max_front_cols &&
-               col_border_size[last] <= bj.size() + 1 + opts.amalgamation_slack;
+               col_border_size[last] <= col_border_size[j] + 1 + opts.amalgamation_slack;
     }
     if (!extend) {
       close_front();
       fronts.emplace_back();
-      front_union.clear();
     }
     Front& f = fronts.back();
     f.cols.push_back(j);
     front_of[j] = static_cast<std::uint32_t>(fronts.size() - 1);
-    merge_into(front_union, bj);
-    f.m += col_rows[j] + pending_cb[j];
+    f.m += rows_by_leftmost.size(j) + pending_cb[j];
     for (std::uint32_t cf : pending_children[j]) f.children.push_back(cf);
     pending_children[j].clear();
   }

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "obs/export.hpp"
 
@@ -20,7 +22,9 @@ std::string num(double v) {
 }  // namespace
 
 BenchRecord& BenchRecord::param(const std::string& name, const std::string& value) {
-  params_.emplace_back(name, "\"" + json_escape(value) + "\"");
+  std::string quoted = "\"";
+  quoted.append(json_escape(value)).append("\"");
+  params_.emplace_back(name, std::move(quoted));
   return *this;
 }
 

@@ -3,6 +3,8 @@
 // through the threaded executor under several schedulers.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "apps/dense/dense_builders.hpp"
 #include "apps/dense/reference.hpp"
 #include "exec/thread_executor.hpp"
@@ -100,6 +102,45 @@ TEST(Builders, SimulationRunsAllSchedulers) {
       return make_scheduler_by_name(name, std::move(ctx));
     });
     EXPECT_EQ(r.tasks_executed, g.num_tasks()) << name;
+  }
+}
+
+// The in-place tile fills against the same fills done on a full n×n copy.
+TEST(TileMatrix, InPlaceFillsMatchFullCopy) {
+  struct Case {
+    std::size_t tiles;
+    std::size_t nb;
+    std::uint64_t seed;
+  };
+  for (const Case c : {Case{1, 5, 1}, Case{3, 4, 7}, Case{4, 16, 1234}, Case{2, 33, 99}}) {
+    TileMatrix want_spd(c.tiles, c.nb, true);
+    TileMatrix want_dd(c.tiles, c.nb, true);
+    want_spd.fill_random(c.seed);
+    want_dd.fill_random(c.seed);
+    const std::size_t n = want_spd.n();
+    std::vector<double> spd = want_spd.to_full();
+    std::vector<double> dd = want_dd.to_full();
+    for (std::size_t j = 0; j < n; ++j) {
+      for (std::size_t i = 0; i < j; ++i) {
+        const double s = 0.5 * (spd[j * n + i] + spd[i * n + j]);
+        spd[j * n + i] = s;
+        spd[i * n + j] = s;
+      }
+      spd[j * n + j] += static_cast<double>(n);
+      dd[j * n + j] += static_cast<double>(n);
+    }
+    want_spd.from_full(spd);
+    want_dd.from_full(dd);
+
+    TileMatrix got_spd(c.tiles, c.nb, true);
+    TileMatrix got_dd(c.tiles, c.nb, true);
+    got_spd.fill_spd(c.seed);
+    got_dd.fill_diag_dominant(c.seed);
+    const std::size_t bytes = n * n * sizeof(double);
+    EXPECT_EQ(std::memcmp(got_spd.tile(0, 0), want_spd.tile(0, 0), bytes), 0)
+        << "fill_spd tiles " << c.tiles << " nb " << c.nb;
+    EXPECT_EQ(std::memcmp(got_dd.tile(0, 0), want_dd.tile(0, 0), bytes), 0)
+        << "fill_diag_dominant tiles " << c.tiles << " nb " << c.nb;
   }
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <string>
 
 #include "apps/sparseqr/dag_builder.hpp"
 #include "common/rng.hpp"
@@ -10,6 +12,7 @@
 #include "apps/sparseqr/symbolic.hpp"
 #include "sched/schedulers.hpp"
 #include "sim/engine.hpp"
+#include "sqr_symbolic_oracle.hpp"
 #include "test_util.hpp"
 
 namespace mp::sqr {
@@ -174,6 +177,79 @@ TEST(Analyze, AmalgamationReducesFrontCount) {
   EXPECT_LT(few.fronts.size(), many.fronts.size());
   EXPECT_EQ(many.fronts.size(), m.cols);  // no amalgamation: one col each
 }
+
+// The two-pass analysis against the per-column oracle, every field equal
+// (doubles bit for bit).
+struct OracleCase {
+  std::string name;
+  MatrixSpec spec;
+  std::uint64_t seed = 1;
+  AnalysisOptions opts;
+};
+
+std::vector<OracleCase> oracle_cases() {
+  std::vector<OracleCase> cases;
+  const std::pair<const char*, AnalysisOptions> options[] = {
+      {"cap1_slack4", {1, 4}},
+      {"cap16_slack0", {16, 0}},
+      {"cap64_slack100", {64, 100}},
+      {"default", {}}};
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    // A random shape per seed (tall or wide before orientation), banded to
+    // scattered.
+    Rng rng(seed);
+    MatrixSpec spec;
+    spec.name = "random" + std::to_string(seed);
+    spec.rows = 40 + rng.next_in(0, 560);
+    spec.cols = 30 + rng.next_in(0, 470);
+    spec.nnz = spec.cols * rng.next_in(1, std::min<std::uint64_t>(6, spec.rows - 1));
+    spec.band_spread = rng.next_real(1.0, 60.0);
+    spec.global_fraction = rng.next_real(0.0, 0.05);
+    spec.global_bias = rng.next_double() < 0.5 ? 1.0 : 2.0;
+    for (const auto& [label, opts] : options)
+      cases.push_back({spec.name + "_" + label, spec, seed, opts});
+  }
+  for (const MatrixSpec& spec : paper_matrix_specs())
+    if (spec.name == "cat_ears_4_4" || spec.name == "flower_7_4" || spec.name == "e18")
+      cases.push_back({spec.name, spec, 1, {}});
+  return cases;
+}
+
+void PrintTo(const OracleCase& c, std::ostream* os) { *os << c.name; }
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+class AnalyzeOracle : public ::testing::TestWithParam<OracleCase> {};
+
+TEST_P(AnalyzeOracle, EveryFieldMatchesThePerColumnAnalysis) {
+  const OracleCase& c = GetParam();
+  const SparseMatrix m = tall_orientation(generate(c.spec, c.seed));
+  const SymbolicAnalysis got = analyze(m, c.opts);
+  const SymbolicAnalysis want = oracle::analyze(m, c.opts);
+  EXPECT_EQ(got.etree_parent, want.etree_parent);
+  EXPECT_EQ(got.post, want.post);
+  EXPECT_TRUE(same_bits(got.total_flops, want.total_flops))
+      << got.total_flops << " vs " << want.total_flops;
+  ASSERT_EQ(got.fronts.size(), want.fronts.size());
+  for (std::size_t fi = 0; fi < got.fronts.size(); ++fi) {
+    const Front& g = got.fronts[fi];
+    const Front& w = want.fronts[fi];
+    const bool same = g.cols == w.cols && g.border == w.border && g.m == w.m &&
+                      g.children == w.children && g.parent == w.parent &&
+                      g.rows_at_pivot == w.rows_at_pivot &&
+                      same_bits(g.staircase_flops, w.staircase_flops);
+    ASSERT_TRUE(same) << "front " << fi << ": k " << g.k() << " vs " << w.k() << ", border "
+                      << g.border.size() << " vs " << w.border.size() << ", m " << g.m
+                      << " vs " << w.m;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Cases, AnalyzeOracle, ::testing::ValuesIn(oracle_cases()),
+                         [](const ::testing::TestParamInfo<OracleCase>& info) {
+                           return info.param.name;
+                         });
 
 TEST(Generators, ExactShapeAndNnz) {
   for (const MatrixSpec& spec : paper_matrix_specs()) {

@@ -32,6 +32,7 @@ struct EdgeGraph {
 
     for (std::size_t i = 0; i < n; ++i) {
       std::vector<Access> acc;
+      acc.reserve(1 + edges.size());
       acc.push_back(Access{own[i], AccessMode::ReadWrite});
       for (std::size_t e = 0; e < edges.size(); ++e) {
         if (edges[e].first == i) acc.push_back(Access{edge_data[e], AccessMode::Write});
@@ -39,7 +40,7 @@ struct EdgeGraph {
       }
       SubmitOptions opts;
       opts.flops = flops;
-      opts.name = "t" + std::to_string(i);
+      opts.name.assign("t").append(std::to_string(i));
       tasks.push_back(graph.submit(cl, std::span<const Access>(acc), std::move(opts)));
     }
   }

@@ -173,67 +173,12 @@ SymbolicAnalysis analyze(const SparseMatrix& a, AnalysisOptions opts) {
     if (rows.size(r) > 0) leftmost[r] = rows[r].front();
   const Groups rows_by_leftmost = group_by(leftmost, n);
 
-  // Pass 1: the size of every column's R border, the only per-column
-  // structure amalgamation reads. border(j) = {x > j} of the rows assembled
-  // at j and the borders of j's etree children. Along a chain (j's only
-  // child is j−1, by post-order) one open set is updated in place: drop j,
-  // add the new row entries. A chain whose parent joins several children
-  // hands its finished border to a stack; post-order pops a join's children
-  // as the top entries.
-  std::vector<std::size_t> col_border_size(n, 0);
-  {
-    std::vector<std::uint32_t> mark(n, kNone);  // == chain: x is in the open set
-    std::vector<std::uint32_t> members;         // every x added to the open set
-    std::vector<std::uint32_t> handed;          // finished chain borders, stacked
-    std::vector<std::size_t> handed_start;
-    std::uint32_t chain = kNone;  // first column of the open chain
-    std::size_t size = 0;
-    auto add = [&](std::uint32_t x) {
-      if (mark[x] == chain) return;
-      mark[x] = chain;
-      members.push_back(x);
-      ++size;
-    };
-    for (std::uint32_t j = 0; j < n; ++j) {
-      const std::size_t nc = etree_children.size(j);
-      if (nc == 1) {
-        if (mark[j] == chain) {
-          mark[j] = kNone;
-          --size;
-        }
-      } else {
-        chain = j;
-        members.clear();
-        size = 0;
-        if (nc > 0) {
-          MP_CHECK(handed_start.size() >= nc);
-          const std::size_t top = handed_start.size() - nc;
-          for (std::size_t k = handed_start[top]; k < handed.size(); ++k)
-            if (handed[k] > j) add(handed[k]);
-          handed.resize(handed_start[top]);
-          handed_start.resize(top);
-        }
-      }
-      for (std::uint32_t r : rows_by_leftmost[j])
-        for (std::uint32_t x : rows[r])
-          if (x > j) add(x);
-      col_border_size[j] = size;
-      // Chain columns below j were dropped as they were reached, so every
-      // member still marked lies above j.
-      const std::uint32_t p = parent_r[j];
-      if (p != j && etree_children.size(p) != 1) {
-        handed_start.push_back(handed.size());
-        for (std::uint32_t x : members)
-          if (mark[x] == chain) handed.push_back(x);
-      }
-    }
-    MP_CHECK(handed_start.empty());
-  }
-
-  // Single post-order sweep: fill-aware supernode amalgamation into the
-  // single open front, and front row counts from assembled rows + closed
-  // children fronts' contribution blocks (registered against the parent
-  // *column*).
+  // Single post-order sweep: supernode amalgamation into the single open
+  // front, and front row counts from assembled rows + closed children
+  // fronts' contribution blocks (registered against the parent *column*).
+  // Fronts are fundamental chains: a column joins the open front when it is
+  // the etree parent of the front's last column and has no other child, up
+  // to max_front_cols pivots.
   std::vector<Front>& fronts = out.fronts;
   std::vector<std::uint32_t> front_of(n, kNone);
   std::vector<std::size_t> pending_cb(n, 0);  // per parent column
@@ -245,7 +190,7 @@ SymbolicAnalysis analyze(const SparseMatrix& a, AnalysisOptions opts) {
     const auto fi = static_cast<std::uint32_t>(fronts.size() - 1);
     Front& f = fronts.back();
     const std::uint32_t last = f.cols.back();
-    // Pass 2: the front's border is border(last), the entries > last of its
+    // The front's border is border(last), the entries > last of its
     // assembled rows and its child fronts' borders (a front is an etree
     // chain). It equals the union of its columns' borders above last,
     // because border(c) \ {parent(c)} ⊆ border(parent(c)).
@@ -260,8 +205,6 @@ SymbolicAnalysis analyze(const SparseMatrix& a, AnalysisOptions opts) {
     for (std::uint32_t ch : f.children)
       for (std::uint32_t x : fronts[ch].border) add(x);
     std::sort(f.border.begin(), f.border.end());
-    MP_CHECK_MSG(f.border.size() == col_border_size[last],
-                 "front border disagrees with its last column's border size");
     MP_CHECK_MSG(f.border.empty() ? parent_r[last] == last : f.border.front() == parent_r[last],
                  "the first border column must be the etree parent");
     // Staircase-aware flops: a row participates only from the pivot at
@@ -297,8 +240,7 @@ SymbolicAnalysis analyze(const SparseMatrix& a, AnalysisOptions opts) {
     if (!fronts.empty()) {
       const std::uint32_t last = fronts.back().cols.back();
       extend = parent_r[last] == j && etree_children.size(j) == 1 &&
-               fronts.back().cols.size() < opts.max_front_cols &&
-               col_border_size[last] <= col_border_size[j] + 1 + opts.amalgamation_slack;
+               fronts.back().cols.size() < opts.max_front_cols;
     }
     if (!extend) {
       close_front();

@@ -1,5 +1,5 @@
 // Symbolic multifrontal QR analysis: column elimination tree, post-order,
-// supernode amalgamation into fronts, and exact front structures (column
+// amalgamation of etree chains into fronts, and exact front structures (column
 // patterns via bottom-up union of assembled-row patterns and child borders).
 // This is the analysis phase of a qr_mumps-style solver; its fronts drive
 // the irregular DAG of the paper's sparse experiments (Fig. 8).
@@ -81,10 +81,6 @@ struct AnalysisOptions {
   /// (dense-ish) root — small caps fragment the root region into chains of
   /// fronts shuttling enormous contribution blocks.
   std::size_t max_front_cols = 1024;
-  /// Fill-awareness of the amalgamation: a column joins the open front only
-  /// if the front's last border is at most `amalgamation_slack` entries
-  /// larger than the column's own border (0 = fundamental supernodes only).
-  std::size_t amalgamation_slack = 4;
 };
 
 [[nodiscard]] SymbolicAnalysis analyze(const SparseMatrix& a, AnalysisOptions opts = {});

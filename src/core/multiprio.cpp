@@ -135,7 +135,7 @@ void MultiPrioScheduler::plan_wakes(std::span<const TaskId> ts) {
   }
   for (TaskId t : ts) {
     const TaskState& st = states_[t.index()];
-    if (st.phase.load() != kPending) continue;
+    MP_ASSERT(st.phase.load() == kPending);
     // Progress: make sure a worker will scan one of the task's best heaps.
     const PushRecord& rec = st.rec;
     bool best_awake = false;
@@ -202,29 +202,16 @@ std::uint64_t MultiPrioScheduler::target_nodes(TaskId t) const {
   return targets;
 }
 
-bool MultiPrioScheduler::push_locked(TaskId t, double t_now) {
+void MultiPrioScheduler::push_locked(TaskId t, double t_now) {
   TaskState& st = state_of(t);
   MP_CHECK_MSG(st.phase.load() != kPending, "push of an already-pending task");
   MP_ASSERT(st.phase.load() != kTaken);  // repush resets to Idle first
 
-  // Placeability first, before any live-platform judgement (the best-arch
-  // verdict requires a live enabled arch): if no live capable node remained by the
-  // time the shard locks were held, a fail-stop raced the engine's pre-push
-  // liveness screen (the caller's target set can only shrink — liveness
-  // never comes back). A task that no platform arch could EVER run is still
-  // a config error; a task that merely lost its last live worker is
-  // surrendered for the engine to abandon via drain_unplaced().
+  // Both engines flip liveness and screen released tasks under their
+  // push-side serialization, so a pushed task always has a live capable
+  // node; an empty target set is an engine bug.
   const std::uint64_t targets = target_nodes(t);
-  if (targets == 0) {
-    bool executable_anywhere = false;
-    for (std::size_t mi = 0; mi < num_shards_; ++mi)
-      if (ctx_.graph->can_exec(t, ctx_.platform->node_arch(MemNodeId{mi})))
-        executable_anywhere = true;
-    MP_CHECK_MSG(executable_anywhere, "ready task has no executable memory node");
-    st.live_mask.store(0);
-    unplaced_.push_back(t);
-    return false;
-  }
+  MP_CHECK_MSG(targets != 0, "pushed task has no live capable memory node");
 
   PushRecord& rec = st.rec;
   rec.nodes = 0;
@@ -284,7 +271,6 @@ bool MultiPrioScheduler::push_locked(TaskId t, double t_now) {
   st.live_mask.store(rec.nodes);
   st.phase.store(kPending);
   pending_.fetch_add(1);
-  return true;
 }
 
 void MultiPrioScheduler::push(TaskId t) {
@@ -294,7 +280,7 @@ void MultiPrioScheduler::push(TaskId t) {
   const double t_now = ctx_.observer != nullptr ? obs_time() : 0.0;
   {
     AscendingShardLocks locks(*this, target_nodes(t));
-    if (!push_locked(t, t_now)) return;  // surrendered to drain_unplaced()
+    push_locked(t, t_now);
     plan_wakes({&t, 1});
   }
   send_wakes();
@@ -312,8 +298,7 @@ void MultiPrioScheduler::push_batch(const std::vector<TaskId>& ts) {
   for (TaskId t : ts) union_targets |= target_nodes(t);
   {
     AscendingShardLocks locks(*this, union_targets);
-    // A surrendered task stays out of the plan (it never became pending).
-    for (TaskId t : ts) (void)push_locked(t, t_now);
+    for (TaskId t : ts) push_locked(t, t_now);
     // Planned once the whole batch is in: late pushes raise the brw ledger
     // and can make earlier tasks diversion-eligible.
     plan_wakes(ts);
@@ -530,7 +515,8 @@ void MultiPrioScheduler::repush(TaskId t) {
       if (shards_[mi].heap.contains(t)) shards_[mi].heap.remove(t);
     states_[t.index()].phase.store(kIdle);
     states_[t.index()].live_mask.store(0);
-    if (push_locked(t, t_now)) plan_wakes({&t, 1});  // else surrendered
+    push_locked(t, t_now);
+    plan_wakes({&t, 1});
   }
   send_wakes();
 }
@@ -578,26 +564,12 @@ std::vector<TaskId> MultiPrioScheduler::notify_worker_removed(WorkerId w) {
     // platform rather than contrasts measured against dead architectures.
     gain_.reset();
     nod_.reset();
-    for (TaskId t : survivors) {
-      if (!push_locked(t, t_now)) {
-        // A second fail-stop raced this rebuild and took the task's last
-        // capable worker: it is an orphan of this removal after all.
-        unplaced_.pop_back();
-        orphans.push_back(t);
-      }
-    }
+    for (TaskId t : survivors) push_locked(t, t_now);
     plan_wakes(survivors);
     std::sort(orphans.begin(), orphans.end());  // deterministic surrender order
   }
   send_wakes();
   return orphans;
-}
-
-std::vector<TaskId> MultiPrioScheduler::drain_unplaced() {
-  MP_CHECK_MSG(num_shards_ > 0, "drain_unplaced on an unconfigured scheduler");
-  std::vector<TaskId> out;
-  out.swap(unplaced_);
-  return out;
 }
 
 void MultiPrioScheduler::on_task_start(TaskId /*t*/, WorkerId w) {

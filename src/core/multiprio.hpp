@@ -94,12 +94,6 @@ class MultiPrioScheduler final : public Scheduler {
   /// of every heap and lost. Tasks with no live capable worker are returned.
   [[nodiscard]] std::vector<TaskId> notify_worker_removed(WorkerId w) override;
 
-  /// Tasks surrendered because a fail-stop raced the push: by the time the
-  /// shard locks were taken no live worker could execute them (the engine's
-  /// pre-push liveness screen ran before the death). They never became
-  /// pending; the engine abandons them.
-  [[nodiscard]] std::vector<TaskId> drain_unplaced() override;
-
   /// Lock-free per the Internal contract: maintain the per-node count of
   /// workers inside a kernel, which the wake rule subtracts to find the
   /// node's scanning workers (those that absorb new work without a wake).
@@ -284,10 +278,8 @@ class MultiPrioScheduler final : public Scheduler {
   /// Algorithm 1 for one task; requires every target shard lock held (the
   /// public entry points take them). `t_now` is the precaptured event
   /// timestamp (one clock read per push/pop, outside any shard lock).
-  /// Returns false when no live capable node remained by the time the locks
-  /// were held (a racing fail-stop): the task goes to `unplaced_` instead of
-  /// any heap and the caller must not advertise it to waiters.
-  [[nodiscard]] bool push_locked(TaskId t, double t_now);
+  /// The engine guarantees a live capable node (always-on check).
+  void push_locked(TaskId t, double t_now);
   /// Target nodes of one task (node_bit set) = live nodes whose arch can
   /// execute it.
   [[nodiscard]] std::uint64_t target_nodes(TaskId t) const;
@@ -321,9 +313,6 @@ class MultiPrioScheduler final : public Scheduler {
   std::vector<RelaxedAtomic<std::int64_t>> ready_count_;  // per node
   std::vector<RelaxedAtomic<double>> brw_;        // best_remaining_work per node
   std::vector<TaskState> states_;                 // per task, sized once
-  /// Push-race casualties awaiting drain_unplaced(); push-side calls are
-  /// serialized by the engine, so no lock of its own.
-  std::vector<TaskId> unplaced_;
   /// Per-worker in-kernel flag: owned by the worker's own thread (start/end
   /// run on it), it makes the Shard::executing transitions exactly-once even
   /// when a failed attempt skips on_task_end before the next on_task_start.
@@ -336,8 +325,7 @@ class MultiPrioScheduler final : public Scheduler {
 
   // --- the wake rule (DESIGN.md §12) ---------------------------------------
   /// Plans the wakes an insert of `ts` needs, into wake_. Requires the shard
-  /// locks of every node the tasks went to (waiters is exact under them);
-  /// tasks that are not pending (surrendered to drain_unplaced) are skipped.
+  /// locks of every node the tasks went to (waiters is exact under them).
   void plan_wakes(std::span<const TaskId> ts);
   /// Sends the planned wakes; call after releasing the shard locks.
   void send_wakes();

@@ -250,7 +250,7 @@ ExecResult ThreadExecutor::run(const ExecSchedulerFactory& make_scheduler,
         }
         finished.store(lifecycle.settled());
       }
-      std::vector<TaskId> unplaced;
+      std::vector<TaskId> orphaned;
       if (!failed || retry) {
         std::lock_guard plock(push_mu);
         if (retry) {
@@ -268,16 +268,15 @@ ExecResult ThreadExecutor::run(const ExecSchedulerFactory& make_scheduler,
             const auto orphans = std::stable_partition(
                 ready.begin(), ready.end(),
                 [&](TaskId nt) { return task_has_live_worker(ctx, nt); });
-            unplaced.assign(orphans, ready.end());
+            orphaned.assign(orphans, ready.end());
             ready.erase(orphans, ready.end());
           }
           sched->push_batch(ready);
         }
-        for (TaskId ot : sched->drain_unplaced()) unplaced.push_back(ot);
       }
-      if (!unplaced.empty()) {
+      if (!orphaned.empty()) {
         std::lock_guard lock(mu);
-        for (TaskId ot : unplaced) lifecycle.abandon(ot);
+        for (TaskId ot : orphaned) lifecycle.abandon(ot);
         finished.store(lifecycle.settled());
       }
       if (finished.load() >= total) sched->interrupt_waiters();

@@ -1,9 +1,6 @@
 #include "runtime/perf_model.hpp"
 
 #include <algorithm>
-#include <cmath>
-
-#include "common/rng.hpp"
 
 #include "common/check.hpp"
 
@@ -46,14 +43,6 @@ double PerfDatabase::ground_truth(const TaskGraph& graph, TaskId t, ArchType a) 
 
 HistoryModel::HistoryModel(const TaskGraph& graph, const PerfDatabase& truth)
     : graph_(graph), truth_(truth), slot_of_(graph.num_tasks() * kNumArchTypes, kUnresolved) {}
-
-std::uint64_t HistoryModel::bias_key(TaskId t, ArchType a) const {
-  const Task& task = graph_.task(t);
-  std::uint64_t h = task.codelet.value();
-  h = h * 0x9e3779b97f4a7c15ULL + static_cast<std::uint64_t>(arch_index(a));
-  h = h * 0x9e3779b97f4a7c15ULL + static_cast<std::uint64_t>(task.footprint_bytes);
-  return h;
-}
 
 HistoryModel::Bucket& HistoryModel::bucket(TaskId t, ArchType a) const {
   const std::size_t i = t.index() * kNumArchTypes + arch_index(a);
@@ -98,7 +87,7 @@ void HistoryModel::record(TaskId t, ArchType a, double measured_s) {
   b.mean += (measured_s - b.mean) / static_cast<double>(b.count);
 }
 
-void HistoryModel::seed_from_truth(double bias_sigma, std::uint64_t bias_seed) {
+void HistoryModel::seed_from_truth() {
   for (std::size_t i = 0; i < graph_.num_tasks(); ++i) {
     const TaskId t{i};
     const Codelet& cl = graph_.codelet_of(t);
@@ -109,10 +98,6 @@ void HistoryModel::seed_from_truth(double bias_sigma, std::uint64_t bias_seed) {
       if (b.count == 0) {
         b.count = calibration_min_;
         b.mean = truth_.ground_truth(graph_, t, a);
-        if (bias_sigma > 0.0) {
-          Rng rng = Rng::derive(bias_seed, bias_key(t, a));
-          b.mean *= std::exp(bias_sigma * rng.next_normal());
-        }
       }
     }
   }

@@ -85,11 +85,8 @@ class HistoryModel {
 
   /// Pre-seeds every (codelet, arch, footprint) bucket that appears in the
   /// graph with its analytic expectation — the "already calibrated" regime
-  /// the paper's experiments run in. `bias_sigma` > 0 applies a
-  /// deterministic log-normal factor per bucket (seeded by `bias_seed`):
-  /// systematic calibration error, as real history models trained under
-  /// different contention exhibit. All schedulers see the same estimates.
-  void seed_from_truth(double bias_sigma = 0.0, std::uint64_t bias_seed = 1);
+  /// the paper's experiments run in. All schedulers see the same estimates.
+  void seed_from_truth();
 
   /// Minimum sample count (at least 1) before a bucket counts as calibrated.
   void set_calibration_min(std::uint32_t n);
@@ -110,10 +107,6 @@ class HistoryModel {
 
   /// Bucket of (t, a), resolved on first use and indexed directly after.
   [[nodiscard]] Bucket& bucket(TaskId t, ArchType a) const;
-  /// The mixed 64-bit hash of (codelet, arch, footprint) that once keyed the
-  /// buckets; kept only as the per-bucket seed of the calibration bias, so
-  /// biased runs draw the same factors.
-  [[nodiscard]] std::uint64_t bias_key(TaskId t, ArchType a) const;
 
   const TaskGraph& graph_;
   const PerfDatabase& truth_;

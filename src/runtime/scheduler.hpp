@@ -187,13 +187,10 @@ class Scheduler {
     return {};
   }
 
-  /// Tasks a push-side call could not place anywhere because every capable
-  /// worker died in the window between the engine's liveness screen and the
-  /// push (a fail-stop racing the push — impossible when the engine flips
-  /// liveness and screens under its push-side lock, as ThreadExecutor does,
-  /// where this is a safety net). The engine drains this after each
-  /// push-side call and abandons the tasks; they were never made pending.
-  /// Same serialization contract as push().
+  /// Tasks a push-side call could not place anywhere. No engine calls it:
+  /// both flip liveness and screen released tasks under their push-side
+  /// serialization, so every pushed task has a live capable worker. Kept
+  /// because mpbench's timing adapter overrides it.
   [[nodiscard]] virtual std::vector<TaskId> drain_unplaced() { return {}; }
 
   /// Notifications (optional for policies that track load).

@@ -42,7 +42,6 @@ class SerializedScheduler final : public Scheduler {
     bump();  // waiters re-check only once the caller releases push_mu
     return inner_->notify_worker_removed(w);
   }
-  [[nodiscard]] std::vector<TaskId> drain_unplaced() override { return inner_->drain_unplaced(); }
 
   [[nodiscard]] std::optional<TaskId> pop(WorkerId w) override {
     // Seeded mutation SkipExecutorLock: pop without the lock, so two workers

@@ -327,7 +327,7 @@ std::string SimEngine::stall_diagnostic(std::size_t processed) const {
 SimResult SimEngine::run(const SchedulerFactory& make_scheduler) {
   MP_CHECK_MSG(!running_ && trace_ == nullptr, "engine is single-shot");
   history_ = std::make_unique<HistoryModel>(graph_, perf_);
-  if (cfg_.calibrated) history_->seed_from_truth(cfg_.calibration_bias_sigma, cfg_.seed);
+  if (cfg_.calibrated) history_->seed_from_truth();
   memory_ = std::make_unique<MemoryManager>(graph_, platform_);
   trace_ = std::make_unique<Trace>(graph_, platform_);
   deps_ = std::make_unique<DepCounters>(graph_);

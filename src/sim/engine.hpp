@@ -33,9 +33,6 @@ struct SimConfig {
   std::uint64_t seed = 42;
   /// Pre-seed the history model with analytic truth (calibrated regime).
   bool calibrated = true;
-  /// Systematic per-bucket calibration error applied when seeding (see
-  /// HistoryModel::seed_from_truth). 0 = omniscient estimates.
-  double calibration_bias_sigma = 0.0;
   /// Worker task pipelining, as in StarPU: a busy worker pops its next
   /// task(s) early so their data transfers overlap with the current
   /// execution. 0 disables (POP-time-mapping schedulers then pay every

@@ -1,8 +1,11 @@
-// The per-column symbolic QR analysis that the two-pass sqr::analyze in
+// The per-column symbolic QR analysis that the one-pass sqr::analyze in
 // src/apps/sparseqr/symbolic.cpp replaced, kept as the field-by-field
 // oracle for tests. It materialises every column's R border (one merge per
 // assembled row and per etree child) and unions those borders a second time
 // into each front, so its cost grows with nnz(R); use it on small matrices.
+// It also checks the lemma that makes fronts fundamental chains: when a
+// column j has the front's last column as its only etree child,
+// border(last) \ {j} ⊆ border(j), so no border-size rule could refuse j.
 #pragma once
 
 #include <algorithm>
@@ -159,9 +162,11 @@ inline SymbolicAnalysis analyze(const SparseMatrix& a, AnalysisOptions opts = {}
     bool extend = false;
     if (!fronts.empty()) {
       const std::uint32_t last = fronts.back().cols.back();
-      extend = parent_r[last] == j && n_children[j] == 1 &&
-               fronts.back().cols.size() < opts.max_front_cols &&
-               col_border_size[last] <= bj.size() + 1 + opts.amalgamation_slack;
+      if (parent_r[last] == j && n_children[j] == 1) {
+        MP_CHECK_MSG(col_border_size[last] <= bj.size() + 1,
+                     "a single child's border exceeds its parent's border plus the parent");
+        extend = fronts.back().cols.size() < opts.max_front_cols;
+      }
     }
     if (!extend) {
       close_front();

@@ -193,9 +193,9 @@ TEST(RunAnalysisModel, CalibratedNoiseFreeRunHasZeroError) {
   EXPECT_NEAR(a.model_mean_abs_err_s(), 0.0, 1e-12);
 }
 
-TEST(RunAnalysisModel, CalibrationBiasShowsUpAsError) {
+TEST(RunAnalysisModel, ExecutionNoiseShowsUpAsError) {
   SimConfig cfg;
-  cfg.calibration_bias_sigma = 0.5;
+  cfg.noise_sigma = 0.5;
   AnalyzedRun run(test::EdgeGraph(20, {}, 1e8), test::small_platform(2, 1),
                   test::flat_perf(10.0, 100.0), "multiprio", cfg);
   const RunAnalysis a = run.analyze();

@@ -368,11 +368,10 @@ TEST(MultiPrioFault, StreamLossKeepsHeapsIntact) {
   EXPECT_DOUBLE_EQ(sched.best_remaining_work(gpu), brw_before);
 }
 
-TEST(MultiPrioFault, PushRacingWorkerLossSurrendersTask) {
-  // Thin-lock race window: the engine's liveness screen passed before the
-  // GPU died, and the push lands after the flip but before the dying
-  // worker's notify_worker_removed reaches push_mu. The push must not
-  // abort — it surrenders the task for the engine to abandon.
+TEST(MultiPrioFaultDeath, PushWithNoLiveCapableNodeAborts) {
+  // Both engines flip liveness and screen released tasks under their
+  // push-side serialization, so a push whose every capable worker is dead
+  // is an engine bug: MultiPrio aborts instead of hiding the task.
   TaskGraph g;
   const CodeletId gonly = g.add_codelet("gpu_only", {ArchType::GPU});
   const DataId d = g.add_data(64);
@@ -383,20 +382,12 @@ TEST(MultiPrioFault, PushRacingWorkerLossSurrendersTask) {
   MultiPrioScheduler sched(mc.ctx());
 
   mc.liveness.mark_dead(gpu_worker(p));
-  sched.push(t);
-  EXPECT_EQ(sched.pending_count(), 0u);
-  EXPECT_FALSE(sched.is_pending(t));
-  const std::vector<TaskId> unplaced = sched.drain_unplaced();
-  ASSERT_EQ(unplaced.size(), 1u);
-  EXPECT_EQ(unplaced[0], t);
-  EXPECT_TRUE(sched.drain_unplaced().empty());  // drained exactly once
-  std::string why;
-  EXPECT_TRUE(sched.check_invariants(&why)) << why;
+  EXPECT_DEATH(sched.push(t), "pushed task has no live capable memory node");
 }
 
-TEST(MultiPrioFault, PushBatchRacingWorkerLossSurrendersOnlyDoomedTasks) {
-  // A mixed release batch after the same race: the dual-arch task is placed
-  // and stays poppable on the CPUs, only the GPU-only task is surrendered.
+TEST(MultiPrioFaultDeath, PushBatchWithOneUnplaceableTaskAborts) {
+  // One unscreened GPU-only task in a release batch aborts the batch, even
+  // though its dual-arch sibling could still run on the CPUs.
   TaskGraph g;
   const CodeletId both = g.add_codelet("both", {ArchType::CPU, ArchType::GPU});
   const CodeletId gonly = g.add_codelet("gpu_only", {ArchType::GPU});
@@ -410,16 +401,7 @@ TEST(MultiPrioFault, PushBatchRacingWorkerLossSurrendersOnlyDoomedTasks) {
   MultiPrioScheduler sched(mc.ctx());
 
   mc.liveness.mark_dead(gpu_worker(p));
-  sched.push_batch({tb, tg});
-  EXPECT_EQ(sched.pending_count(), 1u);
-  EXPECT_TRUE(sched.is_pending(tb));
-  EXPECT_FALSE(sched.is_pending(tg));
-  const std::vector<TaskId> unplaced = sched.drain_unplaced();
-  ASSERT_EQ(unplaced.size(), 1u);
-  EXPECT_EQ(unplaced[0], tg);
-  EXPECT_EQ(sched.pop(WorkerId{std::size_t{0}}), std::optional<TaskId>(tb));
-  std::string why;
-  EXPECT_TRUE(sched.check_invariants(&why)) << why;
+  EXPECT_DEATH(sched.push_batch({tb, tg}), "pushed task has no live capable memory node");
 }
 
 // --- stall diagnostic (max_events safety valve) ------------------------------

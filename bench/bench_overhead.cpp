@@ -31,7 +31,7 @@ void BM_HeapInsertPop(benchmark::State& state) {
   std::vector<std::pair<double, double>> scores(n);
   for (auto& s : scores) s = {rng.next_double(), rng.next_double()};
   for (auto _ : state) {
-    ScoredHeap h;
+    ScoredHeap h(n);
     for (std::size_t i = 0; i < n; ++i) h.insert(TaskId{i}, scores[i].first, scores[i].second);
     while (!h.empty()) h.pop_top();
   }
@@ -44,7 +44,7 @@ void BM_HeapTopKScan(benchmark::State& state) {
   const std::size_t n = 16384;
   const auto k = static_cast<std::size_t>(state.range(0));
   Rng rng(2);
-  ScoredHeap h;
+  ScoredHeap h(n);
   for (std::size_t i = 0; i < n; ++i) h.insert(TaskId{i}, rng.next_double(), 0.0);
   for (auto _ : state) {
     std::size_t seen = 0;
@@ -55,6 +55,30 @@ void BM_HeapTopKScan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HeapTopKScan)->Arg(10)->Arg(100);
+
+// MultiPrio's POP pattern on one node heap held at 4096 entries: a locality
+// window of n = 10 (for_top), remove the pick (the window's most-local
+// entry, here the one of largest id), insert a fresh entry under the freed id.
+void BM_HeapWindowPop(benchmark::State& state) {
+  constexpr std::size_t kEntries = 4096;
+  constexpr std::size_t kWindow = 10;
+  Rng rng(5);
+  ScoredHeap h(kEntries);
+  for (std::size_t i = 0; i < kEntries; ++i)
+    h.insert(TaskId{i}, rng.next_double(), rng.next_double());
+  for (auto _ : state) {
+    TaskId pick{};
+    h.for_top([&](const HeapEntry& e) {
+      if (!pick.valid() || pick < e.task) pick = e.task;
+      return true;
+    }, kWindow);
+    h.remove(pick);
+    h.insert(pick, rng.next_double(), rng.next_double());
+    benchmark::DoNotOptimize(pick);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_HeapWindowPop);
 
 struct SchedWorld {
   TaskGraph graph;

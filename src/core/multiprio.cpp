@@ -25,6 +25,8 @@ MultiPrioScheduler::MultiPrioScheduler(SchedContext ctx, MultiPrioConfig config)
   // Sized once from the finished graph and never reallocated, so pops
   // dereference entries under their own shard lock only.
   states_ = std::vector<TaskState>(ctx_.graph->num_tasks());
+  for (std::size_t mi = 0; mi < n_nodes; ++mi)
+    shards_[mi].heap = ScoredHeap(ctx_.graph->num_tasks());
   in_kernel_ = std::vector<RelaxedAtomic<std::uint8_t>>(ctx_.platform->num_workers());
   wake_.resize(n_nodes);
   // Resolve instrument names once; the hot paths then pay one null test.

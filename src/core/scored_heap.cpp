@@ -7,94 +7,133 @@
 
 namespace mp {
 
-void ScoredHeap::insert(TaskId t, double gain, double prio) {
-  verify_point("scored_heap.insert", this);
-  MP_CHECK_MSG(!contains(t), "task already in this heap");
-  MP_CHECK_MSG(t.valid() && entries_.size() < kAbsent, "task id or heap size out of range");
-  if (t.index() >= pos_.size())
-    pos_.resize(std::max(t.index() + 1, 2 * pos_.size()), kAbsent);
-  entries_.push_back(HeapEntry{t, gain, prio, next_seq_++});
-  pos_[t.index()] = static_cast<std::uint32_t>(entries_.size() - 1);
-  sift_up(entries_.size() - 1);
+ScoredHeap::ScoredHeap(std::size_t id_capacity) {
+  // Every position, front slot or kFront + heap index, must stay below kAbsent.
+  MP_CHECK_MSG(id_capacity <= kAbsent - kFront, "heap id capacity out of range");
+  pos_.assign(id_capacity, kAbsent);
 }
 
-std::optional<HeapEntry> ScoredHeap::top() const {
-  if (entries_.empty()) return std::nullopt;
-  return entries_.front();
+void ScoredHeap::insert(TaskId t, double gain, double prio) {
+  verify_point("scored_heap.insert", this);
+  MP_CHECK_MSG(t.index() < pos_.size(), "task id at or past the heap's id capacity");
+  MP_CHECK_MSG(pos_[t.index()] == kAbsent, "task already in this heap");
+  const HeapEntry e{t, gain, prio, next_seq_++};
+  if (front_size_ == kFront) {
+    if (!e.before(front_[kFront - 1])) {
+      heap_push(e);
+      return;
+    }
+    // e displaces the front's last entry, which now leads the heap.
+    heap_push(front_[--front_size_]);
+  }
+  std::size_t i = front_size_++;
+  for (; i > 0 && e.before(front_[i - 1]); --i) place_front(i, front_[i - 1]);
+  place_front(i, e);
 }
 
 void ScoredHeap::pop_top() {
-  MP_CHECK(!entries_.empty());
-  remove(entries_.front().task);
+  MP_CHECK(front_size_ > 0);
+  remove(front_[0].task);
 }
 
 void ScoredHeap::remove(TaskId t) {
   verify_point("scored_heap.remove", this);
   MP_CHECK_MSG(contains(t), "removing a task not in the heap");
-  const std::size_t i = pos_[t.index()];
+  const std::size_t p = pos_[t.index()];
   pos_[t.index()] = kAbsent;
-  const std::size_t last = entries_.size() - 1;
-  if (i != last) {
-    const HeapEntry moved = entries_[last];
-    const TaskId moved_task = moved.task;
-    entries_.pop_back();
-    place(i, moved);
-    // The moved entry may need to go either direction; sift_up leaves every
-    // displaced ancestor dominating its new subtree, so following with a
-    // sift_down at the entry's final position is always safe.
-    sift_up(i);
-    sift_down(pos_[moved_task.index()]);
-  } else {
-    entries_.pop_back();
+  if (p >= kFront) {
+    heap_erase(p - kFront);
+    return;
+  }
+  // Close the gap in the front, then refill its last slot from the heap root.
+  for (std::size_t i = p + 1; i < front_size_; ++i) place_front(i - 1, front_[i]);
+  --front_size_;
+  if (!heap_.empty()) {
+    place_front(front_size_++, heap_[0]);
+    heap_erase(0);
   }
 }
 
-void ScoredHeap::place(std::size_t i, const HeapEntry& e) {
+void ScoredHeap::place_front(std::size_t i, const HeapEntry& e) {
   pos_[e.task.index()] = static_cast<std::uint32_t>(i);
-  entries_[i] = e;
+  front_[i] = e;
+}
+
+void ScoredHeap::place_heap(std::size_t i, const HeapEntry& e) {
+  pos_[e.task.index()] = static_cast<std::uint32_t>(kFront + i);
+  heap_[i] = e;
+}
+
+void ScoredHeap::heap_push(const HeapEntry& e) {
+  heap_.push_back(e);
+  sift_up(heap_.size() - 1);
+}
+
+// Drops heap_[i] without touching its position entry (the caller has
+// retagged or cleared it) and fills the hole with the last entry.
+void ScoredHeap::heap_erase(std::size_t i) {
+  const HeapEntry moved = heap_.back();
+  heap_.pop_back();
+  if (i == heap_.size()) return;
+  place_heap(i, moved);
+  // The moved entry goes up or down, never both: if it rises past its new
+  // parent, every entry below its final slot already follows it.
+  if (i > 0 && moved.before(heap_[(i - 1) / 2]))
+    sift_up(i);
+  else
+    sift_down(i);
 }
 
 // Both sifts move a hole instead of swapping: the same final arrangement as
 // pairwise swaps, with one entry copy and one position write per level.
 void ScoredHeap::sift_up(std::size_t i) {
-  const HeapEntry e = entries_[i];
+  const HeapEntry e = heap_[i];
   while (i > 0) {
     const std::size_t parent = (i - 1) / 2;
-    if (!e.before(entries_[parent])) break;
-    place(i, entries_[parent]);
+    if (!e.before(heap_[parent])) break;
+    place_heap(i, heap_[parent]);
     i = parent;
   }
-  place(i, e);
+  place_heap(i, e);
 }
 
 void ScoredHeap::sift_down(std::size_t i) {
-  const std::size_t n = entries_.size();
-  const HeapEntry e = entries_[i];
+  const std::size_t n = heap_.size();
+  const HeapEntry e = heap_[i];
   while (true) {
     std::size_t best = i;
     const HeapEntry* best_entry = &e;
     for (std::size_t c : {2 * i + 1, 2 * i + 2}) {
-      if (c < n && entries_[c].before(*best_entry)) {
+      if (c < n && heap_[c].before(*best_entry)) {
         best = c;
-        best_entry = &entries_[c];
+        best_entry = &heap_[c];
       }
     }
     if (best == i) break;
-    place(i, entries_[best]);
+    place_heap(i, heap_[best]);
     i = best;
   }
-  place(i, e);
+  place_heap(i, e);
 }
 
 bool ScoredHeap::validate() const {
   const auto present = static_cast<std::size_t>(
       std::count_if(pos_.begin(), pos_.end(), [](std::uint32_t p) { return p != kAbsent; }));
-  if (present != entries_.size()) return false;
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    const TaskId t = entries_[i].task;
-    if (!contains(t) || pos_[t.index()] != i) return false;
+  if (present != size() || front_size_ > kFront) return false;
+  // The front is sorted, full while the heap holds anything, and its last
+  // entry precedes the heap root.
+  if (!heap_.empty() &&
+      (front_size_ != kFront || !front_[kFront - 1].before(heap_[0])))
+    return false;
+  for (std::size_t i = 0; i < front_size_; ++i) {
+    if (!contains(front_[i].task) || pos_[front_[i].task.index()] != i) return false;
+    if (i > 0 && !front_[i - 1].before(front_[i])) return false;
+  }
+  for (std::size_t i = 0; i < heap_.size(); ++i) {
+    const TaskId t = heap_[i].task;
+    if (!contains(t) || pos_[t.index()] != kFront + i) return false;
     for (std::size_t c : {2 * i + 1, 2 * i + 2})
-      if (c < entries_.size() && entries_[c].before(entries_[i])) return false;
+      if (c < heap_.size() && heap_[c].before(heap_[i])) return false;
   }
   return true;
 }

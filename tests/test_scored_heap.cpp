@@ -10,15 +10,18 @@ namespace {
 
 TaskId tid(std::size_t i) { return TaskId{i}; }
 
+// Id capacity of the heaps below: above every id a test inserts.
+constexpr std::size_t kIds = 2048;
+
 TEST(ScoredHeap, EmptyBehaviour) {
-  ScoredHeap h;
+  ScoredHeap h(kIds);
   EXPECT_TRUE(h.empty());
   EXPECT_EQ(h.size(), 0u);
   EXPECT_FALSE(h.top().has_value());
 }
 
 TEST(ScoredHeap, TopIsMaxGain) {
-  ScoredHeap h;
+  ScoredHeap h(kIds);
   h.insert(tid(0), 0.3, 0.0);
   h.insert(tid(1), 0.9, 0.0);
   h.insert(tid(2), 0.5, 0.0);
@@ -27,7 +30,7 @@ TEST(ScoredHeap, TopIsMaxGain) {
 }
 
 TEST(ScoredHeap, CriticalityBreaksGainTies) {
-  ScoredHeap h;
+  ScoredHeap h(kIds);
   h.insert(tid(0), 0.5, 0.2);
   h.insert(tid(1), 0.5, 0.9);
   h.insert(tid(2), 0.5, 0.5);
@@ -35,7 +38,7 @@ TEST(ScoredHeap, CriticalityBreaksGainTies) {
 }
 
 TEST(ScoredHeap, FifoBreaksFullTies) {
-  ScoredHeap h;
+  ScoredHeap h(kIds);
   h.insert(tid(3), 0.5, 0.5);
   h.insert(tid(1), 0.5, 0.5);
   h.insert(tid(2), 0.5, 0.5);
@@ -47,7 +50,7 @@ TEST(ScoredHeap, FifoBreaksFullTies) {
 }
 
 TEST(ScoredHeap, PopTopRemoves) {
-  ScoredHeap h;
+  ScoredHeap h(kIds);
   h.insert(tid(0), 0.1, 0.0);
   h.insert(tid(1), 0.2, 0.0);
   h.pop_top();
@@ -57,7 +60,7 @@ TEST(ScoredHeap, PopTopRemoves) {
 }
 
 TEST(ScoredHeap, RemoveArbitrary) {
-  ScoredHeap h;
+  ScoredHeap h(kIds);
   for (std::size_t i = 0; i < 10; ++i)
     h.insert(tid(i), 0.1 * static_cast<double>(i), 0.0);
   h.remove(tid(5));
@@ -68,7 +71,7 @@ TEST(ScoredHeap, RemoveArbitrary) {
 }
 
 TEST(ScoredHeap, RemoveLastElementNoReheap) {
-  ScoredHeap h;
+  ScoredHeap h(kIds);
   h.insert(tid(0), 0.9, 0.0);
   h.insert(tid(1), 0.1, 0.0);
   h.remove(tid(1));
@@ -77,18 +80,26 @@ TEST(ScoredHeap, RemoveLastElementNoReheap) {
 }
 
 TEST(ScoredHeapDeath, DoubleInsertRejected) {
-  ScoredHeap h;
+  ScoredHeap h(kIds);
   h.insert(tid(0), 0.5, 0.0);
   EXPECT_DEATH(h.insert(tid(0), 0.6, 0.0), "already in this heap");
 }
 
+TEST(ScoredHeapDeath, IdAtOrPastTheCapacityTripsTheCheck) {
+  ScoredHeap h(8);
+  h.insert(tid(7), 0.5, 0.0);
+  EXPECT_DEATH(h.insert(tid(8), 0.5, 0.0), "past the heap's id capacity");
+  EXPECT_DEATH(h.insert(TaskId::invalid(), 0.5, 0.0), "past the heap's id capacity");
+  EXPECT_DEATH(ScoredHeap().insert(tid(0), 0.5, 0.0), "past the heap's id capacity");
+}
+
 TEST(ScoredHeapDeath, RemoveMissingRejected) {
-  ScoredHeap h;
+  ScoredHeap h(kIds);
   EXPECT_DEATH(h.remove(tid(0)), "not in the heap");
 }
 
 TEST(ScoredHeap, ForTopVisitsInExactOrder) {
-  ScoredHeap h;
+  ScoredHeap h(kIds);
   Rng rng(5);
   for (std::size_t i = 0; i < 64; ++i)
     h.insert(tid(i), rng.next_double(), rng.next_double());
@@ -104,7 +115,7 @@ TEST(ScoredHeap, ForTopVisitsInExactOrder) {
 }
 
 TEST(ScoredHeap, ForTopEarlyStop) {
-  ScoredHeap h;
+  ScoredHeap h(kIds);
   for (std::size_t i = 0; i < 32; ++i) h.insert(tid(i), static_cast<double>(i), 0.0);
   std::size_t count = 0;
   h.for_top([&](const HeapEntry&) { return ++count < 5; });
@@ -113,7 +124,7 @@ TEST(ScoredHeap, ForTopEarlyStop) {
 }
 
 TEST(ScoredHeap, ForTopFirstIsTop) {
-  ScoredHeap h;
+  ScoredHeap h(kIds);
   Rng rng(17);
   for (std::size_t i = 0; i < 50; ++i) h.insert(tid(i), rng.next_double(), 0.0);
   bool first = true;
@@ -126,9 +137,10 @@ TEST(ScoredHeap, ForTopFirstIsTop) {
   });
 }
 
-TEST(ScoredHeap, SparseAndOutOfOrderIdsGrowThePositionTable) {
-  ScoredHeap h;
-  EXPECT_FALSE(h.contains(tid(1'000'000)));  // beyond the table: absent
+TEST(ScoredHeap, SparseAndOutOfOrderIdsWithinTheDeclaredCapacity) {
+  ScoredHeap h(1'000'001);
+  EXPECT_FALSE(h.contains(tid(1'000'000)));
+  EXPECT_FALSE(h.contains(tid(5'000'000)));  // beyond the table: absent
   for (std::size_t id : {std::size_t{1'000'000}, std::size_t{3}, std::size_t{70'000},
                          std::size_t{0}, std::size_t{999'999}}) {
     h.insert(tid(id), 0.5 + static_cast<double>(id % 7) / 10.0, 0.0);
@@ -147,7 +159,7 @@ TEST(ScoredHeap, SparseAndOutOfOrderIdsGrowThePositionTable) {
 }
 
 TEST(ScoredHeap, ClearThenReinsertSameIds) {
-  ScoredHeap h;
+  ScoredHeap h(kIds);
   for (std::size_t i = 0; i < 6; ++i) {
     h.insert(tid(10 * i), static_cast<double>(i) / 6.0, 0.0);
     ASSERT_TRUE(h.validate());
@@ -175,7 +187,7 @@ TEST(ScoredHeap, ClearThenReinsertSameIds) {
 }
 
 TEST(ScoredHeap, ForTopLimitStopsAfterThatManyEntries) {
-  ScoredHeap h;
+  ScoredHeap h(kIds);
   for (std::size_t i = 0; i < 20; ++i) h.insert(tid(i), static_cast<double>(i), 0.0);
   std::vector<std::size_t> seen;
   h.for_top([&](const HeapEntry& e) {
@@ -197,7 +209,7 @@ class ScoredHeapProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ScoredHeapProperty, RandomOpsKeepInvariants) {
   Rng rng(GetParam());
-  ScoredHeap h;
+  ScoredHeap h(kIds);
   std::vector<TaskId> live;
   std::size_t next_id = 0;
   for (int step = 0; step < 2000; ++step) {

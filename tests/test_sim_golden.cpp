@@ -63,6 +63,20 @@ struct PotrfCase {
   }
 };
 
+/// 20×20 tiles of 960 (1540 tasks) on the Intel-V100 preset: MultiPrio's
+/// heaps hold up to 190 entries, so entries spill past ScoredHeap's sorted
+/// front and come back from its binary heap (the potrf above peaks at 21
+/// to 42, the sparse QR below at 5).
+struct WidePotrfCase {
+  TaskGraph graph;
+  PlatformPreset preset = intel_v100();
+  WidePotrfCase() {
+    dense::TileMatrix a(20, 960, /*allocate=*/false);
+    a.register_handles(graph);
+    dense::build_potrf(graph, a, /*expert_priorities=*/true);
+  }
+};
+
 /// A generated 600×400 sparse QR in panels of 16 on 3 CPUs + 1 GPU.
 struct SparseQrCase {
   TaskGraph graph;
@@ -121,6 +135,28 @@ TEST(SimEngineGolden, PotrfWithEvictionsIsByteIdenticalUnderEveryPolicy) {
     {"multiprio-rawbrw", {"0x1.e34f32a261254p-7", 43, 139, 0x82ff99e1331a6afaULL}},
   };
   expect_golden(c.graph, c.platform, c.perf, expected);
+}
+
+// Pinned later than the two other cases, from the commit before ScoredHeap
+// gained its sorted front.
+TEST(SimEngineGolden, WidePotrfSpillingPastTheHeapFrontIsByteIdenticalUnderEveryPolicy) {
+  const WidePotrfCase c;
+  const std::map<std::string, Golden> expected = {
+    {"eager", {"0x1.a9e1af886800bp+0", 0, 4090, 0xccb8a4e2b7e8609bULL}},
+    {"random", {"0x1.87b4c5eeb175ep+1", 0, 1407, 0x7181451fbbe56ff2ULL}},
+    {"lws", {"0x1.c585d6c8a8aa7p+0", 0, 5694, 0xe58348fc1f2bd207ULL}},
+    {"dm", {"0x1.09ef7e4cac772p+0", 0, 192, 0x9c7619bbba1b01d5ULL}},
+    {"dmda", {"0x1.5dbca574e2e0dp-1", 0, 749, 0xe56000e3ad1bd1afULL}},
+    {"dmdas", {"0x1.6476125d559f9p-1", 0, 799, 0x5135669c2dd23596ULL}},
+    {"heteroprio", {"0x1.20b393e1b028ep+0", 0, 89174, 0xe3646fd77b67bf30ULL}},
+    {"multiprio", {"0x1.83f4852148f5cp-1", 0, 7869, 0x986b2239b5515096ULL}},
+    {"multiprio-coarse", {"0x1.83f4852148f5cp-1", 0, 7869, 0x986b2239b5515096ULL}},
+    {"multiprio-noevict", {"0x1.ba8feaa24d0ccp+0", 0, 5381, 0xf632545877da0298ULL}},
+    {"multiprio-nolocality", {"0x1.19c74eb948caep+0", 0, 8009, 0x9d5d21a746b07250ULL}},
+    {"multiprio-nonod", {"0x1.909b2909a07d5p-1", 0, 7565, 0x6f8a3046491ba2baULL}},
+    {"multiprio-rawbrw", {"0x1.938bb19a35016p-1", 0, 7328, 0x75c9a69805bb2c09ULL}},
+  };
+  expect_golden(c.graph, c.preset.platform, c.preset.perf, expected);
 }
 
 TEST(SimEngineGolden, SparseQrIsByteIdenticalUnderEveryPolicy) {

@@ -25,7 +25,7 @@ TEST(ScoredHeapStress, RandomInsertRemovePopAgainstReference) {
   std::mt19937_64 rng(20260806);
   std::uniform_real_distribution<double> score(0.0, 4.0);
   for (int round = 0; round < 50; ++round) {
-    ScoredHeap h;
+    ScoredHeap h(200);
     // Reference: the live entries, compared via the heap's own ordering.
     std::vector<HeapEntry> ref;
     std::uint32_t next_task = 0;
@@ -60,6 +60,99 @@ TEST(ScoredHeapStress, RandomInsertRemovePopAgainstReference) {
   }
 }
 
+// Every traversal must read the sorted reference, entry for entry, at the
+// window sizes around the sorted front's length K: the heap grows well past
+// 4K entries, loses front, boundary and deep entries along the way, and is
+// drained back below K. Scores come from small sets, so the criticality and
+// FIFO tiebreaks decide many comparisons; ids are reused after removal.
+TEST(ScoredHeapStress, FrontHeapBoundaryAgainstSortedReference) {
+  constexpr std::size_t K = ScoredHeap::kFront;
+  constexpr std::size_t kRounds = 40;
+  constexpr std::size_t kIds = 8 * K;
+  static_assert(4 * K + kRounds < kIds, "the grow phase needs a free id for every insert");
+  const std::size_t limits[] = {1, 10, K - 1, K, K + 1, SIZE_MAX};
+  std::mt19937_64 rng(20261019);
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    ScoredHeap h(kIds);
+    std::vector<HeapEntry> ref;  // kept sorted best-first
+    std::vector<bool> present(kIds, false);
+    std::uint64_t seq = 0;
+    const auto sort_ref = [&] {
+      std::sort(ref.begin(), ref.end(),
+                [](const HeapEntry& a, const HeapEntry& b) { return a.before(b); });
+    };
+    const auto insert = [&] {
+      std::size_t id = rng() % kIds;
+      while (present[id]) id = (id + 1) % kIds;
+      const double g = static_cast<double>(rng() % 6) / 4.0;
+      const double p = static_cast<double>(rng() % 3);
+      h.insert(TaskId{id}, g, p);
+      ref.push_back(HeapEntry{TaskId{id}, g, p, seq++});
+      present[id] = true;
+      sort_ref();
+    };
+    const auto remove_rank = [&](std::size_t r) {
+      const TaskId t = ref[r].task;
+      if (r == 0 && rng() % 2 == 0)
+        h.pop_top();
+      else
+        h.remove(t);
+      ref.erase(ref.begin() + static_cast<std::ptrdiff_t>(r));
+      present[t.index()] = false;
+    };
+    // A front, a boundary (K-1 or K) or a deep entry, by turns.
+    const auto remove_some = [&] {
+      const std::size_t n = ref.size();
+      switch (rng() % 3) {
+        case 0: remove_rank(rng() % std::min(n, K)); break;
+        case 1: remove_rank(std::min(n - 1, K - 1 + rng() % 2)); break;
+        default: remove_rank(n > K ? K + rng() % (n - K) : rng() % n); break;
+      }
+    };
+    const auto check = [&](const char* phase, int step) {
+      ASSERT_TRUE(h.validate()) << phase << " step " << step;
+      ASSERT_EQ(h.size(), ref.size());
+      for (const std::size_t limit : limits) {
+        std::vector<HeapEntry> seen;
+        h.for_top([&](const HeapEntry& e) {
+          seen.push_back(e);
+          return true;
+        }, limit);
+        ASSERT_EQ(seen.size(), std::min(limit, ref.size())) << phase << " limit " << limit;
+        for (std::size_t i = 0; i < seen.size(); ++i) {
+          ASSERT_EQ(seen[i].task, ref[i].task) << phase << " step " << step << " rank " << i;
+          ASSERT_EQ(seen[i].seq, ref[i].seq);
+          ASSERT_EQ(seen[i].gain, ref[i].gain);
+          ASSERT_EQ(seen[i].prio, ref[i].prio);
+        }
+      }
+    };
+    // Grow past 4K entries, with one removal for every three inserts.
+    for (int step = 0; ref.size() < 4 * K + round; ++step) {
+      if (ref.empty() || rng() % 4 != 0)
+        insert();
+      else
+        remove_some();
+      check("grow", step);
+      if (HasFatalFailure()) return;
+    }
+    // Drain below K, still inserting now and then.
+    for (int step = 0; ref.size() >= K - 2; ++step) {
+      if (rng() % 5 == 0)
+        insert();
+      else
+        remove_some();
+      check("drain", step);
+      if (HasFatalFailure()) return;
+    }
+    while (!ref.empty()) {
+      remove_some();
+      check("empty", 0);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
 TEST(ScoredHeapStress, StaleDuplicateDiscardPattern) {
   // MultiPrio's lazy-discard usage: tasks duplicated into several heaps, one
   // heap takes, the others top()/pop_top() through the stale entries later.
@@ -67,7 +160,7 @@ TEST(ScoredHeapStress, StaleDuplicateDiscardPattern) {
   std::uniform_real_distribution<double> score(0.0, 1.0);
   constexpr std::size_t kHeaps = 3, kTasks = 64;
   for (int round = 0; round < 20; ++round) {
-    std::vector<ScoredHeap> heaps(kHeaps);
+    std::vector<ScoredHeap> heaps(kHeaps, ScoredHeap(kTasks));
     std::vector<bool> taken(kTasks, false);
     for (std::uint32_t t = 0; t < kTasks; ++t)
       for (auto& h : heaps) h.insert(TaskId{t}, score(rng), score(rng));

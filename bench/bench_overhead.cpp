@@ -44,34 +44,28 @@ void BM_HeapTopKScan(benchmark::State& state) {
   const std::size_t n = 16384;
   const auto k = static_cast<std::size_t>(state.range(0));
   Rng rng(2);
-  ScoredHeap h(n);
+  ScoredHeap h(n, k);  // the front holds the whole window
   for (std::size_t i = 0; i < n; ++i) h.insert(TaskId{i}, rng.next_double(), 0.0);
   for (auto _ : state) {
-    std::size_t seen = 0;
-    h.for_top([&](const HeapEntry& e) {
-      benchmark::DoNotOptimize(e.gain);
-      return ++seen < k;
-    });
+    for (const HeapEntry& e : h.front().first(k)) benchmark::DoNotOptimize(e.gain);
   }
 }
 BENCHMARK(BM_HeapTopKScan)->Arg(10)->Arg(100);
 
 // MultiPrio's POP pattern on one node heap held at 4096 entries: a locality
-// window of n = 10 (for_top), remove the pick (the window's most-local
+// window of n = 10 (a prefix of front()), remove the pick (the window's most-local
 // entry, here the one of largest id), insert a fresh entry under the freed id.
 void BM_HeapWindowPop(benchmark::State& state) {
   constexpr std::size_t kEntries = 4096;
   constexpr std::size_t kWindow = 10;
   Rng rng(5);
-  ScoredHeap h(kEntries);
+  ScoredHeap h(kEntries, kWindow);
   for (std::size_t i = 0; i < kEntries; ++i)
     h.insert(TaskId{i}, rng.next_double(), rng.next_double());
   for (auto _ : state) {
     TaskId pick{};
-    h.for_top([&](const HeapEntry& e) {
+    for (const HeapEntry& e : h.front().first(kWindow))
       if (!pick.valid() || pick < e.task) pick = e.task;
-      return true;
-    }, kWindow);
     h.remove(pick);
     h.insert(pick, rng.next_double(), rng.next_double());
     benchmark::DoNotOptimize(pick);

@@ -14,13 +14,13 @@ std::vector<MatrixSpec> paper_matrix_specs() {
   // the same op-count regime (see bench_fig7_matrices for achieved values).
   // Achieved op counts (bench_fig7_matrices: our analysis, tall
   // orientation, generator seed 7), in the order below:
-  //   295, 1030, 1633, 3562, 5559, 16851, 33150, 14483, 251797, 350843 Gflop
-  // — within 20% of the published counts except cat_ears_4_4 (1.25×) and
-  // GL7d24, whose extreme aspect ratio caps the reachable count near 0.54×
+  //   235, 1030, 1633, 3562, 5559, 16851, 33150, 14483, 251797, 350843 Gflop
+  // — within 20% of the published counts except GL7d24, whose extreme
+  // aspect ratio caps the reachable count near 0.54×
   // (documented in EXPERIMENTS.md; its rank neighbours already overlap in
   // the paper too).
   return {
-      {"cat_ears_4_4", 19020, 44448, 132888, 236.0, 500.0, 0.020, 1.0},
+      {"cat_ears_4_4", 19020, 44448, 132888, 236.0, 500.0, 0.0125, 1.0},
       {"flower_7_4", 27693, 67593, 202218, 889.0, 820.0, 0.022, 1.0},
       {"e18", 24617, 38602, 156466, 1439.0, 1100.0, 0.028, 1.0},
       {"flower_8_4", 55081, 125361, 375266, 3072.0, 840.0, 0.019, 1.0},

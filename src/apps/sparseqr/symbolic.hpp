@@ -50,16 +50,6 @@ struct Front {
   /// staircase profile; filled by the analysis). Drives per-panel task
   /// sizes in the DAG builder.
   std::vector<std::uint32_t> rows_at_pivot;
-  /// Peak simultaneously-active row count (≥ entered − eliminated).
-  [[nodiscard]] std::size_t peak_active_rows() const {
-    std::size_t peak = 1;
-    for (std::size_t i = 0; i < rows_at_pivot.size(); ++i) {
-      const std::size_t active =
-          rows_at_pivot[i] > i ? rows_at_pivot[i] - i : 1;
-      peak = std::max(peak, active);
-    }
-    return peak;
-  }
   /// Dense QR flops for eliminating k pivots of an m×n front.
   [[nodiscard]] double dense_flops() const;
 };

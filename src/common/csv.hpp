@@ -17,8 +17,6 @@ class Table {
   [[nodiscard]] std::string to_csv() const;
   [[nodiscard]] std::string to_ascii() const;
 
-  [[nodiscard]] std::size_t num_rows() const { return rows_.size(); }
-
   /// Write CSV to a file; returns false on I/O failure.
   [[nodiscard]] bool write_csv(const std::string& path) const;
 

@@ -26,7 +26,7 @@ MultiPrioScheduler::MultiPrioScheduler(SchedContext ctx, MultiPrioConfig config)
   // dereference entries under their own shard lock only.
   states_ = std::vector<TaskState>(ctx_.graph->num_tasks());
   for (std::size_t mi = 0; mi < n_nodes; ++mi)
-    shards_[mi].heap = ScoredHeap(ctx_.graph->num_tasks());
+    shards_[mi].heap = ScoredHeap(ctx_.graph->num_tasks(), cfg_.locality_n);
   in_kernel_ = std::vector<RelaxedAtomic<std::uint8_t>>(ctx_.platform->num_workers());
   wake_.resize(n_nodes);
   // Resolve instrument names once; the hot paths then pay one null test.
@@ -347,19 +347,20 @@ std::optional<MultiPrioScheduler::Candidate> MultiPrioScheduler::select_candidat
   // Most-local task among the first n entries whose gain score is within ε
   // of the top task's score. Taken duplicates inside the window are skipped
   // (the top itself is known live after drop_taken).
+  // The heap's front holds at least n entries, so the window is its prefix.
   HeapEntry best_entry = top;
   double best_local = -1.0;
-  heap.for_top([&](const HeapEntry& e) {
-    if (e.gain < top.gain - cfg_.epsilon) return false;
+  const std::span<const HeapEntry> front = heap.front();
+  for (const HeapEntry& e : front.first(std::min(front.size(), cfg_.locality_n))) {
+    if (e.gain < top.gain - cfg_.epsilon) break;
     const TaskState& st = states_[e.task.index()];
-    if (st.phase.load() == kTaken) return true;
+    if (st.phase.load() == kTaken) continue;
     const double local = ls_sdh2(*ctx_.memory, m, st.rec.locality);
     if (local > best_local) {
       best_local = local;
       best_entry = e;
     }
-    return true;
-  }, cfg_.locality_n);
+  }
   return Candidate{best_entry, std::max(0.0, best_local),
                    best_entry.task != top.task};
 }
@@ -425,7 +426,7 @@ std::optional<TaskId> MultiPrioScheduler::pop(WorkerId w) {
   const bool skip_lock = verify::mutation_active(verify::Mutation::SkipNodeLock);
   if (!skip_lock) lock_shard(m.index());
   std::optional<TaskId> out;
-  for (std::size_t tries = 0; tries <= cfg_.max_tries; ++tries) {
+  for (std::size_t tries = 0; tries <= kMaxTries; ++tries) {
     const std::optional<Candidate> cand = select_candidate(m);
     if (!cand) break;
     const TaskId t = cand->entry.task;
@@ -472,7 +473,6 @@ std::optional<TaskId> MultiPrioScheduler::pop(WorkerId w) {
     }
     const std::int64_t prev_rc = ready_count_[m.index()].fetch_sub(1);
     MP_CHECK_MSG(prev_rc > 0, "per-node ready count underflow on evict");
-    pop_rejects_.fetch_add(1);
     evictions_.fetch_add(1);
     // Heap removal before the events so heap_depth reports the post-evict
     // depth.
@@ -709,23 +709,17 @@ bool MultiPrioScheduler::check_invariants(std::string* why) const {
       return fail(node + " ready_count " +
                   std::to_string(ready_count_[mi].load()) + " != " +
                   std::to_string(expect_ready[mi]) + " pending entries");
-    bool entry_ok = true;
-    TaskId bad{};
-    h.for_top([&](const HeapEntry& e) {
+    std::optional<TaskId> bad;
+    h.for_each([&](const HeapEntry& e) {
       const TaskState& st = states_[e.task.index()];
       const std::uint8_t phase = st.phase.load();
       const bool stale = phase == kTaken;
       const bool live = phase == kPending &&
                         (st.live_mask.load() & node_bit(MemNodeId{mi})) != 0;
-      if (stale == live) {  // exactly one must hold
-        entry_ok = false;
-        bad = e.task;
-        return false;
-      }
-      return true;
+      if (stale == live && !bad) bad = e.task;  // exactly one must hold
     });
-    if (!entry_ok)
-      return fail(node + " heap entry for task " + std::to_string(bad.value()) +
+    if (bad)
+      return fail(node + " heap entry for task " + std::to_string(bad->value()) +
                   " is neither a pending entry nor a stale taken duplicate");
     // Debits may legally exceed credits (diversion debits the taker's time,
     // the ledger clamps at zero) but never fall short: the ledger can only

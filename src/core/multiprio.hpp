@@ -47,12 +47,11 @@ class Gauge;
 class Histogram;
 
 struct MultiPrioConfig {
-  /// Locality window size (paper: n = 10).
+  /// Locality window size (paper: n = 10). Each node heap's sorted front is
+  /// sized once to hold the window.
   std::size_t locality_n = 10;
   /// Score-difference threshold for the locality window (paper: ε = 0.8).
   double epsilon = 0.8;
-  /// Maximum POP attempts before giving up (Algorithm 2's MAX_TRIES).
-  std::size_t max_tries = 8;
   /// Ablation switches (all ON reproduces the paper).
   bool use_eviction = true;   // Section V-D
   bool use_locality = true;   // Section V-C
@@ -75,6 +74,8 @@ class MultiPrioScheduler final : public Scheduler {
   /// a 4-vCPU Xeon host, DESIGN.md §12): a shorter task is done sooner by
   /// the awake worker that already holds it than by a woken one.
   static constexpr double kMinWakeTaskTime = 20e-6;
+  /// Maximum POP attempts before giving up (Algorithm 2's MAX_TRIES).
+  static constexpr std::size_t kMaxTries = 8;
 
   explicit MultiPrioScheduler(SchedContext ctx, MultiPrioConfig config = {});
 
@@ -121,15 +122,11 @@ class MultiPrioScheduler final : public Scheduler {
   [[nodiscard]] std::size_t ready_tasks_count(MemNodeId m) const;
   [[nodiscard]] double best_remaining_work(MemNodeId m) const;
   [[nodiscard]] std::size_t eviction_total() const { return evictions_.load(); }
-  [[nodiscard]] std::size_t pop_condition_rejects() const {
-    return pop_rejects_.load();
-  }
   /// Is `t` currently pushed and not yet popped (invariant checks)?
   [[nodiscard]] bool is_pending(TaskId t) const {
     return t.index() < states_.size() &&
            states_[t.index()].phase.load() == kPending;
   }
-  [[nodiscard]] const GainTracker& gain_tracker() const { return gain_; }
   [[nodiscard]] const ScoredHeap& heap(MemNodeId m) const;
 
   /// Full structural-consistency audit of the scheduler state — the oracle
@@ -321,7 +318,6 @@ class MultiPrioScheduler final : public Scheduler {
   NodNormalizer nod_;
   RelaxedAtomic<std::size_t> pending_{0};
   RelaxedAtomic<std::size_t> evictions_{0};
-  RelaxedAtomic<std::size_t> pop_rejects_{0};
 
   // --- the wake rule (DESIGN.md §12) ---------------------------------------
   /// Plans the wakes an insert of `ts` needs, into wake_. Requires the shard

@@ -7,9 +7,13 @@
 
 namespace mp {
 
-ScoredHeap::ScoredHeap(std::size_t id_capacity) {
-  // Every position, front slot or kFront + heap index, must stay below kAbsent.
-  MP_CHECK_MSG(id_capacity <= kAbsent - kFront, "heap id capacity out of range");
+ScoredHeap::ScoredHeap(std::size_t id_capacity, std::size_t window) {
+  // Every position, front slot or front length + heap index, must stay below
+  // kAbsent; checked before anything is allocated.
+  const std::size_t front_len = std::max(kMinFront, window);
+  MP_CHECK_MSG(id_capacity < kAbsent && front_len <= kAbsent - id_capacity,
+               "heap id capacity or window out of range");
+  front_.resize(front_len);
   pos_.assign(id_capacity, kAbsent);
 }
 
@@ -18,8 +22,8 @@ void ScoredHeap::insert(TaskId t, double gain, double prio) {
   MP_CHECK_MSG(t.index() < pos_.size(), "task id at or past the heap's id capacity");
   MP_CHECK_MSG(pos_[t.index()] == kAbsent, "task already in this heap");
   const HeapEntry e{t, gain, prio, next_seq_++};
-  if (front_size_ == kFront) {
-    if (!e.before(front_[kFront - 1])) {
+  if (front_size_ == front_.size()) {
+    if (!e.before(front_.back())) {
       heap_push(e);
       return;
     }
@@ -41,8 +45,8 @@ void ScoredHeap::remove(TaskId t) {
   MP_CHECK_MSG(contains(t), "removing a task not in the heap");
   const std::size_t p = pos_[t.index()];
   pos_[t.index()] = kAbsent;
-  if (p >= kFront) {
-    heap_erase(p - kFront);
+  if (p >= front_.size()) {
+    heap_erase(p - front_.size());
     return;
   }
   // Close the gap in the front, then refill its last slot from the heap root.
@@ -60,7 +64,7 @@ void ScoredHeap::place_front(std::size_t i, const HeapEntry& e) {
 }
 
 void ScoredHeap::place_heap(std::size_t i, const HeapEntry& e) {
-  pos_[e.task.index()] = static_cast<std::uint32_t>(kFront + i);
+  pos_[e.task.index()] = static_cast<std::uint32_t>(front_.size() + i);
   heap_[i] = e;
 }
 
@@ -119,11 +123,11 @@ void ScoredHeap::sift_down(std::size_t i) {
 bool ScoredHeap::validate() const {
   const auto present = static_cast<std::size_t>(
       std::count_if(pos_.begin(), pos_.end(), [](std::uint32_t p) { return p != kAbsent; }));
-  if (present != size() || front_size_ > kFront) return false;
+  if (present != size() || front_size_ > front_.size()) return false;
   // The front is sorted, full while the heap holds anything, and its last
   // entry precedes the heap root.
   if (!heap_.empty() &&
-      (front_size_ != kFront || !front_[kFront - 1].before(heap_[0])))
+      (front_size_ != front_.size() || !front_.back().before(heap_[0])))
     return false;
   for (std::size_t i = 0; i < front_size_; ++i) {
     if (!contains(front_[i].task) || pos_[front_[i].task.index()] != i) return false;
@@ -131,7 +135,7 @@ bool ScoredHeap::validate() const {
   }
   for (std::size_t i = 0; i < heap_.size(); ++i) {
     const TaskId t = heap_[i].task;
-    if (!contains(t) || pos_[t.index()] != kFront + i) return false;
+    if (!contains(t) || pos_[t.index()] != front_.size() + i) return false;
     for (std::size_t c : {2 * i + 1, 2 * i + 2})
       if (c < heap_.size() && heap_[c].before(heap_[i])) return false;
   }

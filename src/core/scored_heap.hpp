@@ -7,24 +7,23 @@
 // mechanism) via a position table, and non-destructive traversal of the
 // best entries (the locality window of Section V-C).
 //
-// Layout: the best kFront entries sit sorted in a front array, the rest in
-// a binary max-heap. Every front entry precedes every heap entry, and the
-// front is full whenever the heap is non-empty; so top() is the first front
-// entry and a window of up to kFront entries is one linear walk. Both parts
-// follow the same total order, so every traversal visits exactly the
-// sequence a single binary heap would.
+// Layout: the best entries sit sorted in a front array, the rest in a
+// binary max-heap. The front is sized once, at construction, to cover the
+// longest window its owner reads (at least kMinFront entries). Every front
+// entry precedes every heap entry, and the front is full whenever the heap is
+// non-empty; so top() is the first front entry and a window is a prefix of
+// front(). Both parts follow the same total order, so the front holds exactly
+// the entries a single binary heap would yield first.
 //
 // The position table is sized once, for ids below the capacity the heap is
 // built with (MultiPrio passes the graph's task count). A heap is guarded
-// by its owner's lock (MultiPrio: the node's shard lock), which therefore
-// also guards the scan buffer for_top() reuses.
+// by its owner's lock (MultiPrio: the node's shard lock).
 #pragma once
 
-#include <algorithm>
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -47,12 +46,13 @@ struct HeapEntry {
 
 class ScoredHeap {
  public:
-  /// Length of the sorted front: at least the paper's locality window
-  /// (n = 10), so a window of that size never reaches the binary heap.
-  static constexpr std::size_t kFront = 16;
+  /// Shortest sorted front: at least the paper's locality window (n = 10).
+  /// A shorter front lets small heaps spill into the binary heap and back.
+  static constexpr std::size_t kMinFront = 16;
 
-  /// A heap for task ids below `id_capacity`.
-  explicit ScoredHeap(std::size_t id_capacity = 0);
+  /// A heap for task ids below `id_capacity` whose front holds the best
+  /// max(kMinFront, window) entries.
+  explicit ScoredHeap(std::size_t id_capacity = 0, std::size_t window = kMinFront);
 
   /// Inserts a task; a task may appear at most once per heap.
   void insert(TaskId t, double gain, double prio);
@@ -84,38 +84,18 @@ class ScoredHeap {
     heap_.clear();
   }
 
-  /// Visits entries in exact non-increasing priority order, without mutating
-  /// the heap, until `fn` returns false, `limit` entries were visited or the
-  /// heap is exhausted. fn: bool(const HeapEntry&); it must not traverse this
-  /// heap itself (the traversal state is one buffer per heap, reused across
-  /// calls).
+  /// The sorted front, best first: the first min(size(), front capacity)
+  /// entries in priority order. Invalidated by any mutation.
+  [[nodiscard]] std::span<const HeapEntry> front() const {
+    return {front_.data(), front_size_};
+  }
+
+  /// Visits every entry once, in no particular order (audits).
+  /// fn: void(const HeapEntry&).
   template <typename F>
-  void for_top(F&& fn, std::size_t limit = SIZE_MAX) const {
-    const std::size_t n = std::min(limit, front_size_);
-    for (std::size_t i = 0; i < n; ++i)
-      if (!fn(front_[i])) return;
-    if (n == limit || heap_.empty()) return;
-    limit -= n;
-    // Past the front: an aux max-heap of indices into heap_, seeded with the
-    // root; popping index i exposes children 2i+1 / 2i+2 — exact sorted order.
-    std::vector<std::size_t>& aux = scan_;
-    aux.clear();
-    aux.push_back(0);
-    auto less = [this](std::size_t a, std::size_t b) {
-      return heap_[b].before(heap_[a]);  // max-heap via std::push_heap
-    };
-    while (!aux.empty()) {
-      std::pop_heap(aux.begin(), aux.end(), less);
-      const std::size_t i = aux.back();
-      aux.pop_back();
-      if (!fn(heap_[i]) || --limit == 0) return;
-      for (std::size_t c : {2 * i + 1, 2 * i + 2}) {
-        if (c < heap_.size()) {
-          aux.push_back(c);
-          std::push_heap(aux.begin(), aux.end(), less);
-        }
-      }
-    }
+  void for_each(F&& fn) const {
+    for (const HeapEntry& e : front()) fn(e);
+    for (const HeapEntry& e : heap_) fn(e);
   }
 
   /// Verifies the front's order, the heap property, the front/heap boundary
@@ -132,13 +112,12 @@ class ScoredHeap {
 
   static constexpr std::uint32_t kAbsent = ~std::uint32_t{0};
 
-  std::array<HeapEntry, kFront> front_{};  ///< sorted, best first
+  std::vector<HeapEntry> front_;  ///< sorted, best first; sized once
   std::size_t front_size_ = 0;
   std::vector<HeapEntry> heap_;  ///< binary max-heap of the rest
-  /// Per TaskId: a front slot (< kFront), kFront + an index into heap_, or
-  /// kAbsent.
+  /// Per TaskId: a front slot (< front_.size()), front_.size() + an index
+  /// into heap_, or kAbsent.
   std::vector<std::uint32_t> pos_;
-  mutable std::vector<std::size_t> scan_;  ///< for_top()'s aux heap
   std::uint64_t next_seq_ = 0;
 };
 

@@ -24,14 +24,4 @@ enum class AccessMode : std::uint8_t {
   return m == AccessMode::Write || m == AccessMode::ReadWrite || m == AccessMode::Commute;
 }
 
-[[nodiscard]] constexpr const char* mode_name(AccessMode m) {
-  switch (m) {
-    case AccessMode::Read: return "R";
-    case AccessMode::Write: return "W";
-    case AccessMode::ReadWrite: return "RW";
-    case AccessMode::Commute: return "C";
-  }
-  return "?";
-}
-
 }  // namespace mp

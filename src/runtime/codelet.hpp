@@ -32,7 +32,6 @@ struct Codelet {
   KernelFn gpu_fn;
 
   [[nodiscard]] bool can_exec(ArchType a) const { return where_mask[arch_index(a)]; }
-  [[nodiscard]] bool single_arch() const { return where_mask.count() == 1; }
 };
 
 }  // namespace mp

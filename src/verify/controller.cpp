@@ -193,7 +193,7 @@ class Controller {
     // op of another thread commutes with it (sleep sets would prune the
     // duplicate order anyway).
     if (!access::held(*m) || access::owner(*m) != self->id)
-      violation_and_throw(lk, "unlock of a mutex this thread does not hold");
+      violation_and_throw("unlock of a mutex this thread does not hold");
     release_locked(self, m);
     execute_record(self);
     try {
@@ -215,7 +215,7 @@ class Controller {
     publish(self, OpKind::CvWait, cv, timed ? "cv.wait_for" : "cv.wait");
     yield_token(lk, self);
     if (!access::held(*m) || access::owner(*m) != self->id)
-      violation_and_throw(lk, "condition wait without holding the mutex");
+      violation_and_throw("condition wait without holding the mutex");
     execute_record(self);
     release_locked(self, m);
     run_probes(lk, m);
@@ -329,11 +329,11 @@ class Controller {
   void violation_from_thread(const std::string& msg, bool big_held) {
     if (big_held) {
       set_violation_locked(msg);
-    } else {
-      std::lock_guard lk(big_);
-      set_violation_locked(msg);
+      unwind();
     }
-    throw ViolationUnwind{};
+    std::lock_guard lk(big_);
+    set_violation_locked(msg);
+    unwind();
   }
 
   [[nodiscard]] bool in_probe() const { return tls_in_probe; }
@@ -446,17 +446,35 @@ class Controller {
         set_violation_locked(deadlock_message());
       }
     }
-    if (all_finished()) {
-      run_done_ = true;
-      cv_.notify_all();
-    }
+    if (all_finished()) run_done_ = true;
+    cv_.notify_all();  // also wakes a body thread waiting in unwind()
   }
 
   // ---- token passing ------------------------------------------------------
 
   void check_unwind() {
+    if (stop_ || abort_run_) unwind();
+  }
+
+  /// Throws the run's unwind exception; requires big_ held and stop_ or
+  /// abort_run_ set. Every other managed thread is woken by then and may
+  /// still run (one whose unlock tripped a probe runs on unmanaged) or
+  /// unwind through objects the body thread owns, such as the executor's
+  /// scheduler. So the body thread (tid 0) unwinds last: it first waits,
+  /// big_ released meanwhile, until every other thread has finished.
+  [[noreturn]] void unwind() {
+    const ManagedThread* self = tls_self;
+    if (self != nullptr && self->id == 0) {
+      std::unique_lock lk(big_, std::adopt_lock);
+      cv_.wait(lk, [&] {
+        return std::all_of(threads_.begin(), threads_.end(), [&](const auto& t) {
+          return t.get() == self || t->status == ManagedThread::Status::Finished;
+        });
+      });
+      lk.release();  // big_ stays held for the caller's own lock
+    }
     if (stop_) throw ViolationUnwind{};
-    if (abort_run_) throw RunAbort{};
+    throw RunAbort{};
   }
 
   void publish(ManagedThread* self, OpKind k, const void* obj, const char* what) {
@@ -521,11 +539,9 @@ class Controller {
     }
   }
 
-  [[noreturn]] void violation_and_throw(std::unique_lock<std::mutex>& lk,
-                                        const std::string& msg) {
+  [[noreturn]] void violation_and_throw(const std::string& msg) {
     set_violation_locked(msg);
-    lk.unlock();
-    throw ViolationUnwind{};
+    unwind();
   }
 
   /// Invariant probes for `m` run on the releasing thread, with the shim in
@@ -622,10 +638,9 @@ class Controller {
     if (branch_idx_ < tree_.size()) {
       Node& n = tree_[branch_idx_];
       if (n.enabled != enabled) {
-        set_violation_locked(
+        violation_and_throw(
             "internal: schedule replay diverged (body is nondeterministic "
             "beyond thread interleaving)");
-        throw ViolationUnwind{};
       }
       sleep_now_ = n.sleep;
       chosen = n.chosen;
@@ -646,8 +661,7 @@ class Controller {
     ++branch_idx_;
     for (ManagedThread* t : runnable)
       if (t->id == chosen) return t;
-    set_violation_locked("internal: chosen thread not runnable at replay");
-    throw ViolationUnwind{};
+    violation_and_throw("internal: chosen thread not runnable at replay");
   }
 
   /// DFS backtrack: put the finished choice to sleep, pick the next sibling
@@ -681,7 +695,7 @@ class Controller {
       truncated_ = true;
       abort_run_ = true;
       cv_.notify_all();
-      throw RunAbort{};
+      unwind();
     }
     if (cfg_.mode == ExploreConfig::Mode::Exhaustive && !sleep_now_.empty()) {
       // Sleep-set propagation: the executed transition wakes every sleeping

@@ -286,7 +286,7 @@ TEST(MultiPrioFault, RepushRestoresAccountingLikeAFreshPush) {
     EXPECT_DOUBLE_EQ(a.best_remaining_work(m), b.best_remaining_work(m)) << mi;
     EXPECT_EQ(a.ready_tasks_count(m), b.ready_tasks_count(m)) << mi;
   }
-  EXPECT_EQ(a.pop_condition_rejects(), b.pop_condition_rejects());
+  EXPECT_EQ(a.eviction_total(), b.eviction_total());
 
   // And the repushed task is poppable again.
   std::size_t drained = 0;

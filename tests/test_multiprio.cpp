@@ -259,15 +259,18 @@ TEST(MultiPrio, CpuOnlyTaskNeverStarves) {
 
 TEST(MultiPrio, MaxTriesBoundsEvictionsPerPop) {
   World w;
-  MultiPrioConfig cfg;
-  cfg.max_tries = 2;
+  constexpr std::size_t kTries = MultiPrioScheduler::kMaxTries;
   std::vector<TaskId> ts;
-  for (int i = 0; i < 10; ++i) ts.push_back(w.add_task(w.both, 100e-3, 1e-3));
-  MultiPrioScheduler s(w.ctx(), cfg);
+  for (std::size_t i = 0; i < 2 * kTries + 4; ++i)
+    ts.push_back(w.add_task(w.both, 100e-3, 1e-3));
+  MultiPrioScheduler s(w.ctx());
   for (TaskId t : ts) s.push(t);
   const std::size_t before = s.eviction_total();
   EXPECT_FALSE(s.pop(w.cpu_worker()).has_value());
-  EXPECT_LE(s.eviction_total() - before, cfg.max_tries + 1);
+  // Every task is a GPU task the CPU rejects: the bound, not the heap, ends
+  // the pop.
+  EXPECT_EQ(s.eviction_total() - before, kTries + 1);
+  EXPECT_EQ(s.ready_tasks_count(w.ram), ts.size() - (kTries + 1));
 }
 
 TEST(MultiPrioDeath, PushOfTaskSubmittedAfterConstructionTripsTheCheck) {

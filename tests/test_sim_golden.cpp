@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <string>
 
 #include "apps/dense/dense_builders.hpp"
@@ -19,6 +20,7 @@
 #include "apps/sparseqr/dag_builder.hpp"
 #include "apps/sparseqr/generators.hpp"
 #include "apps/sparseqr/symbolic.hpp"
+#include "core/multiprio.hpp"
 #include "obs/observer.hpp"
 #include "sched/schedulers.hpp"
 #include "sim/engine.hpp"
@@ -88,32 +90,37 @@ struct SparseQrCase {
   }
 };
 
+void expect_golden_row(const TaskGraph& g, const Platform& p, const PerfDatabase& db,
+                       const SchedulerFactory& factory, const std::string& name,
+                       const Golden& want) {
+  RecordingObserver rec;
+  SimConfig cfg;
+  cfg.observer = &rec;
+  const SimResult r = simulate(g, p, db, factory, cfg);
+  // The observer must not steer a decision.
+  const SimResult quiet = simulate(g, p, db, factory);
+  EXPECT_EQ(hexfloat(quiet.makespan), hexfloat(r.makespan)) << name;
+  EXPECT_EQ(quiet.failed_pops, r.failed_pops) << name;
+
+  const std::uint64_t hash = fnv1a(rec.events().to_csv());
+  EXPECT_EQ(r.tasks_executed, g.num_tasks()) << name;
+  EXPECT_EQ(hexfloat(r.makespan), want.makespan) << name;
+  EXPECT_EQ(r.evictions, want.evictions) << name;
+  EXPECT_EQ(r.failed_pops, want.failed_pops) << name;
+  EXPECT_EQ(hash, want.events_fnv1a) << name;
+}
+
 void expect_golden(const TaskGraph& g, const Platform& p, const PerfDatabase& db,
                    const std::map<std::string, Golden>& expected) {
   ASSERT_EQ(expected.size(), scheduler_names().size())
       << "every registered policy needs a pinned row";
   for (const std::string& name : scheduler_names()) {
+    const auto it = expected.find(name);
+    ASSERT_NE(it, expected.end()) << "no pinned row for " << name;
     const SchedulerFactory factory = [&](SchedContext ctx) {
       return make_scheduler_by_name(name, std::move(ctx));
     };
-    RecordingObserver rec;
-    SimConfig cfg;
-    cfg.observer = &rec;
-    const SimResult r = simulate(g, p, db, factory, cfg);
-    // The observer must not steer a decision.
-    const SimResult quiet = simulate(g, p, db, factory);
-    EXPECT_EQ(hexfloat(quiet.makespan), hexfloat(r.makespan)) << name;
-    EXPECT_EQ(quiet.failed_pops, r.failed_pops) << name;
-
-    const std::uint64_t hash = fnv1a(rec.events().to_csv());
-    const auto it = expected.find(name);
-    ASSERT_NE(it, expected.end()) << "no pinned row for " << name;
-    const Golden& want = it->second;
-    EXPECT_EQ(r.tasks_executed, g.num_tasks()) << name;
-    EXPECT_EQ(hexfloat(r.makespan), want.makespan) << name;
-    EXPECT_EQ(r.evictions, want.evictions) << name;
-    EXPECT_EQ(r.failed_pops, want.failed_pops) << name;
-    EXPECT_EQ(hash, want.events_fnv1a) << name;
+    expect_golden_row(g, p, db, factory, name, it->second);
   }
 }
 
@@ -157,6 +164,20 @@ TEST(SimEngineGolden, WidePotrfSpillingPastTheHeapFrontIsByteIdenticalUnderEvery
     {"multiprio-rawbrw", {"0x1.938bb19a35016p-1", 0, 7328, 0x75c9a69805bb2c09ULL}},
   };
   expect_golden(c.graph, c.preset.platform, c.preset.perf, expected);
+}
+
+// A locality window of 40 reads past the 16 best entries of every heap, so
+// the window walks more than the paper's n = 10 ever reaches. Pinned from
+// the commit before ScoredHeap sized its sorted front from the window.
+TEST(SimEngineGolden, WidePotrfWithAFortyEntryLocalityWindowIsByteIdentical) {
+  const WidePotrfCase c;
+  MultiPrioConfig mp_cfg;
+  mp_cfg.locality_n = 40;
+  const SchedulerFactory factory = [&](SchedContext ctx) {
+    return std::make_unique<MultiPrioScheduler>(std::move(ctx), mp_cfg);
+  };
+  expect_golden_row(c.graph, c.preset.platform, c.preset.perf, factory, "multiprio n=40",
+                    {"0x1.7deba5ebaac2p-1", 0, 7276, 0xbff598b9c6d52035ULL});
 }
 
 TEST(SimEngineGolden, SparseQrIsByteIdenticalUnderEveryPolicy) {

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <random>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "common/check.hpp"
@@ -60,75 +61,87 @@ TEST(ScoredHeapStress, RandomInsertRemovePopAgainstReference) {
   }
 }
 
-// Every traversal must read the sorted reference, entry for entry, at the
-// window sizes around the sorted front's length K: the heap grows well past
-// 4K entries, loses front, boundary and deep entries along the way, and is
-// drained back below K. Scores come from small sets, so the criticality and
-// FIFO tiebreaks decide many comparisons; ids are reused after removal.
+// Heaps built for windows around the minimum front length, all fed the same
+// operations, must each hold the sorted reference's prefix in front(), entry
+// for entry, and every live entry in for_each(): the heaps grow well past
+// four times the longest front, lose front, boundary and deep entries along
+// the way, and are drained back below the shortest front. Scores come from
+// small sets, so the criticality and FIFO tiebreaks decide many comparisons;
+// ids are reused after removal.
 TEST(ScoredHeapStress, FrontHeapBoundaryAgainstSortedReference) {
-  constexpr std::size_t K = ScoredHeap::kFront;
+  constexpr std::size_t kMin = ScoredHeap::kMinFront;
+  constexpr std::size_t kWindows[] = {1, 10, kMin, kMin + 1, 40};
+  constexpr std::size_t kMaxFront = 40;
   constexpr std::size_t kRounds = 40;
-  constexpr std::size_t kIds = 8 * K;
-  static_assert(4 * K + kRounds < kIds, "the grow phase needs a free id for every insert");
-  const std::size_t limits[] = {1, 10, K - 1, K, K + 1, SIZE_MAX};
+  constexpr std::size_t kIds = 8 * kMaxFront;
+  static_assert(4 * kMaxFront + kRounds < kIds, "the grow phase needs a free id for every insert");
   std::mt19937_64 rng(20261019);
   for (std::size_t round = 0; round < kRounds; ++round) {
-    ScoredHeap h(kIds);
+    std::vector<ScoredHeap> heaps;
+    std::vector<std::size_t> fronts;  // each heap's front length
+    for (const std::size_t w : kWindows) {
+      heaps.emplace_back(kIds, w);
+      fronts.push_back(std::max(kMin, w));
+    }
     std::vector<HeapEntry> ref;  // kept sorted best-first
     std::vector<bool> present(kIds, false);
     std::uint64_t seq = 0;
-    const auto sort_ref = [&] {
-      std::sort(ref.begin(), ref.end(),
-                [](const HeapEntry& a, const HeapEntry& b) { return a.before(b); });
-    };
     const auto insert = [&] {
       std::size_t id = rng() % kIds;
       while (present[id]) id = (id + 1) % kIds;
       const double g = static_cast<double>(rng() % 6) / 4.0;
       const double p = static_cast<double>(rng() % 3);
-      h.insert(TaskId{id}, g, p);
+      for (ScoredHeap& h : heaps) h.insert(TaskId{id}, g, p);
       ref.push_back(HeapEntry{TaskId{id}, g, p, seq++});
       present[id] = true;
-      sort_ref();
+      std::sort(ref.begin(), ref.end(),
+                [](const HeapEntry& a, const HeapEntry& b) { return a.before(b); });
     };
     const auto remove_rank = [&](std::size_t r) {
       const TaskId t = ref[r].task;
-      if (r == 0 && rng() % 2 == 0)
-        h.pop_top();
-      else
-        h.remove(t);
+      const bool pop = r == 0 && rng() % 2 == 0;
+      for (ScoredHeap& h : heaps) pop ? h.pop_top() : h.remove(t);
       ref.erase(ref.begin() + static_cast<std::ptrdiff_t>(r));
       present[t.index()] = false;
     };
-    // A front, a boundary (K-1 or K) or a deep entry, by turns.
+    // A front, a boundary (F-1 or F, for one heap's front length F) or a
+    // deep entry, by turns.
     const auto remove_some = [&] {
       const std::size_t n = ref.size();
+      const std::size_t f = fronts[rng() % fronts.size()];
       switch (rng() % 3) {
-        case 0: remove_rank(rng() % std::min(n, K)); break;
-        case 1: remove_rank(std::min(n - 1, K - 1 + rng() % 2)); break;
-        default: remove_rank(n > K ? K + rng() % (n - K) : rng() % n); break;
+        case 0: remove_rank(rng() % std::min(n, f)); break;
+        case 1: remove_rank(std::min(n - 1, f - 1 + rng() % 2)); break;
+        default: remove_rank(n > f ? f + rng() % (n - f) : rng() % n); break;
       }
     };
     const auto check = [&](const char* phase, int step) {
-      ASSERT_TRUE(h.validate()) << phase << " step " << step;
-      ASSERT_EQ(h.size(), ref.size());
-      for (const std::size_t limit : limits) {
-        std::vector<HeapEntry> seen;
-        h.for_top([&](const HeapEntry& e) {
-          seen.push_back(e);
-          return true;
-        }, limit);
-        ASSERT_EQ(seen.size(), std::min(limit, ref.size())) << phase << " limit " << limit;
-        for (std::size_t i = 0; i < seen.size(); ++i) {
-          ASSERT_EQ(seen[i].task, ref[i].task) << phase << " step " << step << " rank " << i;
-          ASSERT_EQ(seen[i].seq, ref[i].seq);
-          ASSERT_EQ(seen[i].gain, ref[i].gain);
-          ASSERT_EQ(seen[i].prio, ref[i].prio);
+      std::vector<std::size_t> ref_ids;
+      for (const HeapEntry& e : ref) ref_ids.push_back(e.task.index());
+      std::sort(ref_ids.begin(), ref_ids.end());
+      for (std::size_t i = 0; i < heaps.size(); ++i) {
+        const ScoredHeap& h = heaps[i];
+        ASSERT_TRUE(h.validate()) << phase << " step " << step << " window " << kWindows[i];
+        ASSERT_EQ(h.size(), ref.size());
+        const std::span<const HeapEntry> front = h.front();
+        ASSERT_EQ(front.size(), std::min(fronts[i], ref.size()))
+            << phase << " window " << kWindows[i];
+        for (std::size_t r = 0; r < front.size(); ++r) {
+          ASSERT_EQ(front[r].task, ref[r].task)
+              << phase << " step " << step << " window " << kWindows[i] << " rank " << r;
+          ASSERT_EQ(front[r].seq, ref[r].seq);
+          ASSERT_EQ(front[r].gain, ref[r].gain);
+          ASSERT_EQ(front[r].prio, ref[r].prio);
         }
+        std::vector<std::size_t> seen;
+        h.for_each([&](const HeapEntry& e) { seen.push_back(e.task.index()); });
+        std::sort(seen.begin(), seen.end());
+        ASSERT_EQ(seen, ref_ids) << phase << " step " << step << " window " << kWindows[i];
       }
     };
-    // Grow past 4K entries, with one removal for every three inserts.
-    for (int step = 0; ref.size() < 4 * K + round; ++step) {
+    // Grow past four times the longest front, with one removal for every
+    // three inserts.
+    for (int step = 0; ref.size() < 4 * kMaxFront + round; ++step) {
       if (ref.empty() || rng() % 4 != 0)
         insert();
       else
@@ -136,8 +149,8 @@ TEST(ScoredHeapStress, FrontHeapBoundaryAgainstSortedReference) {
       check("grow", step);
       if (HasFatalFailure()) return;
     }
-    // Drain below K, still inserting now and then.
-    for (int step = 0; ref.size() >= K - 2; ++step) {
+    // Drain below the shortest front, still inserting now and then.
+    for (int step = 0; ref.size() >= kMin - 2; ++step) {
       if (rng() % 5 == 0)
         insert();
       else
@@ -182,10 +195,7 @@ TEST(ScoredHeapStress, StaleDuplicateDiscardPattern) {
     }
     // Whatever remains anywhere must be stale duplicates of taken tasks.
     for (auto& h : heaps)
-      h.for_top([&](const HeapEntry& e) {
-        EXPECT_TRUE(taken[e.task.index()]);
-        return true;
-      });
+      h.for_each([&](const HeapEntry& e) { EXPECT_TRUE(taken[e.task.index()]); });
   }
 }
 

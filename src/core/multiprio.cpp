@@ -346,8 +346,8 @@ std::optional<MultiPrioScheduler::Candidate> MultiPrioScheduler::select_candidat
 
   // Most-local task among the first n entries whose gain score is within ε
   // of the top task's score. Taken duplicates inside the window are skipped
-  // (the top itself is known live after drop_taken).
-  // The heap's front holds at least n entries, so the window is its prefix.
+  // (the top itself is known live after drop_taken). The heap's front holds
+  // at least n entries, so the window is its prefix.
   HeapEntry best_entry = top;
   double best_local = -1.0;
   const std::span<const HeapEntry> front = heap.front();

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -120,21 +119,6 @@ TEST(ScoredHeap, ForTopFirstIsTop) {
   for (std::size_t i = 0; i < 50; ++i) h.insert(tid(i), rng.next_double(), 0.0);
   ASSERT_FALSE(h.front().empty());
   EXPECT_EQ(h.front().front().task, h.top()->task);
-}
-
-TEST(ScoredHeap, FrontHoldsTheLongerOfTheWindowAndTheMinimum) {
-  for (const std::size_t window : {std::size_t{0}, std::size_t{10}, ScoredHeap::kMinFront,
-                                   std::size_t{40}}) {
-    ScoredHeap h(kIds, window);
-    for (std::size_t i = 0; i < 100; ++i) h.insert(tid(i), static_cast<double>(i), 0.0);
-    const std::size_t want = std::max(ScoredHeap::kMinFront, window);
-    ASSERT_EQ(h.front().size(), want) << window;
-    for (std::size_t r = 0; r < want; ++r) EXPECT_EQ(h.front()[r].task, tid(99 - r));
-    // Drained below the front, the front holds everything.
-    while (h.size() > 5) h.pop_top();
-    EXPECT_EQ(h.front().size(), 5u);
-    EXPECT_TRUE(h.validate());
-  }
 }
 
 TEST(ScoredHeapDeath, WindowTooLargeToSizeTripsTheCheck) {

@@ -327,11 +327,8 @@ class Controller {
   }
 
   void violation_from_thread(const std::string& msg, bool big_held) {
-    if (big_held) {
-      set_violation_locked(msg);
-      unwind();
-    }
-    std::lock_guard lk(big_);
+    std::unique_lock lk(big_, std::defer_lock);
+    if (!big_held) lk.lock();
     set_violation_locked(msg);
     unwind();
   }

@@ -20,8 +20,8 @@ int main() {
   std::vector<double> vec(1024, 1.0);
   double sum = 0.0;
 
-  const DataId d_vec = graph.add_data(vec.size() * sizeof(double), vec.data(), "vec");
-  const DataId d_sum = graph.add_data(sizeof(double), &sum, "sum");
+  const DataId d_vec = graph.add_data(vec.size() * sizeof(double), vec.data());
+  const DataId d_sum = graph.add_data(sizeof(double), &sum);
 
   const CodeletId scale = graph.add_codelet(
       "scale", {ArchType::CPU, ArchType::GPU},

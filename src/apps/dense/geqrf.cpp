@@ -43,17 +43,11 @@ std::unique_ptr<DenseAux> build_geqrf(TaskGraph& graph, TileMatrix& a,
       });
 
   const std::size_t tau_bytes = nb * sizeof(double);
-  auto name = [](const char* op, std::size_t i, std::size_t j, std::size_t k) {
-    return std::string(op) + "(" + std::to_string(i) + "," + std::to_string(j) + "," +
-           std::to_string(k) + ")";
-  };
-
   for (std::size_t k = 0; k < T; ++k) {
-    const DataId tau_kk = graph.add_data(tau_bytes, make_tau(), name("tau", k, k, k));
+    const DataId tau_kk = graph.add_data(tau_bytes, make_tau());
     SubmitOptions qo;
     qo.flops = flops_geqrt(nb);
     qo.iparams = {static_cast<std::int64_t>(k), 0, 0, 0};
-    qo.name = name("geqrt", k, k, k);
     graph.submit(cl_geqrt,
                  {Access{a.handle(k, k), AccessMode::ReadWrite},
                   Access{tau_kk, AccessMode::Write}},
@@ -63,7 +57,6 @@ std::unique_ptr<DenseAux> build_geqrf(TaskGraph& graph, TileMatrix& a,
       SubmitOptions oo;
       oo.flops = flops_ormqr(nb);
       oo.iparams = {static_cast<std::int64_t>(k), static_cast<std::int64_t>(j), 0, 0};
-      oo.name = name("ormqr", k, j, k);
       graph.submit(cl_ormqr,
                    {Access{a.handle(k, k), AccessMode::Read},
                     Access{tau_kk, AccessMode::Read},
@@ -72,11 +65,10 @@ std::unique_ptr<DenseAux> build_geqrf(TaskGraph& graph, TileMatrix& a,
     }
 
     for (std::size_t i = k + 1; i < T; ++i) {
-      const DataId tau_ik = graph.add_data(tau_bytes, make_tau(), name("tau", i, k, k));
+      const DataId tau_ik = graph.add_data(tau_bytes, make_tau());
       SubmitOptions to;
       to.flops = flops_tsqrt(nb);
       to.iparams = {static_cast<std::int64_t>(i), static_cast<std::int64_t>(k), 0, 0};
-      to.name = name("tsqrt", i, k, k);
       graph.submit(cl_tsqrt,
                    {Access{a.handle(k, k), AccessMode::ReadWrite},
                     Access{a.handle(i, k), AccessMode::ReadWrite},
@@ -87,7 +79,6 @@ std::unique_ptr<DenseAux> build_geqrf(TaskGraph& graph, TileMatrix& a,
         mo.flops = flops_tsmqr(nb);
         mo.iparams = {static_cast<std::int64_t>(i), static_cast<std::int64_t>(j),
                       static_cast<std::int64_t>(k), 0};
-        mo.name = name("tsmqr", i, j, k);
         graph.submit(cl_tsmqr,
                      {Access{a.handle(k, j), AccessMode::ReadWrite},
                       Access{a.handle(i, j), AccessMode::ReadWrite},

@@ -32,23 +32,16 @@ void build_getrf(TaskGraph& graph, TileMatrix& a, bool expert_priorities) {
                 static_cast<double*>(buf[2]), nb);
       });
 
-  auto name = [](const char* op, std::size_t i, std::size_t j, std::size_t k) {
-    return std::string(op) + "(" + std::to_string(i) + "," + std::to_string(j) + "," +
-           std::to_string(k) + ")";
-  };
-
   for (std::size_t k = 0; k < T; ++k) {
     SubmitOptions fo;
     fo.flops = flops_getrf(nb);
     fo.iparams = {static_cast<std::int64_t>(k), 0, 0, 0};
-    fo.name = name("getrf", k, k, k);
     graph.submit(cl_getrf, {Access{a.handle(k, k), AccessMode::ReadWrite}}, fo);
 
     for (std::size_t j = k + 1; j < T; ++j) {  // U row panel: A[k][j] := L⁻¹·A[k][j]
       SubmitOptions to;
       to.flops = flops_trsm(nb);
       to.iparams = {static_cast<std::int64_t>(k), static_cast<std::int64_t>(j), 0, 0};
-      to.name = name("trsmL", k, j, k);
       graph.submit(cl_trsm_l,
                    {Access{a.handle(k, k), AccessMode::Read},
                     Access{a.handle(k, j), AccessMode::ReadWrite}},
@@ -58,7 +51,6 @@ void build_getrf(TaskGraph& graph, TileMatrix& a, bool expert_priorities) {
       SubmitOptions to;
       to.flops = flops_trsm(nb);
       to.iparams = {static_cast<std::int64_t>(i), static_cast<std::int64_t>(k), 0, 0};
-      to.name = name("trsmU", i, k, k);
       graph.submit(cl_trsm_u,
                    {Access{a.handle(k, k), AccessMode::Read},
                     Access{a.handle(i, k), AccessMode::ReadWrite}},
@@ -70,7 +62,6 @@ void build_getrf(TaskGraph& graph, TileMatrix& a, bool expert_priorities) {
         go.flops = flops_gemm(nb);
         go.iparams = {static_cast<std::int64_t>(i), static_cast<std::int64_t>(j),
                       static_cast<std::int64_t>(k), 0};
-        go.name = name("gemm", i, j, k);
         graph.submit(cl_gemm,
                      {Access{a.handle(i, k), AccessMode::Read},
                       Access{a.handle(k, j), AccessMode::Read},

@@ -53,23 +53,16 @@ void build_potrf(TaskGraph& graph, TileMatrix& a, bool expert_priorities) {
                 static_cast<double*>(buf[2]), nb);
       });
 
-  auto name = [](const char* op, std::size_t i, std::size_t j, std::size_t k) {
-    return std::string(op) + "(" + std::to_string(i) + "," + std::to_string(j) + "," +
-           std::to_string(k) + ")";
-  };
-
   for (std::size_t k = 0; k < T; ++k) {
     SubmitOptions po;
     po.flops = flops_potrf(nb);
     po.iparams = {static_cast<std::int64_t>(k), 0, 0, 0};
-    po.name = name("potrf", k, k, k);
     graph.submit(cl_potrf, {Access{a.handle(k, k), AccessMode::ReadWrite}}, po);
 
     for (std::size_t i = k + 1; i < T; ++i) {
       SubmitOptions to;
       to.flops = flops_trsm(nb);
       to.iparams = {static_cast<std::int64_t>(i), static_cast<std::int64_t>(k), 0, 0};
-      to.name = name("trsm", i, k, k);
       graph.submit(cl_trsm,
                    {Access{a.handle(k, k), AccessMode::Read},
                     Access{a.handle(i, k), AccessMode::ReadWrite}},
@@ -79,7 +72,6 @@ void build_potrf(TaskGraph& graph, TileMatrix& a, bool expert_priorities) {
       SubmitOptions so;
       so.flops = flops_syrk(nb);
       so.iparams = {static_cast<std::int64_t>(i), static_cast<std::int64_t>(k), 0, 0};
-      so.name = name("syrk", i, i, k);
       graph.submit(cl_syrk,
                    {Access{a.handle(i, k), AccessMode::Read},
                     Access{a.handle(i, i), AccessMode::ReadWrite}},
@@ -89,7 +81,6 @@ void build_potrf(TaskGraph& graph, TileMatrix& a, bool expert_priorities) {
         go.flops = flops_gemm(nb);
         go.iparams = {static_cast<std::int64_t>(i), static_cast<std::int64_t>(j),
                       static_cast<std::int64_t>(k), 0};
-        go.name = name("gemm", i, j, k);
         graph.submit(cl_gemm,
                      {Access{a.handle(i, k), AccessMode::Read},
                       Access{a.handle(j, k), AccessMode::Read},

@@ -27,8 +27,7 @@ void TileMatrix::register_handles(TaskGraph& graph) {
   for (std::size_t j = 0; j < t_; ++j) {
     for (std::size_t i = 0; i < t_; ++i) {
       void* ptr = allocated() ? static_cast<void*>(tile(i, j)) : nullptr;
-      handles_.push_back(graph.add_data(
-          tile_bytes(), ptr, "A(" + std::to_string(i) + "," + std::to_string(j) + ")"));
+      handles_.push_back(graph.add_data(tile_bytes(), ptr));
     }
   }
 }

@@ -134,7 +134,6 @@ FmmBuildStats build_fmm(TaskGraph& graph, Octree& tree, FmmBuildOptions opts) {
     SubmitOptions o;
     o.flops = kFlopP2M * static_cast<double>(tree.group_particle_count(g));
     o.iparams = ip(leaf, gi, 0);
-    o.name = "P2M#" + std::to_string(gi);
     graph.submit(k.p2m,
                  {Access{g.particles, AccessMode::Read},
                   Access{g.multipole, AccessMode::Write}},
@@ -163,7 +162,6 @@ FmmBuildStats build_fmm(TaskGraph& graph, Octree& tree, FmmBuildOptions opts) {
       SubmitOptions o;
       o.flops = kFlopM2M * cell_pairs;
       o.iparams = ip(l, gi, 0);
-      o.name = "M2M@" + std::to_string(l) + "#" + std::to_string(gi);
       graph.submit(k.m2m, std::span<const Access>(acc), o);
       ++stats.m2m;
     }
@@ -186,7 +184,6 @@ FmmBuildStats build_fmm(TaskGraph& graph, Octree& tree, FmmBuildOptions opts) {
       SubmitOptions o;
       o.flops = kFlopM2L * count;
       o.iparams = ip(l, key.first, key.second);
-      o.name = "M2L@" + std::to_string(l);
       graph.submit(k.m2l,
                    {Access{gs.multipole, AccessMode::Read},
                     Access{gt.local, accum}},
@@ -213,7 +210,6 @@ FmmBuildStats build_fmm(TaskGraph& graph, Octree& tree, FmmBuildOptions opts) {
       SubmitOptions o;
       o.flops = kFlopL2L * static_cast<double>(gc.cend - gc.cbegin);
       o.iparams = ip(l, gi, 0);
-      o.name = "L2L@" + std::to_string(l) + "#" + std::to_string(gi);
       graph.submit(k.l2l, std::span<const Access>(acc), o);
       ++stats.l2l;
     }
@@ -223,7 +219,6 @@ FmmBuildStats build_fmm(TaskGraph& graph, Octree& tree, FmmBuildOptions opts) {
     SubmitOptions o;
     o.flops = kFlopL2P * static_cast<double>(tree.group_particle_count(g));
     o.iparams = ip(leaf, gi, 0);
-    o.name = "L2P#" + std::to_string(gi);
     graph.submit(k.l2p,
                  {Access{g.local, AccessMode::Read}, Access{g.particles, AccessMode::Read},
                   Access{g.potentials, AccessMode::ReadWrite}},
@@ -258,7 +253,6 @@ FmmBuildStats build_fmm(TaskGraph& graph, Octree& tree, FmmBuildOptions opts) {
       SubmitOptions o;
       o.flops = kFlopP2P * inner_pairs[gi];
       o.iparams = ip(leaf, gi, gi);
-      o.name = "P2Pi#" + std::to_string(gi);
       graph.submit(k.p2p,
                    {Access{g.particles, AccessMode::Read},
                     Access{g.potentials, accum}},
@@ -271,7 +265,6 @@ FmmBuildStats build_fmm(TaskGraph& graph, Octree& tree, FmmBuildOptions opts) {
       SubmitOptions o;
       o.flops = kFlopP2P * count;
       o.iparams = ip(leaf, key.first, key.second);
-      o.name = "P2Px";
       graph.submit(k.p2p,
                    {Access{ga.particles, AccessMode::Read},
                     Access{gb.particles, AccessMode::Read},

@@ -240,17 +240,15 @@ void Octree::register_handles(TaskGraph& graph) {
       const std::size_t ncells = g.cend - g.cbegin;
       void* mp_ptr = opts_.allocate ? static_cast<void*>(&multipoles_[l][g.cbegin]) : nullptr;
       void* lo_ptr = opts_.allocate ? static_cast<void*>(&locals_[l][g.cbegin]) : nullptr;
-      g.multipole = graph.add_data(ncells * sizeof(Multipole), mp_ptr,
-                                   "M[" + std::to_string(l) + "]");
-      g.local = graph.add_data(ncells * sizeof(LocalExp), lo_ptr,
-                               "L[" + std::to_string(l) + "]");
+      g.multipole = graph.add_data(ncells * sizeof(Multipole), mp_ptr);
+      g.local = graph.add_data(ncells * sizeof(LocalExp), lo_ptr);
       if (l == leaf) {
         const std::size_t pbegin = levels_[leaf][g.cbegin].pbegin;
         const std::size_t pend = levels_[leaf][g.cend - 1].pend;
         void* pp = opts_.allocate ? static_cast<void*>(&parts_[pbegin]) : nullptr;
         void* pot = opts_.allocate ? static_cast<void*>(&potentials_[pbegin]) : nullptr;
-        g.particles = graph.add_data((pend - pbegin) * sizeof(Particle), pp, "P");
-        g.potentials = graph.add_data((pend - pbegin) * sizeof(double), pot, "phi");
+        g.particles = graph.add_data((pend - pbegin) * sizeof(Particle), pp);
+        g.potentials = graph.add_data((pend - pbegin) * sizeof(double), pot);
       }
     }
   }

@@ -1,8 +1,6 @@
 #include "apps/sparseqr/dag_builder.hpp"
 
 #include <algorithm>
-#include <string>
-#include <utility>
 
 #include "common/check.hpp"
 
@@ -49,9 +47,7 @@ SparseQrStats build_sparseqr(TaskGraph& graph, const SymbolicAnalysis& sym,
       std::size_t area = 0;
       for (std::size_t j = p * opts.panel_cols; j < p * opts.panel_cols + width; ++j)
         area += depth(j);
-      std::string name = "F";
-      name.append(std::to_string(fi)).append("p").append(std::to_string(p));
-      panels[fi].push_back(graph.add_data(area * sizeof(double), nullptr, std::move(name)));
+      panels[fi].push_back(graph.add_data(area * sizeof(double)));
       ++stats.panels;
     }
     first_border_panel[fi] = f.k() / opts.panel_cols;  // panels holding the CB
@@ -88,7 +84,6 @@ SparseQrStats build_sparseqr(TaskGraph& graph, const SymbolicAnalysis& sym,
       SubmitOptions o;
       o.flops = std::max(1.0, touched);
       o.iparams = {static_cast<std::int64_t>(fi), 0, 0, 0};
-      o.name = "init_front#" + std::to_string(fi);
       graph.submit(cl_init, std::span<const Access>(acc), o);
       ++stats.tasks;
     }
@@ -106,7 +101,6 @@ SparseQrStats build_sparseqr(TaskGraph& graph, const SymbolicAnalysis& sym,
       SubmitOptions po;
       po.flops = std::max(1.0, panel_flops);
       po.iparams = {static_cast<std::int64_t>(fi), static_cast<std::int64_t>(p), 0, 0};
-      po.name = "panel#" + std::to_string(fi) + "." + std::to_string(p);
       graph.submit(cl_panel, {Access{panels[fi][p], AccessMode::ReadWrite}}, po);
       ++stats.tasks;
       for (std::size_t q = p + 1; q < npanels; ++q) {
@@ -119,7 +113,6 @@ SparseQrStats build_sparseqr(TaskGraph& graph, const SymbolicAnalysis& sym,
         uo.flops = std::max(1.0, upd_flops);
         uo.iparams = {static_cast<std::int64_t>(fi), static_cast<std::int64_t>(p),
                       static_cast<std::int64_t>(q), 0};
-        uo.name = "update#" + std::to_string(fi);
         graph.submit(cl_update,
                      {Access{panels[fi][p], AccessMode::Read},
                       Access{panels[fi][q], AccessMode::ReadWrite}},

@@ -78,12 +78,11 @@ std::string chrome_trace_json(const Trace& trace, const TaskGraph& graph,
   // Executed segments: one slice per task, plus its data stall as a
   // separate slice so transfer-bound stretches are visible at a glance.
   for (const TraceSegment& s : trace.segments()) {
-    const Task& task = graph.task(s.task);
     const std::string& codelet = graph.codelet_of(s.task).name;
     std::ostringstream os;
-    os << R"({"ph":"X","cat":"exec","name":")"
-       << json_escape(task.name.empty() ? codelet : task.name) << R"(","pid":0,"tid":)"
-       << s.worker.value() << R"(,"ts":)" << num(s.exec_start * kUsPerSecond)
+    os << R"({"ph":"X","cat":"exec","name":")" << json_escape(graph.label(s.task))
+       << R"(","pid":0,"tid":)" << s.worker.value() << R"(,"ts":)"
+       << num(s.exec_start * kUsPerSecond)
        << R"(,"dur":)" << num((s.end - s.exec_start) * kUsPerSecond)
        << R"(,"args":{"task":)" << s.task.value() << R"(,"codelet":")"
        << json_escape(codelet) << R"(","fetch_start_s":)" << num(s.fetch_start)

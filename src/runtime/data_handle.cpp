@@ -4,11 +4,10 @@
 
 namespace mp {
 
-DataId HandleRegistry::register_data(std::size_t bytes, MemNodeId home, void* user_ptr,
-                                     std::string name) {
+DataId HandleRegistry::register_data(std::size_t bytes, MemNodeId home, void* user_ptr) {
   MP_CHECK_MSG(home.valid(), "data must have a home memory node");
   const DataId id{handles_.size()};
-  handles_.push_back(DataHandle{id, bytes, home, user_ptr, std::move(name)});
+  handles_.push_back(DataHandle{id, bytes, home, user_ptr});
   return id;
 }
 

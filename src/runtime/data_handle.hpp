@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "common/check.hpp"
@@ -19,7 +18,6 @@ struct DataHandle {
   MemNodeId home;
   /// Optional pointer to real storage, used by the threaded executor.
   void* user_ptr = nullptr;
-  std::string name;
 };
 
 /// Owns all data handles of an application run.
@@ -27,8 +25,7 @@ class HandleRegistry {
  public:
   /// Registers a piece of data living on `home`. `user_ptr` may be null for
   /// simulation-only workloads.
-  DataId register_data(std::size_t bytes, MemNodeId home, void* user_ptr = nullptr,
-                       std::string name = {});
+  DataId register_data(std::size_t bytes, MemNodeId home, void* user_ptr = nullptr);
 
   [[nodiscard]] const DataHandle& get(DataId id) const {
     MP_CHECK(id.valid() && id.index() < handles_.size());

@@ -61,14 +61,9 @@ HistoryModel::Bucket& HistoryModel::bucket(TaskId t, ArchType a) const {
   return buckets_[slot];
 }
 
-void HistoryModel::set_calibration_min(std::uint32_t n) {
-  MP_CHECK_MSG(n > 0, "an empty bucket never counts as calibrated");
-  calibration_min_ = n;
-}
-
 double HistoryModel::estimate(TaskId t, ArchType a) const {
   const Bucket& b = bucket(t, a);
-  if (b.count >= calibration_min_) return b.mean;
+  if (b.count > 0) return b.mean;
   // Uncalibrated prior: default-rate estimate from the task's flops.
   const Task& task = graph_.task(t);
   return apply_rate(truth_.rate("", a), task.flops,
@@ -76,8 +71,7 @@ double HistoryModel::estimate(TaskId t, ArchType a) const {
 }
 
 bool HistoryModel::is_calibrated(TaskId t, ArchType a) const {
-  const Bucket& b = bucket(t, a);
-  return b.count >= calibration_min_;
+  return bucket(t, a).count > 0;
 }
 
 void HistoryModel::record(TaskId t, ArchType a, double measured_s) {
@@ -96,7 +90,7 @@ void HistoryModel::seed_from_truth() {
       if (!cl.can_exec(a)) continue;
       Bucket& b = bucket(t, a);
       if (b.count == 0) {
-        b.count = calibration_min_;
+        b.count = 1;
         b.mean = truth_.ground_truth(graph_, t, a);
       }
     }

@@ -72,10 +72,10 @@ class HistoryModel {
  public:
   HistoryModel(const TaskGraph& graph, const PerfDatabase& truth);
 
-  /// δ(t,a). Calibrated entries return the running mean of measurements;
-  /// uncalibrated entries fall back to the database's default-rate prior so
-  /// schedulers always have a usable number (StarPU force-calibrates
-  /// instead; the convergence behaviour is the same).
+  /// δ(t,a). Calibrated entries (one sample or more) return the running
+  /// mean of measurements; uncalibrated entries fall back to the database's
+  /// default-rate prior so schedulers always have a usable number (StarPU
+  /// force-calibrates instead; the convergence behaviour is the same).
   [[nodiscard]] double estimate(TaskId t, ArchType a) const;
 
   [[nodiscard]] bool is_calibrated(TaskId t, ArchType a) const;
@@ -87,9 +87,6 @@ class HistoryModel {
   /// graph with its analytic expectation — the "already calibrated" regime
   /// the paper's experiments run in. All schedulers see the same estimates.
   void seed_from_truth();
-
-  /// Minimum sample count (at least 1) before a bucket counts as calibrated.
-  void set_calibration_min(std::uint32_t n);
 
  private:
   struct Bucket {
@@ -110,7 +107,6 @@ class HistoryModel {
 
   const TaskGraph& graph_;
   const PerfDatabase& truth_;
-  std::uint32_t calibration_min_ = 1;
   mutable std::vector<std::uint32_t> slot_of_;  ///< per (task, arch): index into buckets_
   mutable std::vector<Bucket> buckets_;
   mutable std::map<BucketKey, std::uint32_t> slot_by_key_;

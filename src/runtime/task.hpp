@@ -3,7 +3,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -39,9 +38,6 @@ struct Task {
   /// Sum of access sizes in bytes (filled by TaskGraph::submit); the
   /// footprint key for history-based performance models.
   std::size_t footprint_bytes = 0;
-
-  /// Optional label for traces.
-  std::string name;
 };
 
 }  // namespace mp

@@ -21,21 +21,19 @@ CodeletId TaskGraph::add_codelet(std::string name, std::initializer_list<ArchTyp
   return codelets_.back().id;
 }
 
-DataId TaskGraph::add_data(std::size_t bytes, void* user_ptr, std::string name) {
-  return add_data_on(bytes, ram_node_, user_ptr, std::move(name));
+DataId TaskGraph::add_data(std::size_t bytes, void* user_ptr) {
+  return add_data_on(bytes, ram_node_, user_ptr);
 }
 
-DataId TaskGraph::add_data_on(std::size_t bytes, MemNodeId home, void* user_ptr,
-                              std::string name) {
-  const DataId id = handles_.register_data(bytes, home, user_ptr, std::move(name));
+DataId TaskGraph::add_data_on(std::size_t bytes, MemNodeId home, void* user_ptr) {
+  const DataId id = handles_.register_data(bytes, home, user_ptr);
   per_data_.emplace_back();
   return id;
 }
 
 TaskId TaskGraph::submit(CodeletId codelet, std::initializer_list<Access> accesses,
                          SubmitOptions opts) {
-  return submit(codelet, std::span<const Access>(accesses.begin(), accesses.size()),
-                std::move(opts));
+  return submit(codelet, std::span<const Access>(accesses.begin(), accesses.size()), opts);
 }
 
 TaskId TaskGraph::submit(CodeletId codelet, std::span<const Access> accesses,
@@ -50,7 +48,6 @@ TaskId TaskGraph::submit(CodeletId codelet, std::span<const Access> accesses,
   t.flops = opts.flops;
   t.user_priority = opts.user_priority;
   t.iparams = opts.iparams;
-  t.name = std::move(opts.name);
   for (const Access& acc : t.accesses) {
     MP_CHECK(acc.data.valid() && acc.data.index() < handles_.count());
     t.footprint_bytes += handles_.get(acc.data).bytes;
@@ -129,6 +126,16 @@ void TaskGraph::add_edge(TaskId from, TaskId to) {
 const Codelet& TaskGraph::codelet(CodeletId c) const {
   MP_CHECK(c.valid() && c.index() < codelets_.size());
   return codelets_[c.index()];
+}
+
+std::string TaskGraph::label(TaskId t) const {
+  std::string s = codelet_of(t).name;
+  char sep = '(';
+  for (std::int64_t p : task(t).iparams) {
+    s.append(1, sep).append(std::to_string(p));
+    sep = ',';
+  }
+  return s.append(1, ')');
 }
 
 std::size_t TaskGraph::in_degree(TaskId t) const {

@@ -23,7 +23,6 @@ struct SubmitOptions {
   double flops = 0.0;
   std::int64_t user_priority = 0;
   std::array<std::int64_t, 4> iparams{0, 0, 0, 0};
-  std::string name;
 };
 
 class TaskGraph {
@@ -38,9 +37,8 @@ class TaskGraph {
                         KernelFn cpu_fn = nullptr, KernelFn gpu_fn = nullptr);
 
   /// Registers application data (home copy on the RAM node by default).
-  DataId add_data(std::size_t bytes, void* user_ptr = nullptr, std::string name = {});
-  DataId add_data_on(std::size_t bytes, MemNodeId home, void* user_ptr = nullptr,
-                     std::string name = {});
+  DataId add_data(std::size_t bytes, void* user_ptr = nullptr);
+  DataId add_data_on(std::size_t bytes, MemNodeId home, void* user_ptr = nullptr);
 
   /// Submits a task accessing `accesses` in order; dependencies on earlier
   /// tasks are inferred from the access modes (STF semantics).
@@ -60,6 +58,9 @@ class TaskGraph {
     return codelets_[task(t).codelet.index()];
   }
   [[nodiscard]] const Codelet& codelet(CodeletId c) const;
+  /// Trace label of `t`: its codelet name and its four iparams, as in
+  /// `gemm(3,2,1,0)`. Computed on each call; tasks store no label.
+  [[nodiscard]] std::string label(TaskId t) const;
   [[nodiscard]] std::size_t num_codelets() const { return codelets_.size(); }
 
   [[nodiscard]] const HandleRegistry& handles() const { return handles_; }

@@ -401,7 +401,6 @@ SimResult SimEngine::run(const SchedulerFactory& make_scheduler) {
 
   SimResult r;
   r.makespan = trace_->makespan();
-  r.gflops = trace_->gflops();
   r.tasks_executed = trace_->num_executed();
   for (const MemNode& n : platform_.nodes()) {
     if (n.kind != MemNodeKind::Gpu) continue;

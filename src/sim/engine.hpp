@@ -51,7 +51,6 @@ struct SimConfig {
 
 struct SimResult {
   double makespan = 0.0;
-  double gflops = 0.0;
   std::size_t tasks_executed = 0;
   std::size_t bytes_to_gpus = 0;
   std::size_t bytes_from_gpus = 0;

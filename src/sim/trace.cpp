@@ -94,9 +94,8 @@ void Trace::validate(bool require_all) const {
 std::string Trace::to_csv() const {
   Table t({"task", "name", "codelet", "worker", "arch", "fetch_start", "exec_start", "end"});
   for (const TraceSegment& s : segments_) {
-    const Task& task = graph_.task(s.task);
-    t.add_row({std::to_string(s.task.value()), task.name, graph_.codelet_of(s.task).name,
-               std::to_string(s.worker.value()),
+    t.add_row({std::to_string(s.task.value()), graph_.label(s.task),
+               graph_.codelet_of(s.task).name, std::to_string(s.worker.value()),
                arch_name(platform_.worker(s.worker).arch), fmt_double(s.fetch_start, 9),
                fmt_double(s.exec_start, 9), fmt_double(s.end, 9)});
   }

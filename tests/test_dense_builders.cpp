@@ -4,9 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <set>
 
 #include "apps/dense/dense_builders.hpp"
 #include "apps/dense/reference.hpp"
+#include "apps/fmm/dag_builder.hpp"
+#include "apps/fmm/particles.hpp"
+#include "apps/sparseqr/dag_builder.hpp"
+#include "apps/sparseqr/generators.hpp"
 #include "exec/thread_executor.hpp"
 #include "sched/schedulers.hpp"
 #include "sim/engine.hpp"
@@ -102,6 +107,43 @@ TEST(Builders, SimulationRunsAllSchedulers) {
       return make_scheduler_by_name(name, std::move(ctx));
     });
     EXPECT_EQ(r.tasks_executed, g.num_tasks()) << name;
+  }
+}
+
+// Every builder (dense, FMM, sparse QR) gives each task of its DAG its own
+// label (codelet name and iparams), so a trace names each task once.
+std::size_t distinct_labels(const TaskGraph& g) {
+  std::set<std::string> labels;
+  for (std::size_t i = 0; i < g.num_tasks(); ++i) labels.insert(g.label(TaskId{i}));
+  return labels.size();
+}
+
+TEST(Builders, LabelsAreUniqueWithinEachDag) {
+  using Build = void (*)(TaskGraph&, TileMatrix&);
+  const std::pair<const char*, Build> dense[] = {
+      {"potrf", [](TaskGraph& g, TileMatrix& a) { build_potrf(g, a, false); }},
+      {"getrf", [](TaskGraph& g, TileMatrix& a) { build_getrf(g, a, false); }},
+      {"geqrf", [](TaskGraph& g, TileMatrix& a) { (void)build_geqrf(g, a, false); }},
+  };
+  for (const auto& [name, build] : dense) {
+    TaskGraph g;
+    TileMatrix a(4, 8, /*allocate=*/false);
+    a.register_handles(g);
+    build(g, a);
+    EXPECT_EQ(distinct_labels(g), g.num_tasks()) << name;
+  }
+  {
+    fmm::Octree tree(fmm::uniform_cube(3000, 8), {4, 8, false});
+    TaskGraph g;
+    (void)fmm::build_fmm(g, tree);
+    EXPECT_EQ(distinct_labels(g), g.num_tasks()) << "fmm";
+  }
+  {
+    const sqr::MatrixSpec spec{"t", 300, 200, 800, 0.0, 10.0, 0.01};
+    const sqr::SymbolicAnalysis sym = sqr::analyze(sqr::generate(spec, 13), {16});
+    TaskGraph g;
+    (void)sqr::build_sparseqr(g, sym, {16});
+    EXPECT_EQ(distinct_labels(g), g.num_tasks()) << "sparseqr";
   }
 }
 

@@ -311,6 +311,11 @@ TEST(ObsExport, ChromeTraceContainsSlicesInstantsAndCounters) {
     EXPECT_NE(json.find(name), std::string::npos) << name;
   // Per-worker metadata tracks plus the scheduler track.
   EXPECT_EQ(count_occurrences(json, "\"thread_name\""), run.platform.num_workers() + 1);
+  // A slice is named by its task's label.
+  const TaskId first = run.engine->trace().segments().front().task;
+  const std::string slice_name =
+      std::string("\"name\":\"").append(run.eg.graph.label(first)).append("\"");
+  EXPECT_NE(json.find(slice_name), std::string::npos) << slice_name;
 }
 
 TEST(ObsExport, JsonEscapeHandlesSpecials) {

@@ -90,18 +90,6 @@ TEST(HistoryModel, RecordedMeanWins) {
   EXPECT_NEAR(hm.estimate(w.task, ArchType::CPU), 1.0, 1e-12);
 }
 
-TEST(HistoryModel, CalibrationMinHonored) {
-  OneTask w(1e9, 8);
-  PerfDatabase db = test::flat_perf();
-  HistoryModel hm(w.graph, db);
-  hm.set_calibration_min(3);
-  hm.record(w.task, ArchType::CPU, 0.5);
-  hm.record(w.task, ArchType::CPU, 0.5);
-  EXPECT_FALSE(hm.is_calibrated(w.task, ArchType::CPU));
-  hm.record(w.task, ArchType::CPU, 0.5);
-  EXPECT_TRUE(hm.is_calibrated(w.task, ArchType::CPU));
-}
-
 TEST(HistoryModel, SeedFromTruthMatchesAnalytic) {
   OneTask w(1e9, 8);
   PerfDatabase db;

@@ -163,7 +163,9 @@ TEST(SimEngine, GanttAndCsvExportNonEmpty) {
   PerfDatabase db = test::flat_perf();
   SimEngine engine(eg.graph, p, db);
   (void)engine.run(eager_factory());
-  EXPECT_NE(engine.trace().to_csv().find("exec_start"), std::string::npos);
+  const std::string csv = engine.trace().to_csv();
+  EXPECT_NE(csv.find("exec_start"), std::string::npos);
+  EXPECT_NE(csv.find("\"work(1,0,0,0)\""), std::string::npos);  // the name column
   EXPECT_NE(engine.trace().ascii_gantt().find('#'), std::string::npos);
 }
 

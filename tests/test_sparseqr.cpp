@@ -322,7 +322,7 @@ TEST(SparseQrDag, ParentWaitsForChildContribution) {
   bool found_cross_dep = false;
   for (std::size_t i = 0; i < g.num_tasks(); ++i) {
     const Task& t = g.task(TaskId{i});
-    if (t.name == "init_front#1") {
+    if (g.codelet_of(t.id).name == "init_front" && t.iparams[0] == 1) {
       found_cross_dep = !g.predecessors(t.id).empty();
     }
   }

@@ -155,6 +155,17 @@ TEST(TaskGraph, SetUserPriority) {
   EXPECT_EQ(eg.graph.task(eg.tasks[1]).user_priority, 99);
 }
 
+TEST(TaskGraph, LabelIsCodeletAndIparams) {
+  TaskGraph g;
+  const CodeletId cl = g.add_codelet("gemm", {ArchType::CPU});
+  SubmitOptions o;
+  o.iparams = {3, 2, 1, 0};
+  const TaskId t = g.submit(cl, {Access{g.add_data(64), AccessMode::ReadWrite}}, o);
+  const TaskId plain = g.submit(cl, {Access{g.add_data(64), AccessMode::ReadWrite}});
+  EXPECT_EQ(g.label(t), "gemm(3,2,1,0)");
+  EXPECT_EQ(g.label(plain), "gemm(0,0,0,0)");
+}
+
 TEST(TaskGraph, SelfCheckPassesOnStfGraphs) {
   test::EdgeGraph eg(10, {{0, 5}, {1, 5}, {5, 9}, {2, 9}});
   eg.graph.self_check();  // aborts on failure

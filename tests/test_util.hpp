@@ -40,8 +40,8 @@ struct EdgeGraph {
       }
       SubmitOptions opts;
       opts.flops = flops;
-      opts.name.assign("t").append(std::to_string(i));
-      tasks.push_back(graph.submit(cl, std::span<const Access>(acc), std::move(opts)));
+      opts.iparams = {static_cast<std::int64_t>(i), 0, 0, 0};
+      tasks.push_back(graph.submit(cl, std::span<const Access>(acc), opts));
     }
   }
 };

@@ -36,9 +36,6 @@ MultiPrioScheduler::MultiPrioScheduler(SchedContext ctx, MultiPrioConfig config)
     m_window_hits_ = &mx->counter("multiprio.locality_window_hits");
     m_wakeups_ = &mx->counter("sched.wakeups");
     m_lock_wait_ = &mx->histogram("sched.lock_wait_s");
-    m_heap_depth_.resize(n_nodes);
-    for (std::size_t mi = 0; mi < n_nodes; ++mi)
-      m_heap_depth_[mi] = &mx->gauge("multiprio.heap_depth.node" + std::to_string(mi));
   }
 }
 
@@ -85,12 +82,6 @@ MultiPrioScheduler::TaskState& MultiPrioScheduler::state_of(TaskId t) {
   MP_CHECK_MSG(t.index() < states_.size(),
                "task id outside the graph the scheduler was built for");
   return states_[t.index()];
-}
-
-void MultiPrioScheduler::sample_heap_depth(MemNodeId m, double time) {
-  if (m_heap_depth_.empty()) return;
-  m_heap_depth_[m.index()]->sample(
-      time, static_cast<double>(shards_[m.index()].heap.size()));
 }
 
 // --- the wake rule -------------------------------------------------------------
@@ -266,7 +257,6 @@ void MultiPrioScheduler::push_locked(TaskId t, double t_now) {
       e.best_remaining_work = brw_[mi].load();
       e.heap_depth = static_cast<std::uint32_t>(sh.heap.size());
       ctx_.observer->record(e);
-      sample_heap_depth(m, e.time);
     }
   }
   MP_CHECK_MSG(rec.nodes != 0, "non-empty target set produced an empty live mask");
@@ -452,7 +442,6 @@ std::optional<TaskId> MultiPrioScheduler::pop(WorkerId w) {
         e.heap_depth = static_cast<std::uint32_t>(shards_[m.index()].heap.size());
         e.attempt = static_cast<std::uint32_t>(tries);
         ctx_.observer->record(e);
-        sample_heap_depth(m, e.time);
       }
       out = t;
       break;
@@ -493,7 +482,6 @@ std::optional<TaskId> MultiPrioScheduler::pop(WorkerId w) {
       ctx_.observer->record(e);
       e.kind = SchedEventKind::Evict;  // same payload, heap-removal view
       ctx_.observer->record(e);
-      sample_heap_depth(m, e.time);
     }
   }
   if (!skip_lock) shards_[m.index()].order_mu.unlock();  // shard-lock(asc)

@@ -43,7 +43,6 @@
 namespace mp {
 
 class Counter;
-class Gauge;
 class Histogram;
 
 struct MultiPrioConfig {
@@ -339,13 +338,11 @@ class MultiPrioScheduler final : public Scheduler {
 
   // --- observability (all null without an attached observer/metrics) -------
   [[nodiscard]] double obs_time() const { return ctx_.now ? ctx_.now() : 0.0; }
-  void sample_heap_depth(MemNodeId m, double time);
   Counter* m_stale_discards_ = nullptr;   ///< lazily dropped taken duplicates
   Counter* m_window_scans_ = nullptr;     ///< pops that ran the locality window
   Counter* m_window_hits_ = nullptr;      ///< ... where the window changed the pick
   Counter* m_wakeups_ = nullptr;          ///< targeted condvar notifies sent
   Histogram* m_lock_wait_ = nullptr;      ///< contended shard-lock wait time
-  std::vector<Gauge*> m_heap_depth_;      ///< per-node heap depth over time
 };
 
 }  // namespace mp

@@ -7,7 +7,6 @@
 
 #include "common/check.hpp"
 #include "core/multiprio.hpp"
-#include "fault/task_lifecycle.hpp"
 #include "obs/metrics.hpp"
 #include "obs/observer.hpp"
 #include "runtime/serialized_scheduler.hpp"
@@ -21,6 +20,16 @@ ThreadExecutor::ThreadExecutor(const TaskGraph& graph, const Platform& platform,
     : graph_(graph), platform_(platform), perf_(perf) {
   platform_.self_check();
   graph_.self_check();
+}
+
+const Trace& ThreadExecutor::trace() const {
+  MP_CHECK_MSG(lifecycle_ != nullptr, "run() first");
+  return lifecycle_->trace();
+}
+
+std::span<const double> ThreadExecutor::predicted_durations() const {
+  MP_CHECK_MSG(lifecycle_ != nullptr, "run() first");
+  return lifecycle_->predicted_durations();
 }
 
 ExecResult ThreadExecutor::run(const ExecSchedulerFactory& make_scheduler,
@@ -63,7 +72,8 @@ ExecResult ThreadExecutor::run(const ExecSchedulerFactory& make_scheduler,
   ctx.push_mu = &push_mu;
   // Kernel exceptions are retried even without a plan, against the budget
   // of a default-constructed FaultPlan.
-  TaskLifecycle lifecycle(ctx, config.fault);
+  lifecycle_ = std::make_unique<TaskLifecycle>(ctx, config.fault);
+  TaskLifecycle& lifecycle = *lifecycle_;
   std::vector<double> lost_at(platform_.num_workers(),
                               std::numeric_limits<double>::infinity());
   for (const WorkerLossSpec& l : config.fault.worker_losses)
@@ -121,7 +131,6 @@ ExecResult ThreadExecutor::run(const ExecSchedulerFactory& make_scheduler,
   }
 
   ExecResult result;
-  result.tasks_per_worker.assign(platform_.num_workers(), 0);
   // Popped and not handed back by a failed attempt: a second pop of a taken
   // task is a policy (or locking) bug.
   std::vector<bool> taken(total, false);
@@ -189,7 +198,7 @@ ExecResult ThreadExecutor::run(const ExecSchedulerFactory& make_scheduler,
         memory.acquire_for_task(t, platform_.worker(w).node, ops);
       }
       double predicted = 0.0;
-      if (lifecycle.audits()) {
+      if (config.observer != nullptr) {
         // Pop-time δ(t,a) for the model audit, before this task's own
         // completion re-trains the model. Reads race with history.record()
         // — serialize on push_mu, the lock every record() below holds.
@@ -220,7 +229,8 @@ ExecResult ThreadExecutor::run(const ExecSchedulerFactory& make_scheduler,
       } catch (...) {
         failed = true;  // exception-to-retry: treated as a transient failure
       }
-      const double dur = std::max(1e-9, sync_now_seconds() - start);
+      const double stop = sync_now_seconds();
+      const double dur = std::max(1e-9, stop - start);
       for (auto it = locks.rbegin(); it != locks.rend(); ++it)
         commute_mu[*it].unlock();
       double mult = 1.0;
@@ -244,8 +254,10 @@ ExecResult ThreadExecutor::run(const ExecSchedulerFactory& make_scheduler,
           taken[t.index()] = false;
           retry = lifecycle.failed(t, w);
         } else {
-          lifecycle.completed(t, w, predicted, dur);
-          ++result.tasks_per_worker[w.index()];
+          // The raw readings, not start + dur: a successor starts no
+          // earlier than this segment's end on the same clock.
+          lifecycle.completed(
+              TraceSegment{t, w, start - t0, start - t0, stop - t0, 0.0}, predicted);
           deps.complete(t, ready);
         }
         finished.store(lifecycle.settled());

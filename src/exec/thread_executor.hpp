@@ -11,12 +11,15 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "fault/fault_plan.hpp"
+#include "fault/task_lifecycle.hpp"
 #include "runtime/memory_manager.hpp"
 #include "runtime/perf_model.hpp"
 #include "runtime/scheduler.hpp"
+#include "runtime/trace.hpp"
 
 namespace mp {
 
@@ -45,8 +48,6 @@ struct ExecConfig {
 struct ExecResult {
   double wall_seconds = 0.0;
   std::size_t tasks_executed = 0;
-  /// Tasks executed per worker (scheduling-balance diagnostics).
-  std::vector<std::size_t> tasks_per_worker;
   /// Parks that lasted at least ExecConfig::stall_timeout: workers rescued
   /// by the timeout instead of a wakeup. 0 in a healthy fault-free run;
   /// also counted in the observer's "exec.stall_timeouts" counter.
@@ -69,10 +70,23 @@ class ThreadExecutor {
   /// cpu_fn. Aborts if a popped task has no runnable implementation.
   ExecResult run(const ExecSchedulerFactory& make_scheduler, ExecConfig config = {});
 
+  /// The last run's trace: one segment per executed task, timed by the clock
+  /// readings taken around its kernel (inside its Commute locks, before any
+  /// straggler sleep), in wall seconds since run start. A segment's
+  /// fetch_start equals its exec_start and its data_stall is 0: real data
+  /// placement is logical only.
+  [[nodiscard]] const Trace& trace() const;
+  /// The last run's pop-time δ(t, executed arch) per task, read only when an
+  /// observer was attached (all 0 otherwise, so the model audit is empty).
+  [[nodiscard]] std::span<const double> predicted_durations() const;
+
  private:
   const TaskGraph& graph_;
   const Platform& platform_;
   const PerfDatabase& perf_;
+  /// The last run's lifecycle. Its context points into run()'s frame, so
+  /// after run() returns only its record (trace, predictions) is read.
+  std::unique_ptr<TaskLifecycle> lifecycle_;
 };
 
 }  // namespace mp

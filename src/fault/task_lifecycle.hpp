@@ -6,10 +6,10 @@
 // retry-budget verdict, the abandon cascade over the descendant closure,
 // every FaultStats counter, the engine-side REPUSH / WORKER_LOST /
 // FAULT_FAILURE / FAULT_STRAGGLER / TASK_ABANDONED events (stamped with the
-// task's attempt index), the per-(codelet, arch) perf-model audit and the
-// end-of-run conservation check (executed + abandoned == total). The engines
-// keep what is theirs: the clock, data placement, the policy calls and the
-// trace.
+// task's attempt index), the run's record — the Trace and the pop-time
+// prediction of every executed task — and the end-of-run checks
+// (executed + abandoned == total, Trace::validate). The engines keep what
+// is theirs: the clock, data placement and the policy calls.
 //
 // Not thread-safe. The threaded executor calls the mutating members under its
 // engine lock; the attempt verdicts (attempt_fails / attempt_multiplier) are
@@ -18,15 +18,15 @@
 
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "fault/fault_plan.hpp"
 #include "obs/events.hpp"
 #include "runtime/scheduler.hpp"
+#include "runtime/trace.hpp"
 
 namespace mp {
-
-class Histogram;
 
 class TaskLifecycle {
  public:
@@ -41,17 +41,23 @@ class TaskLifecycle {
   [[nodiscard]] bool attempt_fails(TaskId t, std::size_t attempt) const;
   /// Duration multiplier of attempt `attempt` of `t` (1 when none fires).
   [[nodiscard]] double attempt_multiplier(TaskId t, std::size_t attempt) const;
-  /// True when completions feed the perf-model audit (the observer exposes a
-  /// MetricsRegistry); engines skip the pop-time prediction otherwise.
-  [[nodiscard]] bool audits() const { return !audit_.empty(); }
 
   // --- per-task state --------------------------------------------------------
   /// Failed attempts of `t` so far: the index of its next attempt.
   [[nodiscard]] std::size_t attempt(TaskId t) const { return attempts_[t.index()]; }
   [[nodiscard]] bool abandoned(TaskId t) const { return abandoned_[t.index()]; }
   /// Executed + abandoned tasks.
-  [[nodiscard]] std::size_t settled() const { return executed_ + stats_.tasks_abandoned; }
+  [[nodiscard]] std::size_t settled() const {
+    return trace_.num_executed() + stats_.tasks_abandoned;
+  }
   [[nodiscard]] const FaultStats& stats() const { return stats_; }
+
+  // --- the run's record ------------------------------------------------------
+  /// One segment per executed task, in completion order.
+  [[nodiscard]] const Trace& trace() const { return trace_; }
+  /// Pop-time δ(t, executed arch) per task, as the engine passed it to
+  /// completed() (0 for tasks that never completed).
+  [[nodiscard]] std::span<const double> predicted_durations() const { return predicted_; }
 
   // --- transitions -----------------------------------------------------------
   /// An attempt of `t` on `w` ran `multiplier` times its nominal duration.
@@ -69,29 +75,26 @@ class TaskLifecycle {
   /// Abandons `t` and its whole descendant closure (none of them can ever
   /// have its dependencies satisfied); already-abandoned tasks are skipped.
   void abandon(TaskId t);
-  /// `t` completed on `w` in `duration` seconds against a pop-time
-  /// prediction of `predicted`; feeds the model audit when audits().
-  void completed(TaskId t, WorkerId w, double predicted, double duration);
-  /// End of run: checks that every task executed or was abandoned, sets
+  /// `seg.task` completed: records its segment and the pop-time prediction
+  /// `predicted` of its duration. Trace::record rejects a second execution.
+  void completed(const TraceSegment& seg, double predicted);
+  /// End of run: checks that every task executed or was abandoned and that
+  /// the trace is valid (every predecessor ended before its successor
+  /// started; all tasks executed unless some were abandoned), sets
   /// `degraded`, and returns the fault outcome.
   [[nodiscard]] FaultStats finish();
 
  private:
   void emit(SchedEventKind kind, TaskId t, WorkerId w) const;
 
-  struct AuditHistograms {
-    Histogram* abs_err = nullptr;
-    Histogram* rel_err = nullptr;
-  };
-
   SchedContext ctx_;
   std::size_t retry_budget_;
   std::unique_ptr<FaultInjector> injector_;  // null when the plan is empty
   std::vector<std::size_t> attempts_;        // failed attempts, per task
   std::vector<bool> abandoned_;              // per task
-  std::size_t executed_ = 0;
   FaultStats stats_;
-  std::vector<AuditHistograms> audit_;  // [codelet * kNumArchTypes + arch]
+  Trace trace_;
+  std::vector<double> predicted_;  // per task
 };
 
 }  // namespace mp

@@ -22,10 +22,10 @@
 //    arch): mean absolute error, mean relative error and signed bias, the
 //    numbers that say whether the gain heuristic (Eq. 1) was fed truth.
 //
-// The analysis is a value: it copies what it reports out of the run, so it
-// may outlive the engine, trace and graph it was built from. Lives in obs/
-// but is compiled into mp_sim (it needs the Trace types), the same
-// arrangement as obs/export.*.
+// It reads a run of either engine (SimEngine or ThreadExecutor: both expose
+// trace() and predicted_durations()). The analysis is a value: it copies
+// what it reports out of the run, so it may outlive the engine, trace and
+// graph it was built from.
 #pragma once
 
 #include <array>
@@ -36,7 +36,7 @@
 #include "runtime/perf_model.hpp"
 #include "runtime/platform.hpp"
 #include "runtime/task_graph.hpp"
-#include "sim/trace.hpp"
+#include "runtime/trace.hpp"
 
 namespace mp {
 
@@ -107,7 +107,7 @@ class RunAnalysis {
   /// keys off (POP_REJECT for eviction, WORKER_LOST for loss drain); without
   /// it every non-dep-wait gap falls back to starvation/drain. `predicted`
   /// (optional) is the per-task δ(t, executed arch) the scheduler believed
-  /// at pop time — SimEngine::predicted_durations() — and enables the model
+  /// at pop time — the engine's predicted_durations() — and enables the model
   /// audit. The arguments are only read during construction.
   RunAnalysis(const Trace& trace, const TaskGraph& graph, const Platform& platform,
               const PerfDatabase& perf, const RecordingObserver* obs = nullptr,

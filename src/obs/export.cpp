@@ -100,7 +100,9 @@ std::string chrome_trace_json(const Trace& trace, const TaskGraph& graph,
   }
 
   if (obs != nullptr) {
-    // Scheduler decisions as instant events carrying their payloads.
+    // Scheduler decisions as instant events carrying their payloads, and
+    // heap depth over time as one counter track per memory node, sampled at
+    // every insertion into and removal from a node's queue.
     for (const SchedEvent& e : obs->events().snapshot()) {
       std::ostringstream os;
       const bool on_worker = e.worker.valid();
@@ -116,15 +118,14 @@ std::string chrome_trace_json(const Trace& trace, const TaskGraph& graph,
          << num(e.best_remaining_work) << R"(,"heap_depth":)" << e.heap_depth
          << R"(,"attempt":)" << e.attempt << "}}";
       ev.add(os.str());
-    }
-    // Gauge time series as counter tracks (heap depth over time, etc.).
-    for (const auto& [name, gauge] : obs->metrics_registry().gauges()) {
-      for (const GaugeSample& s : gauge->samples()) {
-        std::ostringstream os;
-        os << R"({"ph":"C","name":")" << json_escape(name)
-           << R"(","pid":0,"ts":)" << num(s.time * kUsPerSecond)
-           << R"(,"args":{"value":)" << num(s.value) << "}}";
-        ev.add(os.str());
+      if (e.node.valid() &&
+          (e.kind == SchedEventKind::Push || e.kind == SchedEventKind::Pop ||
+           e.kind == SchedEventKind::Evict)) {
+        std::ostringstream c;
+        c << R"({"ph":"C","name":"heap_depth.node)" << e.node.value()
+          << R"(","pid":0,"ts":)" << num(e.time * kUsPerSecond)
+          << R"(,"args":{"value":)" << e.heap_depth << "}}";
+        ev.add(c.str());
       }
     }
   }

@@ -1,20 +1,19 @@
 // Trace exporters: Chrome/Perfetto trace.json from an execution Trace plus
-// (optionally) the scheduler-decision events and metrics of a
-// RecordingObserver.
+// (optionally) the scheduler-decision events of a RecordingObserver.
 //
 // The JSON follows the Trace Event Format: executed segments become "X"
 // duration slices on one track per worker (with their data stalls as
 // separate slices), scheduler decisions become "i" instant events — on the
 // deciding worker's track when one is involved, on a dedicated "scheduler"
-// track otherwise — and every gauge time series becomes a "C" counter
-// track (per-node heap depth over time, etc.). Load the file at
+// track otherwise — and the PUSH / POP / EVICT events' heap depths become one
+// "C" counter track per memory node. Load the file at
 // https://ui.perfetto.dev or chrome://tracing.
 #pragma once
 
 #include <string>
 
 #include "obs/observer.hpp"
-#include "sim/trace.hpp"
+#include "runtime/trace.hpp"
 
 namespace mp {
 

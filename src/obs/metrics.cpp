@@ -8,37 +8,6 @@
 
 namespace mp {
 
-void Gauge::sample(double time, double value) {
-  std::lock_guard lock(mu_);
-  last_ = value;
-  if (ring_.size() < capacity_) {
-    ring_.push_back(GaugeSample{time, value});
-  } else {
-    ring_[head_] = GaugeSample{time, value};
-    head_ = (head_ + 1) % capacity_;
-    ++dropped_;
-  }
-}
-
-double Gauge::last() const {
-  std::lock_guard lock(mu_);
-  return last_;
-}
-
-std::size_t Gauge::dropped() const {
-  std::lock_guard lock(mu_);
-  return dropped_;
-}
-
-std::vector<GaugeSample> Gauge::samples() const {
-  std::lock_guard lock(mu_);
-  std::vector<GaugeSample> out;
-  out.reserve(ring_.size());
-  for (std::size_t i = 0; i < ring_.size(); ++i)
-    out.push_back(ring_[(head_ + i) % ring_.size()]);
-  return out;
-}
-
 std::size_t Histogram::bucket_of(double v) {
   if (!(v > 0.0)) return 0;
   // Bucket b holds (2^(b-33), 2^(b-32)]: b=0 spans everything ≤ 2⁻³² s
@@ -111,13 +80,6 @@ Counter& MetricsRegistry::counter(const std::string& name) {
   return *slot;
 }
 
-Gauge& MetricsRegistry::gauge(const std::string& name, std::size_t capacity) {
-  std::lock_guard lock(mu_);
-  auto& slot = gauges_[name];
-  if (!slot) slot = std::make_unique<Gauge>(capacity);
-  return *slot;
-}
-
 Histogram& MetricsRegistry::histogram(const std::string& name) {
   std::lock_guard lock(mu_);
   auto& slot = histograms_[name];
@@ -129,13 +91,6 @@ std::vector<std::pair<std::string, const Counter*>> MetricsRegistry::counters() 
   std::lock_guard lock(mu_);
   std::vector<std::pair<std::string, const Counter*>> out;
   for (const auto& [name, c] : counters_) out.emplace_back(name, c.get());
-  return out;
-}
-
-std::vector<std::pair<std::string, const Gauge*>> MetricsRegistry::gauges() const {
-  std::lock_guard lock(mu_);
-  std::vector<std::pair<std::string, const Gauge*>> out;
-  for (const auto& [name, g] : gauges_) out.emplace_back(name, g.get());
   return out;
 }
 
@@ -151,13 +106,6 @@ std::string MetricsRegistry::to_string() const {
   std::ostringstream os;
   for (const auto& [name, c] : counters())
     os << "counter " << name << " = " << c->value() << "\n";
-  for (const auto& [name, g] : gauges()) {
-    const auto samples = g->samples();
-    os << "gauge " << name << " = " << fmt_double(g->last(), 3) << " ("
-       << samples.size() << " samples";
-    if (g->dropped() > 0) os << ", " << g->dropped() << " dropped";
-    os << ")\n";
-  }
   for (const auto& [name, h] : histograms()) {
     os << "histogram " << name << ": n=" << h->count() << " mean="
        << fmt_double(h->mean(), 9) << " p50≤" << fmt_double(h->quantile(0.5), 9)

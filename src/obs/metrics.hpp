@@ -1,9 +1,9 @@
-// MetricsRegistry: named counters, gauges and histograms for the runtime.
+// MetricsRegistry: named counters and histograms for the runtime.
 //
 // Built for the observability hot path: a Counter increment is one relaxed
-// atomic add; Gauge samples and Histogram observations take a per-instrument
-// mutex (they are off the per-event fast path — policies sample gauges only
-// when an observer is attached). Instrument references returned by the
+// atomic add; a Histogram observation takes a per-instrument mutex (it is
+// off the per-event fast path — instruments exist only when an observer is
+// attached). Instrument references returned by the
 // registry are stable for the registry's lifetime, so call sites resolve
 // names once (at scheduler construction) and pay no map lookups afterwards.
 #pragma once
@@ -30,34 +30,6 @@ class Counter {
 
  private:
   Atomic<std::uint64_t> value_{0};
-};
-
-struct GaugeSample {
-  double time = 0.0;
-  double value = 0.0;
-};
-
-/// A value tracked over time (e.g. per-node heap depth). Keeps a bounded
-/// ring of the most recent samples plus the last value; older samples are
-/// dropped (counted) rather than growing without bound.
-class Gauge {
- public:
-  explicit Gauge(std::size_t capacity = 65536) : capacity_(capacity ? capacity : 1) {}
-
-  void sample(double time, double value);
-
-  [[nodiscard]] double last() const;
-  [[nodiscard]] std::size_t dropped() const;
-  /// Retained samples in recording order (oldest first).
-  [[nodiscard]] std::vector<GaugeSample> samples() const;
-
- private:
-  mutable Mutex mu_;
-  std::size_t capacity_;
-  std::vector<GaugeSample> ring_;
-  std::size_t head_ = 0;  // next overwrite position once full
-  std::size_t dropped_ = 0;
-  double last_ = 0.0;
 };
 
 /// Log₂-bucketed histogram of positive values (latencies in seconds). Exact
@@ -95,12 +67,10 @@ class Histogram {
 class MetricsRegistry {
  public:
   [[nodiscard]] Counter& counter(const std::string& name);
-  [[nodiscard]] Gauge& gauge(const std::string& name, std::size_t capacity = 65536);
   [[nodiscard]] Histogram& histogram(const std::string& name);
 
   /// Sorted snapshots (name order) for reporting/export.
   [[nodiscard]] std::vector<std::pair<std::string, const Counter*>> counters() const;
-  [[nodiscard]] std::vector<std::pair<std::string, const Gauge*>> gauges() const;
   [[nodiscard]] std::vector<std::pair<std::string, const Histogram*>> histograms() const;
 
   /// Human-readable dump, one instrument per line.
@@ -109,7 +79,6 @@ class MetricsRegistry {
  private:
   mutable Mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 

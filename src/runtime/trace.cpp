@@ -1,4 +1,4 @@
-#include "sim/trace.hpp"
+#include "runtime/trace.hpp"
 
 #include <algorithm>
 #include <sstream>
@@ -12,6 +12,7 @@ Trace::Trace(const TaskGraph& graph, const Platform& platform)
     : graph_(graph), platform_(platform) {
   busy_.assign(platform.num_workers(), 0.0);
   exec_index_.assign(graph.num_tasks(), -1);
+  segments_.reserve(graph.num_tasks());
 }
 
 void Trace::record(TraceSegment seg) {

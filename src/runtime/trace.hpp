@@ -1,5 +1,9 @@
 // Execution traces and their analysis (the StarVZ-style quantities of
 // Fig. 4: makespan, idle % per resource, practical critical path).
+//
+// One Trace records a run on either engine: TaskLifecycle owns it and records
+// a segment per successful attempt (virtual seconds in the simulator, wall
+// seconds since run start in the threaded executor).
 #pragma once
 
 #include <cstddef>

@@ -23,8 +23,13 @@ SimEngine::SimEngine(const TaskGraph& graph, const Platform& platform,
 }
 
 const Trace& SimEngine::trace() const {
-  MP_CHECK_MSG(trace_ != nullptr, "run() first");
-  return *trace_;
+  MP_CHECK_MSG(lifecycle_ != nullptr, "run() first");
+  return lifecycle_->trace();
+}
+
+std::span<const double> SimEngine::predicted_durations() const {
+  MP_CHECK_MSG(lifecycle_ != nullptr, "run() first");
+  return lifecycle_->predicted_durations();
 }
 
 const MemoryManager& SimEngine::memory() const {
@@ -122,7 +127,7 @@ bool SimEngine::fill_pending(WorkerId w) {
   MP_CHECK_MSG(graph_.can_exec(t, worker.arch), "scheduler mapped task to wrong arch");
   // The δ the scheduler believed when it committed this placement — captured
   // now, because completions keep re-training the history model.
-  predicted_[t.index()] = history_->estimate(t, worker.arch);
+  const double predicted = history_->estimate(t, worker.arch);
   fetch_ops_.clear();
   memory_->acquire_for_task(t, worker.node, fetch_ops_);
   const double ready = charge_transfers(fetch_ops_, now_);
@@ -156,7 +161,8 @@ bool SimEngine::fill_pending(WorkerId w) {
   }
   pfa = start + duration;
 
-  pending_[w.index()].push_back(PendingTask{t, now_, ready, start_floor, duration});
+  pending_[w.index()].push_back(
+      PendingTask{t, now_, ready, start_floor, duration, predicted});
   return true;
 }
 
@@ -234,9 +240,9 @@ void SimEngine::handle_complete(const Event& e) {
   // Feed the history model with the measured duration (includes noise and
   // straggler slowdown), as StarPU's calibration does.
   history_->record(e.task, worker.arch, std::max(1e-12, run.p.duration));
-  lifecycle_->completed(e.task, e.worker, predicted_[e.task.index()], run.p.duration);
-  trace_->record(TraceSegment{e.task, e.worker, run.p.popped_at, run.exec_start,
-                              e.time, run.stall});
+  lifecycle_->completed(
+      TraceSegment{e.task, e.worker, run.p.popped_at, run.exec_start, e.time, run.stall},
+      run.p.predicted);
 
   // Notify completion before pushing the released successors so policies
   // with push-site locality (LWS) know which worker produced them.
@@ -313,7 +319,8 @@ std::string SimEngine::stall_diagnostic(std::size_t processed) const {
          << ", brw=" << mp->best_remaining_work(MemNodeId{mi}) << "\n";
   }
   std::vector<bool> executed(graph_.num_tasks(), false);
-  for (const TraceSegment& s : trace_->segments()) executed[s.task.index()] = true;
+  for (const TraceSegment& s : lifecycle_->trace().segments())
+    executed[s.task.index()] = true;
   std::size_t stuck = 0;
   os << "  stuck tasks:";
   for (std::size_t ti = 0; ti < graph_.num_tasks(); ++ti) {
@@ -325,15 +332,13 @@ std::string SimEngine::stall_diagnostic(std::size_t processed) const {
 }
 
 SimResult SimEngine::run(const SchedulerFactory& make_scheduler) {
-  MP_CHECK_MSG(!running_ && trace_ == nullptr, "engine is single-shot");
+  MP_CHECK_MSG(!running_ && lifecycle_ == nullptr, "engine is single-shot");
   history_ = std::make_unique<HistoryModel>(graph_, perf_);
   if (cfg_.calibrated) history_->seed_from_truth();
   memory_ = std::make_unique<MemoryManager>(graph_, platform_);
-  trace_ = std::make_unique<Trace>(graph_, platform_);
   deps_ = std::make_unique<DepCounters>(graph_);
   liveness_ = std::make_unique<WorkerLiveness>(platform_);
   commute_free_at_.assign(graph_.handles().count(), 0.0);
-  predicted_.assign(graph_.num_tasks(), 0.0);
 
   sched_ctx_.graph = &graph_;
   sched_ctx_.platform = &platform_;
@@ -384,24 +389,25 @@ SimResult SimEngine::run(const SchedulerFactory& make_scheduler) {
   running_ = false;
 
   // Conservation: every task either executed exactly once or was explicitly
-  // abandoned; nothing is stranded inside the scheduler or a worker queue.
+  // abandoned, in dependency order; nothing is stranded inside the scheduler
+  // or a worker queue.
   const FaultStats fault = lifecycle_->finish();
   MP_CHECK_MSG(sched_->pending_count() == 0, "scheduler still holds tasks");
   for (std::size_t wi = 0; wi < platform_.num_workers(); ++wi)
     MP_ASSERT(!worker_busy_[wi] && pending_[wi].empty());
-  trace_->validate(/*require_all=*/cfg_.fault.empty());
   // Fail-stop: a configured loss leaves its worker dead, and nothing the
   // worker executed completes after the loss.
+  const Trace& trace = lifecycle_->trace();
   for (const WorkerLossSpec& l : cfg_.fault.worker_losses) {
     MP_CHECK_MSG(!liveness_->alive(l.worker), "worker still alive after its loss");
-    for (const TraceSegment& s : trace_->segments())
+    for (const TraceSegment& s : trace.segments())
       MP_CHECK_MSG(s.worker != l.worker || s.end <= l.time + 1e-12,
                    "segment finished on a worker after its loss");
   }
 
   SimResult r;
-  r.makespan = trace_->makespan();
-  r.tasks_executed = trace_->num_executed();
+  r.makespan = trace.makespan();
+  r.tasks_executed = trace.num_executed();
   for (const MemNode& n : platform_.nodes()) {
     if (n.kind != MemNodeKind::Gpu) continue;
     r.bytes_to_gpus += memory_->total_bytes_to(n.id);
@@ -412,7 +418,7 @@ SimResult SimEngine::run(const SchedulerFactory& make_scheduler) {
   r.fault = fault;
   r.idle_per_node.resize(platform_.num_nodes());
   for (std::size_t mi = 0; mi < platform_.num_nodes(); ++mi)
-    r.idle_per_node[mi] = trace_->idle_fraction_node(MemNodeId{mi});
+    r.idle_per_node[mi] = trace.idle_fraction_node(MemNodeId{mi});
   return r;
 }
 

@@ -23,7 +23,7 @@
 #include "runtime/memory_manager.hpp"
 #include "runtime/perf_model.hpp"
 #include "runtime/scheduler.hpp"
-#include "sim/trace.hpp"
+#include "runtime/trace.hpp"
 
 namespace mp {
 
@@ -83,9 +83,7 @@ class SimEngine : public PrefetchSink {
   /// it committed each placement (0 for never-executed tasks). Captured
   /// before the completion feeds the history model, so it is the honest
   /// input to RunAnalysis's perf-model audit.
-  [[nodiscard]] std::span<const double> predicted_durations() const {
-    return predicted_;
-  }
+  [[nodiscard]] std::span<const double> predicted_durations() const;
 
   // PrefetchSink (Dmdas-style push-time prefetch).
   void request_prefetch(DataId data, MemNodeId node) override;
@@ -131,7 +129,6 @@ class SimEngine : public PrefetchSink {
 
   std::unique_ptr<HistoryModel> history_;
   std::unique_ptr<MemoryManager> memory_;
-  std::unique_ptr<Trace> trace_;
   std::unique_ptr<Scheduler> sched_;
   /// The context the policy was built with; also the liveness screen's.
   SchedContext sched_ctx_;
@@ -146,6 +143,7 @@ class SimEngine : public PrefetchSink {
     /// the task has no commute accesses).
     double start_floor = 0.0;
     double duration = 0.0;  // fixed at pop time (deterministic noise)
+    double predicted = 0.0;  // δ(t, arch) at pop time
   };
 
   /// The attempt currently executing on a worker (valid iff worker_busy_).
@@ -169,7 +167,6 @@ class SimEngine : public PrefetchSink {
   std::vector<std::vector<PendingTask>> pending_;  // per worker, FIFO
   std::vector<std::uint8_t> trypop_pending_;  // dedup of queued TryPop events
   std::size_t wake_rotor_ = 0;           // rotating wake order start
-  std::vector<double> predicted_;        // per task, δ(t, arch) at pop time
   std::vector<TransferOp> fetch_ops_;    // fill_pending's scratch, reused
   std::vector<TaskId> released_;         // handle_complete's scratch, reused
   std::size_t failed_pops_ = 0;
@@ -177,7 +174,7 @@ class SimEngine : public PrefetchSink {
 
   // --- fault machinery (inert when cfg_.fault is empty) ---------------------
   std::unique_ptr<WorkerLiveness> liveness_;
-  /// Attempts, retries, abandonment, fault stats, engine events, model audit.
+  /// Attempts, retries, abandonment, fault stats, engine events, the trace.
   std::unique_ptr<TaskLifecycle> lifecycle_;
   std::vector<RunningAttempt> attempt_on_;  // per worker
 };

@@ -1,12 +1,17 @@
 // Run-analysis tests: critical-path and area lower bounds against
 // hand-computed optima, idle-blame decomposition (buckets partition the idle
 // exactly; eviction storms and fail-stop drains land in the right bucket),
-// the δ(t,a) model audit, and byte-for-byte determinism of the reports.
+// the δ(t,a) model audit, the same report on a real ThreadExecutor run, and
+// byte-for-byte determinism of the reports.
 #include <gtest/gtest.h>
 
+#include "apps/dense/dense_builders.hpp"
+#include "apps/dense/tile_matrix.hpp"
+#include "exec/thread_executor.hpp"
 #include "obs/analysis.hpp"
 #include "obs/bench_json.hpp"
 #include "obs/compare.hpp"
+#include "obs/export.hpp"
 #include "obs/observer.hpp"
 #include "sched/schedulers.hpp"
 #include "sim/engine.hpp"
@@ -200,13 +205,6 @@ TEST(RunAnalysisModel, ExecutionNoiseShowsUpAsError) {
                   test::flat_perf(10.0, 100.0), "multiprio", cfg);
   const RunAnalysis a = run.analyze();
   EXPECT_GT(a.model_mean_abs_err_s(), 0.0);
-  // The engine also published the same audit as histograms.
-  bool found = false;
-  for (const auto& [name, hist] : run.obs.metrics_registry().histograms()) {
-    if (name.rfind("perf_model.abs_err_s.work.", 0) == 0 && hist->count() > 0)
-      found = true;
-  }
-  EXPECT_TRUE(found);
 }
 
 TEST(RunAnalysisModel, NoPredictionsMeansNoAudit) {
@@ -215,6 +213,76 @@ TEST(RunAnalysisModel, NoPredictionsMeansNoAudit) {
                       &run.obs, {});
   EXPECT_TRUE(a.model_accuracy().empty());
   EXPECT_EQ(a.model_mean_abs_err_s(), 0.0);
+}
+
+// --- a real run ----------------------------------------------------------------------
+
+/// A 4×4-tile Cholesky of 32×32 tiles, factored for real by the
+/// ThreadExecutor under MultiPrio on 3 CPU workers and 1 GPU worker.
+struct RealPotrf {
+  dense::TileMatrix a{4, 32, /*allocate=*/true};
+  TaskGraph graph;
+  Platform platform = test::small_platform(3, 1);
+  PerfDatabase perf = test::flat_perf();
+  std::unique_ptr<ThreadExecutor> exec;
+  ExecResult result;
+
+  explicit RealPotrf(RecordingObserver* obs) {
+    a.fill_spd(5);
+    a.register_handles(graph);
+    dense::build_potrf(graph, a, /*expert_priorities=*/true);
+    exec = std::make_unique<ThreadExecutor>(graph, platform, perf);
+    ExecConfig cfg;
+    cfg.observer = obs;
+    result = exec->run(by_name("multiprio"), cfg);
+  }
+};
+
+TEST(RunAnalysisExec, RealRunHasOneSegmentPerTaskAndAFullReport) {
+  RecordingObserver obs;
+  RealPotrf run(&obs);
+  const Trace& trace = run.exec->trace();
+  ASSERT_EQ(trace.num_executed(), run.graph.num_tasks());
+  EXPECT_EQ(run.result.tasks_executed, run.graph.num_tasks());
+
+  const RunAnalysis a(trace, run.graph, run.platform, run.perf, &obs,
+                      run.exec->predicted_durations());
+  EXPECT_GT(a.bound_s(), 0.0);
+  EXPECT_DOUBLE_EQ(a.makespan_s(), trace.makespan());
+  double idle = 0.0;
+  for (const WorkerIdleBlame& b : a.idle_blame()) {
+    EXPECT_NEAR(b.by_cause[0] + b.by_cause[1] + b.by_cause[2] + b.by_cause[3],
+                b.total_idle_s, 1e-9)
+        << b.name;
+    idle += b.total_idle_s;
+  }
+  EXPECT_NEAR(idle, a.total_idle_s(), 1e-9);
+  // Every executed task was audited against its pop-time prediction.
+  std::size_t samples = 0;
+  for (const ModelAccuracy& m : a.model_accuracy()) samples += m.samples;
+  EXPECT_EQ(samples, run.graph.num_tasks());
+}
+
+TEST(RunAnalysisExec, WithoutObserverPredictionsAreZeroAndTheAuditIsEmpty) {
+  RealPotrf run(nullptr);
+  ASSERT_EQ(run.exec->predicted_durations().size(), run.graph.num_tasks());
+  for (const double p : run.exec->predicted_durations()) EXPECT_EQ(p, 0.0);
+  const RunAnalysis a(run.exec->trace(), run.graph, run.platform, run.perf, nullptr,
+                      run.exec->predicted_durations());
+  EXPECT_TRUE(a.model_accuracy().empty());
+  EXPECT_GT(a.bound_s(), 0.0);
+}
+
+TEST(RunAnalysisExec, ChromeExportHasOneSlicePerExecutedTask) {
+  RecordingObserver obs;
+  RealPotrf run(&obs);
+  const std::string json =
+      chrome_trace_json(run.exec->trace(), run.graph, run.platform, &obs);
+  std::size_t slices = 0;
+  for (std::size_t pos = json.find(R"("ph":"X")"); pos != std::string::npos;
+       pos = json.find(R"("ph":"X")", pos + 1))
+    ++slices;
+  EXPECT_EQ(slices, run.graph.num_tasks());
 }
 
 // --- truncation ------------------------------------------------------------------

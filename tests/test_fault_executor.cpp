@@ -140,7 +140,8 @@ TEST(ThreadExecutorFault, WorkerLossDegradesOntoSurvivors) {
     EXPECT_EQ(r.fault.workers_lost, 1u) << name;
     EXPECT_EQ(r.fault.tasks_abandoned, 0u) << name;
     EXPECT_TRUE(r.fault.degraded) << name;
-    EXPECT_EQ(r.tasks_per_worker[gpu_w.index()], 0u) << name;
+    EXPECT_EQ(test::tasks_per_worker(exec.trace(), p.num_workers())[gpu_w.index()], 0u)
+        << name;
   }
 }
 

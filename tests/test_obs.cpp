@@ -4,6 +4,9 @@
 // pop-latency histogram, and the Chrome trace exporter.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <sstream>
+
 #include "core/multiprio.hpp"
 #include "exec/thread_executor.hpp"
 #include "obs/export.hpp"
@@ -25,6 +28,39 @@ std::size_t count_occurrences(const std::string& haystack, const std::string& ne
        pos = haystack.find(needle, pos + needle.size()))
     ++n;
   return n;
+}
+
+/// Heap depths per memory node, in recording order.
+using DepthTracks = std::map<std::uint32_t, std::vector<std::uint64_t>>;
+
+/// The "C" counter samples of a Chrome trace (one JSON object per line).
+DepthTracks exported_depths(const std::string& json) {
+  const std::string name_key = R"("name":"heap_depth.node)";
+  const std::string value_key = R"("value":)";
+  DepthTracks tracks;
+  std::istringstream in(json);
+  for (std::string line; std::getline(in, line);) {
+    if (line.find(R"("ph":"C")") == std::string::npos) continue;
+    const std::size_t name = line.find(name_key);
+    const std::size_t value = line.find(value_key);
+    EXPECT_NE(name, std::string::npos) << line;
+    EXPECT_NE(value, std::string::npos) << line;
+    if (name == std::string::npos || value == std::string::npos) continue;
+    tracks[static_cast<std::uint32_t>(std::stoul(line.substr(name + name_key.size())))]
+        .push_back(std::stoull(line.substr(value + value_key.size())));
+  }
+  return tracks;
+}
+
+/// The heap depths the PUSH / POP / EVICT events carry, per node.
+DepthTracks event_depths(const RecordingObserver& obs) {
+  DepthTracks tracks;
+  for (const SchedEvent& e : obs.events().snapshot())
+    if (e.node.valid() &&
+        (e.kind == SchedEventKind::Push || e.kind == SchedEventKind::Pop ||
+         e.kind == SchedEventKind::Evict))
+      tracks[e.node.value()].push_back(e.heap_depth);
+  return tracks;
 }
 
 // --- EventLog ----------------------------------------------------------------
@@ -84,22 +120,13 @@ TEST(EventLog, CsvHasHeaderAndOneRowPerRetainedEvent) {
 
 // --- metrics -----------------------------------------------------------------
 
-TEST(Metrics, CounterGaugeHistogramBasics) {
+TEST(Metrics, CounterHistogramBasics) {
   MetricsRegistry mx;
   Counter& c = mx.counter("c");
   c.inc();
   c.inc(4);
   EXPECT_EQ(c.value(), 5u);
   EXPECT_EQ(&mx.counter("c"), &c);  // stable reference, same instrument
-
-  Gauge& g = mx.gauge("g", 3);
-  for (int i = 0; i < 5; ++i) g.sample(i, 10.0 * i);
-  EXPECT_DOUBLE_EQ(g.last(), 40.0);
-  EXPECT_EQ(g.dropped(), 2u);
-  const auto samples = g.samples();
-  ASSERT_EQ(samples.size(), 3u);
-  EXPECT_DOUBLE_EQ(samples.front().value, 20.0);  // oldest retained
-  EXPECT_DOUBLE_EQ(samples.back().value, 40.0);
 
   Histogram& h = mx.histogram("h");
   h.observe(1e-6);
@@ -196,13 +223,19 @@ TEST(ObsSim, EventPayloadsCarryTheDecisionContext) {
 TEST(ObsSim, MultiPrioMetricsInstrumentsArePopulated) {
   ObservedRun run;
   const MetricsRegistry& mx = run.obs.metrics_registry();
-  // Heap-depth gauges exist for every memory node and saw samples.
-  const auto gauges = mx.gauges();
-  ASSERT_EQ(gauges.size(), run.platform.num_nodes());
-  for (const auto& [name, g] : gauges) {
-    EXPECT_NE(name.find("multiprio.heap_depth.node"), std::string::npos);
-    EXPECT_FALSE(g->samples().empty());
-  }
+  std::uint64_t window_scans = 0;
+  for (const auto& [name, c] : mx.counters())
+    if (name == "multiprio.locality_window_scans") window_scans = c->value();
+  EXPECT_GT(window_scans, 0u);
+  // Heap depth over time is derived from the events: the export has one
+  // counter track per memory node, sampled at that node's every PUSH, POP
+  // and EVICT.
+  const std::string json =
+      chrome_trace_json(run.engine->trace(), run.eg.graph, run.platform, &run.obs);
+  const DepthTracks tracks = exported_depths(json);
+  ASSERT_EQ(tracks.size(), run.platform.num_nodes());
+  for (const auto& [node, depths] : tracks) EXPECT_FALSE(depths.empty()) << node;
+  EXPECT_EQ(tracks, event_depths(run.obs));
 }
 
 TEST(ObsSim, NullObserverAndAbsentObserverAgreeWithRecordedRun) {
@@ -277,16 +310,11 @@ TEST(ObsExec, ExecutorRecordsEventsAndPopLatency) {
     EXPECT_GE(e.time, 0.0);
     EXPECT_LE(e.time, r.wall_seconds + 1e-3);
   }
-  // Every sched->pop call (successful or empty) was timed, and every
-  // completion fed the per-(codelet, arch) model-audit histograms.
-  std::uint64_t pop_timed = 0, audit_samples = 0;
-  for (const auto& [name, hist] : obs.metrics_registry().histograms()) {
+  // Every sched->pop call (successful or empty) was timed.
+  std::uint64_t pop_timed = 0;
+  for (const auto& [name, hist] : obs.metrics_registry().histograms())
     if (name == "exec.pop_latency_s") pop_timed = hist->count();
-    if (name.rfind("perf_model.abs_err_s.inc.", 0) == 0)
-      audit_samples += hist->count();
-  }
   EXPECT_GE(pop_timed, cells.size());
-  EXPECT_EQ(audit_samples, cells.size());
 }
 
 // --- Chrome trace export -----------------------------------------------------
@@ -302,9 +330,12 @@ TEST(ObsExport, ChromeTraceContainsSlicesInstantsAndCounters) {
     if (s.data_stall > 0.0) ++stalls;
   EXPECT_EQ(count_occurrences(json, "\"ph\":\"X\""),
             run.engine->trace().num_executed() + stalls);
-  // Instants cover the retained scheduler events; counters cover the gauges.
+  // Instants cover the retained scheduler events; each node's counter
+  // samples are its PUSH / POP / EVICT events' heap depths, in order.
   EXPECT_EQ(count_occurrences(json, "\"ph\":\"i\""), run.obs.events().size());
-  EXPECT_GE(count_occurrences(json, "\"ph\":\"C\""), 1u);
+  const DepthTracks tracks = exported_depths(json);
+  EXPECT_FALSE(tracks.empty());
+  EXPECT_EQ(tracks, event_depths(run.obs));
   // Every event kind that fired appears by name.
   for (const char* name : {"PUSH", "POP", "POP_REJECT", "EVICT", "REPUSH",
                            "WORKER_LOST", "FAULT_FAILURE"})

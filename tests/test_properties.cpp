@@ -18,42 +18,12 @@ SchedulerFactory by_name(const std::string& name) {
   return [name](SchedContext ctx) { return make_scheduler_by_name(name, std::move(ctx)); };
 }
 
-/// Random layered DAG with mixed modes including Commute.
-TaskGraph fuzz_graph(std::uint64_t seed, std::size_t n_tasks) {
-  Rng rng(seed);
-  TaskGraph g;
-  const CodeletId both = g.add_codelet("both", {ArchType::CPU, ArchType::GPU});
-  const CodeletId conly = g.add_codelet("conly", {ArchType::CPU});
-  std::vector<DataId> data;
-  for (std::size_t i = 0; i < n_tasks / 2 + 2; ++i)
-    data.push_back(g.add_data(256 + rng.next_in(0, 8192)));
-  for (std::size_t i = 0; i < n_tasks; ++i) {
-    std::vector<Access> acc;
-    const DataId own = data[rng.next_in(0, data.size() - 1)];
-    const double mode_pick = rng.next_double();
-    AccessMode m = AccessMode::ReadWrite;
-    if (mode_pick < 0.3) m = AccessMode::Read;
-    if (mode_pick > 0.8) m = AccessMode::Commute;
-    if (mode_pick > 0.95) m = AccessMode::Write;
-    acc.push_back(Access{own, m});
-    if (rng.next_double() < 0.7) {
-      const DataId extra = data[rng.next_in(0, data.size() - 1)];
-      if (extra != own) acc.push_back(Access{extra, AccessMode::Read});
-    }
-    SubmitOptions o;
-    o.flops = 1e6 * static_cast<double>(1 + rng.next_in(0, 80));
-    (void)g.submit(rng.next_double() < 0.2 ? conly : both,
-                   std::span<const Access>(acc), std::move(o));
-  }
-  return g;
-}
-
 class SchedulingInvariants
     : public ::testing::TestWithParam<std::tuple<std::string, std::uint64_t>> {};
 
 TEST_P(SchedulingInvariants, MakespanRespectsLowerBounds) {
   const auto& [name, seed] = GetParam();
-  const TaskGraph g = fuzz_graph(seed, 150);
+  const TaskGraph g = test::fuzz_graph(seed, 150);
   Platform p = test::small_platform(3, 1);
   PerfDatabase db = test::flat_perf(10.0, 100.0);
   SimEngine engine(g, p, db);
@@ -76,7 +46,7 @@ TEST_P(SchedulingInvariants, MakespanRespectsLowerBounds) {
 
 TEST_P(SchedulingInvariants, CommuteTasksNeverOverlapPerHandle) {
   const auto& [name, seed] = GetParam();
-  const TaskGraph g = fuzz_graph(seed + 50, 120);
+  const TaskGraph g = test::fuzz_graph(seed + 50, 120);
   Platform p = test::small_platform(2, 2);
   PerfDatabase db = test::flat_perf(10.0, 100.0);
   SimEngine engine(g, p, db);
@@ -156,7 +126,7 @@ TEST_P(MemoryFuzz, CoherenceNeverLosesData) {
 INSTANTIATE_TEST_SUITE_P(Seeds, MemoryFuzz, ::testing::Values(21u, 22u, 23u, 24u));
 
 TEST(TraceReport, SharesAndCountsAreConsistent) {
-  const TaskGraph g = fuzz_graph(99, 120);
+  const TaskGraph g = test::fuzz_graph(99, 120);
   Platform p = test::small_platform(3, 1);
   PerfDatabase db = test::flat_perf(10.0, 100.0);
   SimEngine engine(g, p, db);

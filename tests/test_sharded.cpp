@@ -408,7 +408,8 @@ void run_gpu_best_release_once() {
   ecfg.stall_timeout = 0.05;
   const ExecResult r = exec.run(by_name("multiprio"), ecfg);
   MP_CHECK(r.tasks_executed == 2);
-  MP_CHECK_MSG(r.tasks_per_worker[1] == 1, "the GPU-best task must run on the GPU");
+  MP_CHECK_MSG(test::tasks_per_worker(exec.trace(), p.num_workers())[1] == 1,
+               "the GPU-best task must run on the GPU");
 }
 
 TEST(ShardedExplore, GpuBestReleaseWakesTheParkedGpuWorker) {

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <deque>
+#include <map>
 #include <mutex>
 #include <thread>
 
@@ -39,7 +40,7 @@ TEST(ThreadExecutor, RunsEveryTaskExactlyOnce) {
   EXPECT_EQ(counter.load(), 50);
   EXPECT_EQ(r.tasks_executed, 50u);
   std::size_t sum = 0;
-  for (std::size_t c : r.tasks_per_worker) sum += c;
+  for (std::size_t c : test::tasks_per_worker(exec.trace(), p.num_workers())) sum += c;
   EXPECT_EQ(sum, 50u);
 }
 
@@ -103,11 +104,11 @@ TEST(ThreadExecutor, GpuWorkersFallBackToCpuImplementation) {
   Platform p = test::small_platform(1, 1);
   PerfDatabase db = test::flat_perf();
   ThreadExecutor exec(g, p, db);
-  const ExecResult r = exec.run(by_name("eager"));
+  EXPECT_EQ(exec.run(by_name("eager")).tasks_executed, 5u);
   EXPECT_EQ(calls.load(), 5);
   // All five must have run on the GPU worker (the only capable one).
   const WorkerId gpu_w = p.workers_of_node(MemNodeId{std::size_t{1}})[0];
-  EXPECT_EQ(r.tasks_per_worker[gpu_w.index()], 5u);
+  EXPECT_EQ(test::tasks_per_worker(exec.trace(), p.num_workers())[gpu_w.index()], 5u);
 }
 
 TEST(ThreadExecutor, DistinctGpuImplementationUsedWhenPresent) {
@@ -288,7 +289,8 @@ TEST(ThreadExecutorWakeups, CpuReleasedGpuBestTasksNeverStall) {
     cfg.stall_timeout = 1.0;
     const ExecResult r = exec.run(by_name("multiprio"), cfg);
     ASSERT_EQ(r.tasks_executed, 12u);
-    EXPECT_EQ(r.tasks_per_worker[3], 9u) << "rep " << rep << ": every consumer runs on the GPU";
+    EXPECT_EQ(test::tasks_per_worker(exec.trace(), p.num_workers())[3], 9u)
+        << "rep " << rep << ": every consumer runs on the GPU";
     EXPECT_EQ(r.stall_timeouts, 0u) << "rep " << rep << ": a parked worker sat out the timeout";
   }
 }
@@ -384,6 +386,68 @@ TEST(ThreadExecutorWakeups, StallTimeoutsCountParksRescuedByTheTimeout) {
   EXPECT_GE(r.stall_timeouts, 1u);
   EXPECT_EQ(counter_value(obs, "exec.stall_timeouts"), r.stall_timeouts);
 }
+
+// --- the property sweep on the real engine ------------------------------------
+// Random DAGs with Commute accesses, every policy, with and without transient
+// failures. run() itself checks dependency order (TaskLifecycle::finish
+// validates the trace); the test checks what the trace and the events say.
+
+class RealRunInvariants
+    : public ::testing::TestWithParam<std::tuple<std::string, bool>> {};
+
+TEST_P(RealRunInvariants, ExecutedOnceInDependencyOrderAndCommuteExclusive) {
+  const auto& [name, faulty] = GetParam();
+  // Kernels of a few microseconds, so that commuters could overlap if the
+  // per-handle locks were missing.
+  const TaskGraph g =
+      test::fuzz_graph(31, 48, [](const Task&, std::span<void* const>) { spin_for(20e-6); });
+  Platform p = test::small_platform(3, 1);
+  PerfDatabase db = test::flat_perf();
+  RecordingObserver obs;
+  ExecConfig cfg;
+  cfg.stall_timeout = 0.05;
+  cfg.observer = &obs;
+  if (faulty) {
+    cfg.fault.seed = 7;
+    cfg.fault.transient.push_back(TransientFaultSpec{CodeletId{}, 0.25});
+  }
+  ThreadExecutor exec(g, p, db);
+  const ExecResult r = exec.run(by_name(name), cfg);
+  const Trace& trace = exec.trace();
+  if (faulty) {
+    EXPECT_GT(r.fault.failures_injected, 0u);
+  }
+
+  // Every task executed or abandoned, exactly once.
+  std::vector<int> settled(g.num_tasks(), 0);
+  for (const TraceSegment& s : trace.segments()) ++settled[s.task.index()];
+  for (const SchedEvent& e : obs.events().snapshot())
+    if (e.kind == SchedEventKind::TaskAbandoned) ++settled[e.task.index()];
+  for (std::size_t i = 0; i < g.num_tasks(); ++i)
+    EXPECT_EQ(settled[i], 1) << "task " << i;
+  EXPECT_EQ(r.tasks_executed, trace.num_executed());
+
+  // Commute exclusion: the segments of one Commute handle never overlap.
+  std::map<std::uint32_t, std::vector<std::pair<double, double>>> windows;
+  for (const TraceSegment& s : trace.segments())
+    for (const Access& a : g.task(s.task).accesses)
+      if (a.mode == AccessMode::Commute)
+        windows[a.data.value()].emplace_back(s.exec_start, s.end);
+  for (auto& [d, w] : windows) {
+    std::sort(w.begin(), w.end());
+    for (std::size_t i = 1; i < w.size(); ++i)
+      EXPECT_LE(w[i - 1].second, w[i].first) << "handle " << d << " overlap at " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, RealRunInvariants,
+    ::testing::Combine(::testing::ValuesIn(scheduler_names()), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<std::string, bool>>& info) {
+      std::string name = std::get<0>(info.param);
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name + (std::get<1>(info.param) ? "_faulty" : "_clean");
+    });
 
 }  // namespace
 }  // namespace mp

@@ -6,7 +6,7 @@
 
 #include "obs/analysis.hpp"
 #include "obs/observer.hpp"
-#include "sim/trace.hpp"
+#include "runtime/trace.hpp"
 #include "test_util.hpp"
 
 namespace mp {

@@ -5,10 +5,12 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "runtime/perf_model.hpp"
 #include "runtime/platform.hpp"
 #include "runtime/scheduler.hpp"
 #include "runtime/task_graph.hpp"
+#include "runtime/trace.hpp"
 
 namespace mp::test {
 
@@ -46,6 +48,39 @@ struct EdgeGraph {
   }
 };
 
+/// Random layered DAG with mixed modes including Commute. `kernel` (none by
+/// default) becomes the CPU implementation of both codelets, so the graph can
+/// also run under the ThreadExecutor.
+inline TaskGraph fuzz_graph(std::uint64_t seed, std::size_t n_tasks,
+                            const KernelFn& kernel = nullptr) {
+  Rng rng(seed);
+  TaskGraph g;
+  const CodeletId both = g.add_codelet("both", {ArchType::CPU, ArchType::GPU}, kernel);
+  const CodeletId conly = g.add_codelet("conly", {ArchType::CPU}, kernel);
+  std::vector<DataId> data;
+  for (std::size_t i = 0; i < n_tasks / 2 + 2; ++i)
+    data.push_back(g.add_data(256 + rng.next_in(0, 8192)));
+  for (std::size_t i = 0; i < n_tasks; ++i) {
+    std::vector<Access> acc;
+    const DataId own = data[rng.next_in(0, data.size() - 1)];
+    const double mode_pick = rng.next_double();
+    AccessMode m = AccessMode::ReadWrite;
+    if (mode_pick < 0.3) m = AccessMode::Read;
+    if (mode_pick > 0.8) m = AccessMode::Commute;
+    if (mode_pick > 0.95) m = AccessMode::Write;
+    acc.push_back(Access{own, m});
+    if (rng.next_double() < 0.7) {
+      const DataId extra = data[rng.next_in(0, data.size() - 1)];
+      if (extra != own) acc.push_back(Access{extra, AccessMode::Read});
+    }
+    SubmitOptions o;
+    o.flops = 1e6 * static_cast<double>(1 + rng.next_in(0, 80));
+    (void)g.submit(rng.next_double() < 0.2 ? conly : both,
+                   std::span<const Access>(acc), std::move(o));
+  }
+  return g;
+}
+
 /// 1 RAM node with `cpus` CPU workers + `gpus` GPU nodes with one worker each.
 inline Platform small_platform(std::size_t cpus, std::size_t gpus,
                                std::size_t gpu_capacity = 0) {
@@ -64,6 +99,14 @@ inline PerfDatabase flat_perf(double cpu_gflops = 10.0, double gpu_gflops = 100.
   db.set_default(ArchType::CPU, RateSpec{cpu_gflops, 0.0, 0.0, 0.0});
   db.set_default(ArchType::GPU, RateSpec{gpu_gflops, 0.0, 0.0, 0.0});
   return db;
+}
+
+/// Tasks executed per worker, counted from a run's trace.
+inline std::vector<std::size_t> tasks_per_worker(const Trace& trace,
+                                                 std::size_t num_workers) {
+  std::vector<std::size_t> n(num_workers, 0);
+  for (const TraceSegment& s : trace.segments()) ++n[s.worker.index()];
+  return n;
 }
 
 /// Wires a SchedContext over the pieces (no engine). The liveness mask is

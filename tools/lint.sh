@@ -29,7 +29,9 @@
 #      and the FaultStats counters changed, only in
 #      src/fault/task_lifecycle.cpp, the one copy both engines call. Readers
 #      in src/obs/ are exempt. A second engine-side copy of attempt counting
-#      or fault accounting drifts from the first.
+#      or fault accounting drifts from the first. Likewise the run's record:
+#      Trace::record is called only from src/fault/task_lifecycle.cpp, so no
+#      engine keeps a trace of its own.
 #
 #   5. Dense per-id state on the hot path. In src/core, src/runtime, src/sim
 #      and src/exec, no std::map / std::unordered_map is keyed by TaskId,
@@ -156,6 +158,18 @@ stray=$(grep -rnE "${lifecycle_kinds}|${counter_write}" src/ --include='*.hpp' -
 if [[ -n "$stray" ]]; then
   echo "lint: lifecycle events or FaultStats counters touched outside"
   echo "      src/fault/task_lifecycle.cpp — call TaskLifecycle instead:"
+  echo "$stray" | sed 's/^/      /'
+  fail=1
+fi
+# A record() call on anything named trace*, or one handed a TraceSegment; the
+# Trace files themselves declare and define it.
+trace_record='\btrace[A-Za-z0-9_]*(\(\))?[ \t]*(\.|->)[ \t]*record[ \t]*\(|\brecord[ \t]*\([ \t]*(mp::)?TraceSegment\b'
+stray=$(grep -rnE "${trace_record}" src/ --include='*.hpp' --include='*.cpp' \
+        | grep -vE '^src/(fault/task_lifecycle\.cpp|runtime/trace\.(hpp|cpp)):' \
+        | grep -vE ':[0-9]+:[ \t]*(//|\*)' || true)
+if [[ -n "$stray" ]]; then
+  echo "lint: Trace::record called outside src/fault/task_lifecycle.cpp —"
+  echo "      hand the segment to TaskLifecycle::completed instead:"
   echo "$stray" | sed 's/^/      /'
   fail=1
 fi

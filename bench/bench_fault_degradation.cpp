@@ -46,13 +46,13 @@ int main(int argc, char** argv) {
   bool all_ok = true;
   for (const std::string& name : policies) {
     const SimResult nominal =
-        simulate(graph, preset.platform, preset.perf, factory(name));
+        simulate(graph, preset.platform, preset.perf, scheduler_factory(name));
     for (const double frac : loss_fractions) {
       SimConfig cfg;
       cfg.fault.worker_losses.push_back(
           WorkerLossSpec{gpu_w, frac * nominal.makespan});
       const SimResult r =
-          simulate(graph, preset.platform, preset.perf, factory(name), cfg);
+          simulate(graph, preset.platform, preset.perf, scheduler_factory(name), cfg);
       const bool ok =
           r.tasks_executed == graph.num_tasks() && r.fault.tasks_abandoned == 0;
       all_ok = all_ok && ok;

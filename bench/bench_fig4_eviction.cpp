@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   for (const Row& row : {Row{"MultiPrio w/o eviction", "multiprio-noevict", "29%"},
                          Row{"MultiPrio with eviction", "multiprio", "1%"}}) {
     SimEngine engine(graph, preset.platform, preset.perf);
-    const SimResult r = engine.run(factory(row.sched));
+    const SimResult r = engine.run(scheduler_factory(row.sched));
     t.add_row({row.variant, fmt_double(r.makespan, 4), fmt_percent(r.idle_per_node[0]),
                fmt_percent(gpu_idle(preset.platform, r)),
                std::to_string(engine.trace().practical_critical_path().size()),
@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
   // Show the end-of-DAG behaviour the paper's traces highlight.
   std::printf("Gantt, with eviction (# = busy, last rows are the GPU stream):\n");
   SimEngine engine(graph, preset.platform, preset.perf);
-  (void)engine.run(factory("multiprio"));
+  (void)engine.run(scheduler_factory("multiprio"));
   std::printf("%s\n", engine.trace().ascii_gantt(100).c_str());
   return 0;
 }

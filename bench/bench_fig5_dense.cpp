@@ -51,7 +51,7 @@ Outcome run_once(const char* sched, const char* kernel_name,
   SimConfig cfg;
   cfg.observer = &obs;
   SimEngine engine(graph, preset.platform, preset.perf, cfg);
-  const SimResult r = engine.run(factory(sched));
+  const SimResult r = engine.run(scheduler_factory(sched));
   const RunAnalysis analysis(engine.trace(), graph, preset.platform, preset.perf,
                              &obs, engine.predicted_durations());
 

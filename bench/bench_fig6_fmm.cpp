@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
         std::string best_name;
         for (const char* sched : {"multiprio", "dmdas", "heteroprio"}) {
           SimEngine engine(graph, preset.platform, preset.perf, regime.cfg);
-          const SimResult r = engine.run(factory(sched));
+          const SimResult r = engine.run(scheduler_factory(sched));
           t.add_row({sched, fmt_double(r.makespan * 1e3, 1),
                      fmt_percent(r.idle_per_node[0]),
                      fmt_percent(gpu_idle(preset.platform, r))});

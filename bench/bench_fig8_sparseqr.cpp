@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
         const char* scheds[3] = {"dmdas", "heteroprio", "multiprio"};
         for (int s = 0; s < 3; ++s) {
           SimEngine engine(graph, preset.platform, preset.perf, regime.cfg);
-          const SimResult r = engine.run(factory(scheds[s]));
+          const SimResult r = engine.run(scheduler_factory(scheds[s]));
           if (s == 0) {
             dmdas_time = r.makespan;
           } else {

@@ -214,9 +214,7 @@ RunCost run_executor_once(const std::string& sched, std::size_t workers,
   cfg.stall_timeout = 0.05;
   cfg.observer = observer;
   const double cpu0 = process_cpu_seconds();
-  const ExecResult r = exec.run(
-      [&](SchedContext ctx) { return make_scheduler_by_name(sched, std::move(ctx)); },
-      cfg);
+  const ExecResult r = exec.run(scheduler_factory(sched), cfg);
   const double cpu1 = process_cpu_seconds();
   if (r.tasks_executed != n_tasks) {
     std::fprintf(stderr, "sweep run lost tasks: %zu/%zu (%s, %zu workers)\n",

@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
   const std::string label = label_arg != nullptr ? label_arg : "current";
 
   const PlatformPreset preset = intel_v100();
-  const SchedulerFactory factory = bench::factory("multiprio");
+  const SchedulerFactory factory = scheduler_factory("multiprio");
   std::vector<BenchRecord> records;
   std::printf("Simulator cost per task, multiprio on tiled Cholesky (%s), %zu reps\n",
               preset.name.c_str(), kReps);

@@ -21,10 +21,6 @@ inline bool has_flag(int argc, char** argv, const char* flag) {
 /// to the paper-scale sweep.
 inline bool full_mode(int argc, char** argv) { return has_flag(argc, argv, "--full"); }
 
-inline SchedulerFactory factory(const std::string& name) {
-  return [name](SchedContext ctx) { return make_scheduler_by_name(name, std::move(ctx)); };
-}
-
 /// Mean GPU idle fraction over the GPU memory nodes of a result.
 inline double gpu_idle(const Platform& p, const SimResult& r) {
   double idle = 0.0;

@@ -30,9 +30,7 @@ int main(int argc, char** argv) {
                "GB to GPUs"});
   for (const char* name : {"multiprio", "dmdas", "heteroprio", "lws", "eager"}) {
     SimEngine engine(graph, preset.platform, preset.perf);
-    const SimResult r = engine.run([&](SchedContext ctx) {
-      return make_scheduler_by_name(name, std::move(ctx));
-    });
+    const SimResult r = engine.run(scheduler_factory(name));
     double gpu_idle = 0.0;
     for (std::size_t m = 1; m < preset.platform.num_nodes(); ++m)
       gpu_idle += r.idle_per_node[m];

@@ -34,9 +34,7 @@ int main(int argc, char** argv) {
     Table table({"scheduler", "makespan (ms)", "CPU idle", "GPU idle"});
     for (const char* name : {"multiprio", "dmdas", "heteroprio"}) {
       SimEngine engine(graph, preset.platform, preset.perf);
-      const SimResult r = engine.run([&](SchedContext ctx) {
-        return make_scheduler_by_name(name, std::move(ctx));
-      });
+      const SimResult r = engine.run(scheduler_factory(name));
       double gpu_idle = 0.0;
       for (std::size_t m = 1; m < preset.platform.num_nodes(); ++m)
         gpu_idle += r.idle_per_node[m];
@@ -60,9 +58,7 @@ int main(int argc, char** argv) {
   flat.set_default(ArchType::CPU, RateSpec{10.0, 0.0, 0.0, 0.0});
   flat.set_default(ArchType::GPU, RateSpec{100.0, 0.0, 0.0, 0.0});
   ThreadExecutor exec(real_graph, node, flat);
-  (void)exec.run([](SchedContext ctx) {
-    return make_scheduler_by_name("multiprio", std::move(ctx));
-  });
+  (void)exec.run(scheduler_factory("multiprio"));
   const auto fmm_pot = real_tree.potentials_original_order();
   double num = 0.0;
   double den = 0.0;

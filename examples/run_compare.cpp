@@ -43,9 +43,7 @@ int main(int argc, char** argv) {
     SimConfig cfg;
     cfg.observer = &obs;
     SimEngine engine(graph, preset.platform, preset.perf, cfg);
-    (void)engine.run([&](SchedContext ctx) {
-      return make_scheduler_by_name(sched, std::move(ctx));
-    });
+    (void)engine.run(scheduler_factory(sched));
     analyses.emplace_back(engine.trace(), graph, preset.platform, preset.perf, &obs,
                           engine.predicted_durations());
     std::printf("--- %s ---\n%s\n", sched.c_str(), analyses.back().to_string().c_str());

@@ -58,9 +58,7 @@ int main(int argc, char** argv) {
   double dmdas_time = 0.0;
   for (const char* name : {"dmdas", "heteroprio", "multiprio"}) {
     SimEngine engine(graph, preset.platform, preset.perf);
-    const SimResult r = engine.run([&](SchedContext ctx) {
-      return make_scheduler_by_name(name, std::move(ctx));
-    });
+    const SimResult r = engine.run(scheduler_factory(name));
     if (std::strcmp(name, "dmdas") == 0) dmdas_time = r.makespan;
     table.add_row({name, fmt_double(r.makespan, 3),
                    fmt_double(dmdas_time / r.makespan, 3)});

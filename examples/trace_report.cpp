@@ -52,9 +52,7 @@ int main(int argc, char** argv) {
     SimConfig cfg;
     cfg.observer = &obs;
     SimEngine engine(graph, preset.platform, preset.perf, cfg);
-    (void)engine.run([&](SchedContext ctx) {
-      return make_scheduler_by_name(sched, std::move(ctx));
-    });
+    (void)engine.run(scheduler_factory(sched));
     const RunAnalysis analysis(engine.trace(), graph, preset.platform, preset.perf,
                                &obs, engine.predicted_durations());
     std::printf("--- %s ---\n%s\n%s\n", sched, analysis.to_string().c_str(),

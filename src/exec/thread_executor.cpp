@@ -43,19 +43,14 @@ ExecResult ThreadExecutor::run(const ExecSchedulerFactory& make_scheduler,
   // builds, controlled by the interleaving explorer under MP_VERIFY.
   //
   // Lock hierarchy (DESIGN.md §12): mu → push_mu → shard locks (ascending)
-  // → leaves. `mu` guards the engine bookkeeping (deps, taken, the task
-  // lifecycle, memory placement); `push_mu` serializes the push side of
+  // → leaves. `mu` guards the engine bookkeeping (deps, the task lifecycle,
+  // memory placement); `push_mu` serializes the push side of
   // the policy (push/push_batch/repush/notify_worker_removed), the liveness
   // flips and the HistoryModel writes its readers key off. A mutex-free
   // policy is wrapped in a SerializedScheduler that takes push_mu for every
   // other call too.
   Mutex mu;
   Mutex push_mu;
-  // The lifecycle's executed + abandoned count, republished under `mu`
-  // after every change and readable without it (loop condition and
-  // wait_for_work cancel predicate; a stale read only costs one extra
-  // failed pop).
-  RelaxedAtomic<std::size_t> finished{0};
   const std::size_t total = graph_.num_tasks();
   const double t0 = sync_now_seconds();
   auto elapsed = [t0] { return sync_now_seconds() - t0; };
@@ -131,9 +126,6 @@ ExecResult ThreadExecutor::run(const ExecSchedulerFactory& make_scheduler,
   }
 
   ExecResult result;
-  // Popped and not handed back by a failed attempt: a second pop of a taken
-  // task is a policy (or locking) bug.
-  std::vector<bool> taken(total, false);
   // Per-handle mutexes enforcing AccessMode::Commute mutual exclusion.
   std::vector<Mutex> commute_mu(graph_.handles().count());
 
@@ -149,17 +141,18 @@ ExecResult ThreadExecutor::run(const ExecSchedulerFactory& make_scheduler,
       orphans = sched->notify_worker_removed(w);
     }
     for (TaskId t : orphans) lifecycle.abandon(t);
-    finished.store(lifecycle.settled());
   };
 
   // The worker loop: pops run without any executor lock (the policy, or the
   // adapter around it, locks itself), engine bookkeeping takes `mu` only
   // around its own state, pushes serialize on `push_mu`, and idle workers
-  // park in the policy's work-epoch protocol.
+  // park in the policy's work-epoch protocol. The lifecycle's settled count
+  // is read without `mu` (loop condition and wait_for_work cancel predicate);
+  // a stale read only costs one extra failed pop.
   auto worker_body = [&](WorkerId w) {
     const ArchType arch = platform_.worker(w).arch;
-    auto parked_cancel = [&] { return finished.load() >= total; };
-    while (finished.load() < total) {
+    auto parked_cancel = [&] { return lifecycle.settled() >= total; };
+    while (lifecycle.settled() < total) {
       if (elapsed() >= lost_at[w.index()]) {
         // This thread retires between tasks.
         std::lock_guard lock(mu);
@@ -189,9 +182,7 @@ ExecResult ThreadExecutor::run(const ExecSchedulerFactory& make_scheduler,
       std::size_t attempt = 0;
       {
         std::lock_guard lock(mu);
-        MP_CHECK_MSG(!taken[t.index()], "task popped twice");
-        taken[t.index()] = true;
-        attempt = lifecycle.attempt(t);
+        attempt = lifecycle.popped(t, w);
         // Keep logical data placement in sync so locality heuristics see
         // the same world as in simulation (transfers are free functionally).
         std::vector<TransferOp> ops;
@@ -251,7 +242,6 @@ ExecResult ThreadExecutor::run(const ExecSchedulerFactory& make_scheduler,
         std::lock_guard lock(mu);
         lifecycle.straggled(t, w, mult);
         if (failed) {
-          taken[t.index()] = false;
           retry = lifecycle.failed(t, w);
         } else {
           // The raw readings, not start + dur: a successor starts no
@@ -260,7 +250,6 @@ ExecResult ThreadExecutor::run(const ExecSchedulerFactory& make_scheduler,
               TraceSegment{t, w, start - t0, start - t0, stop - t0, 0.0}, predicted);
           deps.complete(t, ready);
         }
-        finished.store(lifecycle.settled());
       }
       std::vector<TaskId> orphaned;
       if (!failed || retry) {
@@ -289,9 +278,8 @@ ExecResult ThreadExecutor::run(const ExecSchedulerFactory& make_scheduler,
       if (!orphaned.empty()) {
         std::lock_guard lock(mu);
         for (TaskId ot : orphaned) lifecycle.abandon(ot);
-        finished.store(lifecycle.settled());
       }
-      if (finished.load() >= total) sched->interrupt_waiters();
+      if (lifecycle.settled() >= total) sched->interrupt_waiters();
     }
   };
 

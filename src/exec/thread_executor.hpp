@@ -56,8 +56,6 @@ struct ExecResult {
   FaultStats fault;
 };
 
-using ExecSchedulerFactory = std::function<std::unique_ptr<Scheduler>(SchedContext)>;
-
 class ThreadExecutor {
  public:
   /// The perf database provides δ priors for the (initially uncalibrated)

@@ -9,7 +9,8 @@ TaskLifecycle::TaskLifecycle(const SchedContext& ctx, const FaultPlan& plan)
     : ctx_(ctx),
       retry_budget_(plan.retry_budget),
       attempts_(ctx.graph->num_tasks(), 0),
-      abandoned_(ctx.graph->num_tasks(), false),
+      state_(ctx.graph->num_tasks(), State::Idle),
+      lost_(ctx.platform->num_workers(), 0),
       trace_(*ctx.graph, *ctx.platform),
       predicted_(ctx.graph->num_tasks(), 0.0) {
   if (!plan.empty()) injector_ = std::make_unique<FaultInjector>(plan, *ctx_.graph);
@@ -41,6 +42,15 @@ void TaskLifecycle::straggled(TaskId t, WorkerId w, double multiplier) {
   emit(SchedEventKind::FaultStraggler, t, w);
 }
 
+std::size_t TaskLifecycle::popped(TaskId t, WorkerId w) {
+  // An abandoned task, too, was popped before or was never to be handed out.
+  MP_CHECK_MSG(state_[t.index()] == State::Idle, "task popped twice");
+  MP_CHECK_MSG(ctx_.graph->can_exec(t, ctx_.platform->worker(w).arch),
+               "scheduler mapped task to wrong arch");
+  state_[t.index()] = State::Popped;
+  return attempts_[t.index()];
+}
+
 bool TaskLifecycle::failed(TaskId t, WorkerId w) {
   ++stats_.failures_injected;
   const std::size_t failures = ++attempts_[t.index()];
@@ -54,38 +64,45 @@ bool TaskLifecycle::failed(TaskId t, WorkerId w) {
 }
 
 void TaskLifecycle::requeued(TaskId t, WorkerId w) {
+  MP_CHECK_MSG(state_[t.index()] == State::Popped, "requeued task was not popped");
+  state_[t.index()] = State::Idle;
   ++stats_.retries;
   emit(SchedEventKind::Repush, t, w);
 }
 
 void TaskLifecycle::worker_lost(WorkerId w) {
+  lost_[w.index()] = 1;
   ++stats_.workers_lost;
   emit(SchedEventKind::WorkerLost, TaskId{}, w);
 }
 
 void TaskLifecycle::abandon(TaskId t) {
-  // abandoned_ doubles as the visited set of the closure walk.
+  // The Abandoned state doubles as the visited set of the closure walk.
   std::vector<TaskId> frontier{t};
   while (!frontier.empty()) {
     const TaskId cur = frontier.back();
     frontier.pop_back();
-    if (abandoned_[cur.index()]) continue;
-    abandoned_[cur.index()] = true;
+    if (state_[cur.index()] == State::Abandoned) continue;
+    state_[cur.index()] = State::Abandoned;
     ++stats_.tasks_abandoned;
+    settled_.store(settled_.load() + 1);
     emit(SchedEventKind::TaskAbandoned, cur, WorkerId{});
     for (TaskId s : ctx_.graph->successors(cur)) frontier.push_back(s);
   }
 }
 
 void TaskLifecycle::completed(const TraceSegment& seg, double predicted) {
+  MP_CHECK_MSG(lost_[seg.worker.index()] == 0, "segment finished on a worker after its loss");
   trace_.record(seg);
   predicted_[seg.task.index()] = predicted;
+  settled_.store(settled_.load() + 1);
 }
 
 FaultStats TaskLifecycle::finish() {
+  // With Trace::record's executed-once check, this means every task ran
+  // unless some were abandoned.
   MP_CHECK_MSG(settled() == ctx_.graph->num_tasks(),
                "run ended with tasks neither executed nor abandoned");
-  trace_.validate(/*require_all=*/stats_.tasks_abandoned == 0);
   stats_.degraded = stats_.workers_lost > 0 || stats_.tasks_abandoned > 0;
   return stats_;
 }

@@ -1,5 +1,6 @@
 #include "obs/export.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <sstream>
@@ -101,9 +102,19 @@ std::string chrome_trace_json(const Trace& trace, const TaskGraph& graph,
 
   if (obs != nullptr) {
     // Scheduler decisions as instant events carrying their payloads, and
-    // heap depth over time as one counter track per memory node, sampled at
-    // every insertion into and removal from a node's queue.
-    for (const SchedEvent& e : obs->events().snapshot()) {
+    // queue depth over time as counter tracks, sampled at every insertion
+    // into and removal from a queue. The PUSH events say what a queue is:
+    // one per worker when they name a worker (dm family, random, lws), one
+    // per memory node when they name only a node (MultiPrio's node heaps,
+    // whose EVICTs also remove), and no track when they name neither (a
+    // central queue or per-codelet buckets).
+    const std::vector<SchedEvent> events = obs->events().snapshot();
+    const auto first_push = std::find_if(events.begin(), events.end(), [](const SchedEvent& e) {
+      return e.kind == SchedEventKind::Push;
+    });
+    const bool per_worker = first_push != events.end() && first_push->worker.valid();
+    const bool per_node = !per_worker && first_push != events.end() && first_push->node.valid();
+    for (const SchedEvent& e : events) {
       std::ostringstream os;
       const bool on_worker = e.worker.valid();
       os << R"({"ph":"i","cat":"sched","name":")" << event_kind_name(e.kind);
@@ -118,15 +129,17 @@ std::string chrome_trace_json(const Trace& trace, const TaskGraph& graph,
          << num(e.best_remaining_work) << R"(,"heap_depth":)" << e.heap_depth
          << R"(,"attempt":)" << e.attempt << "}}";
       ev.add(os.str());
-      if (e.node.valid() &&
-          (e.kind == SchedEventKind::Push || e.kind == SchedEventKind::Pop ||
-           e.kind == SchedEventKind::Evict)) {
-        std::ostringstream c;
-        c << R"({"ph":"C","name":"heap_depth.node)" << e.node.value()
-          << R"(","pid":0,"ts":)" << num(e.time * kUsPerSecond)
-          << R"(,"args":{"value":)" << e.heap_depth << "}}";
-        ev.add(c.str());
-      }
+      const bool moves_queue = e.kind == SchedEventKind::Push || e.kind == SchedEventKind::Pop;
+      std::ostringstream c;
+      if (per_worker && moves_queue && e.worker.valid())
+        c << R"({"ph":"C","name":"heap_depth.worker)" << e.worker.value();
+      else if (per_node && e.node.valid() && (moves_queue || e.kind == SchedEventKind::Evict))
+        c << R"({"ph":"C","name":"heap_depth.node)" << e.node.value();
+      else
+        continue;
+      c << R"(","pid":0,"ts":)" << num(e.time * kUsPerSecond) << R"(,"args":{"value":)"
+        << e.heap_depth << "}}";
+      ev.add(c.str());
     }
   }
 

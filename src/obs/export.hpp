@@ -5,9 +5,11 @@
 // duration slices on one track per worker (with their data stalls as
 // separate slices), scheduler decisions become "i" instant events — on the
 // deciding worker's track when one is involved, on a dedicated "scheduler"
-// track otherwise — and the PUSH / POP / EVICT events' heap depths become one
-// "C" counter track per memory node. Load the file at
-// https://ui.perfetto.dev or chrome://tracing.
+// track otherwise — and the queue depths the PUSH / POP events carry become
+// "C" counter tracks, one per queue: per worker when PUSH events name a
+// worker, per memory node (EVICTs included) when they name only a node, none
+// when they name neither. Load the file at https://ui.perfetto.dev or
+// chrome://tracing.
 #pragma once
 
 #include <string>

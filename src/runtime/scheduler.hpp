@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -212,6 +213,12 @@ class Scheduler {
   [[nodiscard]] const SchedContext& ctx() const { return ctx_; }
   SchedContext ctx_;
 };
+
+/// A scheduler factory: each engine owns construction so it can hand the
+/// policy a fully wired SchedContext. Both engines take the same type; the
+/// threaded executor's name for it is kept as an alias.
+using SchedulerFactory = std::function<std::unique_ptr<Scheduler>(SchedContext)>;
+using ExecSchedulerFactory = SchedulerFactory;
 
 // --- helpers shared by several policies ------------------------------------
 // All of these are liveness-aware: with a WorkerLiveness in the context,

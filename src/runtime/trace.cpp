@@ -1,6 +1,7 @@
 #include "runtime/trace.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 
 #include "common/check.hpp"
@@ -11,7 +12,7 @@ namespace mp {
 Trace::Trace(const TaskGraph& graph, const Platform& platform)
     : graph_(graph), platform_(platform) {
   busy_.assign(platform.num_workers(), 0.0);
-  exec_index_.assign(graph.num_tasks(), -1);
+  end_.assign(graph.num_tasks(), std::numeric_limits<double>::quiet_NaN());
   segments_.reserve(graph.num_tasks());
 }
 
@@ -19,8 +20,12 @@ void Trace::record(TraceSegment seg) {
   MP_CHECK(seg.task.valid() && seg.task.index() < graph_.num_tasks());
   MP_CHECK(seg.worker.valid() && seg.worker.index() < platform_.num_workers());
   MP_CHECK(seg.fetch_start <= seg.exec_start && seg.exec_start <= seg.end);
-  MP_CHECK_MSG(exec_index_[seg.task.index()] < 0, "task executed twice");
-  exec_index_[seg.task.index()] = static_cast<std::int64_t>(segments_.size());
+  MP_CHECK_MSG(!executed(seg.task), "task executed twice");
+  for (TaskId p : graph_.predecessors(seg.task)) {
+    MP_CHECK_MSG(executed(p), "predecessor never executed");
+    MP_CHECK_MSG(end_[p.index()] <= seg.fetch_start + 1e-12, "dependency violated");
+  }
+  end_[seg.task.index()] = seg.end;
   busy_[seg.worker.index()] += seg.end - seg.exec_start;
   fetch_stall_ += seg.data_stall;
   makespan_ = std::max(makespan_, seg.end);
@@ -58,38 +63,20 @@ std::vector<TaskId> Trace::practical_critical_path() const {
   std::vector<TaskId> path;
   if (segments_.empty()) return path;
   // Start from the last-finishing task.
-  const TraceSegment* cur = &segments_.front();
+  const TraceSegment* last = &segments_.front();
   for (const TraceSegment& s : segments_)
-    if (s.end > cur->end) cur = &s;
+    if (s.end > last->end) last = &s;
+  TaskId cur = last->task;
   while (true) {
-    path.push_back(cur->task);
-    const TraceSegment* next = nullptr;
-    for (TaskId p : graph_.predecessors(cur->task)) {
-      const std::int64_t idx = exec_index_[p.index()];
-      if (idx < 0) continue;
-      const TraceSegment& ps = segments_[static_cast<std::size_t>(idx)];
-      if (next == nullptr || ps.end > next->end) next = &ps;
-    }
-    if (next == nullptr) break;
+    path.push_back(cur);
+    TaskId next;
+    for (TaskId p : graph_.predecessors(cur))
+      if (executed(p) && (!next.valid() || end_[p.index()] > end_[next.index()])) next = p;
+    if (!next.valid()) break;
     cur = next;
   }
   std::reverse(path.begin(), path.end());
   return path;
-}
-
-void Trace::validate(bool require_all) const {
-  MP_CHECK_MSG(!require_all || segments_.size() == graph_.num_tasks(),
-               "not every task executed");
-  for (const TraceSegment& s : segments_) {
-    const ArchType a = platform_.worker(s.worker).arch;
-    MP_CHECK_MSG(graph_.can_exec(s.task, a), "task ran on an incapable arch");
-    for (TaskId p : graph_.predecessors(s.task)) {
-      const std::int64_t idx = exec_index_[p.index()];
-      MP_CHECK_MSG(idx >= 0, "predecessor never executed");
-      const TraceSegment& ps = segments_[static_cast<std::size_t>(idx)];
-      MP_CHECK_MSG(ps.end <= s.fetch_start + 1e-12, "dependency violated");
-    }
-  }
 }
 
 std::string Trace::to_csv() const {

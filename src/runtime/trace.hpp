@@ -3,9 +3,11 @@
 //
 // One Trace records a run on either engine: TaskLifecycle owns it and records
 // a segment per successful attempt (virtual seconds in the simulator, wall
-// seconds since run start in the threaded executor).
+// seconds since run start in the threaded executor). Recording checks
+// dependency order as it goes, so a finished trace needs no validation pass.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -31,10 +33,14 @@ class Trace {
  public:
   Trace(const TaskGraph& graph, const Platform& platform);
 
+  /// Appends `seg`. Aborts on a task executed twice, on a predecessor with
+  /// no recorded segment, and on one that ended after `seg.fetch_start`
+  /// (1e-12 tolerance).
   void record(TraceSegment seg);
 
   [[nodiscard]] const std::vector<TraceSegment>& segments() const { return segments_; }
   [[nodiscard]] std::size_t num_executed() const { return segments_.size(); }
+  [[nodiscard]] bool executed(TaskId t) const { return !std::isnan(end_[t.index()]); }
 
   /// Completion time of the whole DAG.
   [[nodiscard]] double makespan() const;
@@ -59,13 +65,6 @@ class Trace {
   /// execution order (StarVZ's highlighted chain in Fig. 4).
   [[nodiscard]] std::vector<TaskId> practical_critical_path() const;
 
-  /// Validation: every task executed exactly once, on a capable arch, with
-  /// every predecessor finishing before the task starts fetching. Aborts on
-  /// violation; used heavily in tests. `require_all = false` (degraded fault
-  /// runs) skips the everyone-executed check but still requires each executed
-  /// task's predecessors to have executed first.
-  void validate(bool require_all = true) const;
-
   /// CSV export: one row per segment.
   [[nodiscard]] std::string to_csv() const;
 
@@ -77,7 +76,7 @@ class Trace {
   const Platform& platform_;
   std::vector<TraceSegment> segments_;
   std::vector<double> busy_;                  // per worker
-  std::vector<std::int64_t> exec_index_;      // per task -> segment index or -1
+  std::vector<double> end_;                   // per task; NaN until executed
   double makespan_ = 0.0;
   double fetch_stall_ = 0.0;
 };

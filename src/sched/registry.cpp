@@ -41,6 +41,10 @@ std::unique_ptr<Scheduler> make_scheduler_by_name(const std::string& name,
   return nullptr;
 }
 
+SchedulerFactory scheduler_factory(const std::string& name) {
+  return [name](SchedContext ctx) { return make_scheduler_by_name(name, std::move(ctx)); };
+}
+
 std::vector<std::string> scheduler_names() {
   return {"eager",     "random",          "lws",
           "dm",        "dmda",            "dmdas",

@@ -40,6 +40,9 @@ enum class DmVariant { Dm, Dmda, Dmdas };
 /// multiprio-nonod, multiprio-rawbrw. Aborts on unknown names.
 [[nodiscard]] std::unique_ptr<Scheduler> make_scheduler_by_name(const std::string& name,
                                                                 SchedContext ctx);
+/// A factory building the policy `name` through make_scheduler_by_name (an
+/// unknown name aborts when the engine calls it).
+[[nodiscard]] SchedulerFactory scheduler_factory(const std::string& name);
 
 /// All registered policy names (for sweep benches).
 [[nodiscard]] std::vector<std::string> scheduler_names();

@@ -62,10 +62,6 @@ struct SimResult {
   FaultStats fault;
 };
 
-/// A scheduler factory: the engine owns construction so it can hand the
-/// policy a fully wired SchedContext.
-using SchedulerFactory = std::function<std::unique_ptr<Scheduler>(SchedContext)>;
-
 class SimEngine : public PrefetchSink {
  public:
   SimEngine(const TaskGraph& graph, const Platform& platform, const PerfDatabase& perf,

@@ -20,10 +20,6 @@
 namespace mp {
 namespace {
 
-SchedulerFactory by_name(const std::string& name) {
-  return [name](SchedContext ctx) { return make_scheduler_by_name(name, std::move(ctx)); };
-}
-
 /// One simulated run with everything the analysis consumes kept alive.
 struct AnalyzedRun {
   test::EdgeGraph eg;
@@ -40,7 +36,7 @@ struct AnalyzedRun {
         obs(event_capacity) {
     cfg.observer = &obs;
     engine = std::make_unique<SimEngine>(eg.graph, platform, perf, cfg);
-    result = engine->run(by_name(sched));
+    result = engine->run(scheduler_factory(sched));
   }
 
   [[nodiscard]] RunAnalysis analyze() const {
@@ -234,7 +230,7 @@ struct RealPotrf {
     exec = std::make_unique<ThreadExecutor>(graph, platform, perf);
     ExecConfig cfg;
     cfg.observer = obs;
-    result = exec->run(by_name("multiprio"), cfg);
+    result = exec->run(scheduler_factory("multiprio"), cfg);
   }
 };
 

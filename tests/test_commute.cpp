@@ -158,9 +158,7 @@ TEST(CommuteSim, AllSchedulersHandleCommuteDags) {
   Platform p = test::small_platform(2, 1);
   PerfDatabase db = test::flat_perf(10.0, 100.0);
   for (const std::string& name : scheduler_names()) {
-    const SimResult r = simulate(g, p, db, [&](SchedContext ctx) {
-      return make_scheduler_by_name(name, std::move(ctx));
-    });
+    const SimResult r = simulate(g, p, db, scheduler_factory(name));
     EXPECT_EQ(r.tasks_executed, g.num_tasks()) << name;
   }
 }
@@ -185,9 +183,7 @@ TEST(CommuteExec, ConcurrentAccumulationIsExact) {
   Platform p = test::small_platform(4, 2);
   PerfDatabase db = test::flat_perf();
   ThreadExecutor exec(g, p, db);
-  const ExecResult r = exec.run([](SchedContext ctx) {
-    return make_scheduler_by_name("lws", std::move(ctx));
-  });
+  const ExecResult r = exec.run(scheduler_factory("lws"));
   EXPECT_EQ(r.tasks_executed, 64u);
   EXPECT_DOUBLE_EQ(counter, 64.0);
 }
@@ -219,12 +215,8 @@ TEST(CommuteFmm, CommuteDagHasFewerOrderingConstraints) {
   // it loosely rather than require a speed-up.
   Platform p = test::small_platform(4, 2);
   PerfDatabase db = test::flat_perf(10.0, 100.0);
-  const SimResult rw = simulate(g_rw, p, db, [](SchedContext ctx) {
-    return make_scheduler_by_name("multiprio", std::move(ctx));
-  });
-  const SimResult cm = simulate(g_c, p, db, [](SchedContext ctx) {
-    return make_scheduler_by_name("multiprio", std::move(ctx));
-  });
+  const SimResult rw = simulate(g_rw, p, db, scheduler_factory("multiprio"));
+  const SimResult cm = simulate(g_c, p, db, scheduler_factory("multiprio"));
   EXPECT_EQ(cm.tasks_executed, g_c.num_tasks());
   EXPECT_LT(cm.makespan, rw.makespan * 4.0);
 }
@@ -241,9 +233,7 @@ TEST(CommuteFmm, RealExecutionStaysNumericallyCorrect) {
   Platform p = test::small_platform(3, 1);
   PerfDatabase db = test::flat_perf();
   ThreadExecutor exec(g, p, db);
-  (void)exec.run([](SchedContext ctx) {
-    return make_scheduler_by_name("multiprio", std::move(ctx));
-  });
+  (void)exec.run(scheduler_factory("multiprio"));
   const auto got = tree.potentials_original_order();
   // Accumulation order now varies: compare with an FP-reordering tolerance.
   double max_rel = 0.0;

@@ -103,9 +103,7 @@ TEST(Builders, SimulationRunsAllSchedulers) {
   Platform p = test::small_platform(2, 1);
   PerfDatabase db = test::flat_perf(10.0, 100.0);
   for (const char* name : {"multiprio", "dmdas", "heteroprio", "lws"}) {
-    const SimResult r = simulate(g, p, db, [&](SchedContext ctx) {
-      return make_scheduler_by_name(name, std::move(ctx));
-    });
+    const SimResult r = simulate(g, p, db, scheduler_factory(name));
     EXPECT_EQ(r.tasks_executed, g.num_tasks()) << name;
   }
 }
@@ -203,9 +201,7 @@ TEST_P(RealRun, PotrfMatchesReference) {
   Platform p = test::small_platform(2, 1);
   PerfDatabase db = test::flat_perf();
   ThreadExecutor exec(g, p, db);
-  const ExecResult r = exec.run([&](SchedContext ctx) {
-    return make_scheduler_by_name(GetParam(), std::move(ctx));
-  });
+  const ExecResult r = exec.run(scheduler_factory(GetParam()));
   EXPECT_EQ(r.tasks_executed, g.num_tasks());
 
   const std::size_t n = a.n();
@@ -232,9 +228,7 @@ TEST_P(RealRun, GetrfMatchesReference) {
   Platform p = test::small_platform(2, 1);
   PerfDatabase db = test::flat_perf();
   ThreadExecutor exec(g, p, db);
-  (void)exec.run([&](SchedContext ctx) {
-    return make_scheduler_by_name(GetParam(), std::move(ctx));
-  });
+  (void)exec.run(scheduler_factory(GetParam()));
 
   const std::size_t n = a.n();
   std::vector<double> expect = orig;
@@ -256,9 +250,7 @@ TEST_P(RealRun, GeqrfPreservesGram) {
   Platform p = test::small_platform(2, 1);
   PerfDatabase db = test::flat_perf();
   ThreadExecutor exec(g, p, db);
-  (void)exec.run([&](SchedContext ctx) {
-    return make_scheduler_by_name(GetParam(), std::move(ctx));
-  });
+  (void)exec.run(scheduler_factory(GetParam()));
 
   // QᵀQ = I ⇒ RᵀR = AᵀA with R the upper triangle of the result.
   const std::size_t n = a.n();

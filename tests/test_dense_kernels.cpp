@@ -443,7 +443,7 @@ TEST(TileKernelsThreaded, CholeskyFactorIsByteEqualToTheLoopsInSubmissionOrder) 
   PerfDatabase db = test::flat_perf();
   ThreadExecutor exec(g, p, db);
   const ExecResult r = exec.run(
-      [](SchedContext ctx) { return make_scheduler_by_name("multiprio", std::move(ctx)); });
+      scheduler_factory("multiprio"));
   ASSERT_EQ(r.tasks_executed, g.num_tasks());
 
   // The tasks of build_potrf, in the order it submits them.

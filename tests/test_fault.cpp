@@ -1,12 +1,14 @@
 // Fault model tests: injector determinism, transient retry, abandonment,
 // stragglers, fail-stop worker loss across every policy, MultiPrio retry
-// accounting, and the max_events stall diagnostic.
+// accounting, the run invariants the lifecycle and the trace check at each
+// transition, and the max_events stall diagnostic.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "apps/dense/dense_builders.hpp"
 #include "fault/fault_plan.hpp"
+#include "fault/task_lifecycle.hpp"
 #include "sched/schedulers.hpp"
 #include "sim/engine.hpp"
 #include "sim/platform_presets.hpp"
@@ -14,10 +16,6 @@
 
 namespace mp {
 namespace {
-
-SchedulerFactory by_name(const std::string& name) {
-  return [name](SchedContext ctx) { return make_scheduler_by_name(name, std::move(ctx)); };
-}
 
 WorkerId gpu_worker(const Platform& p) {
   for (const Worker& w : p.workers())
@@ -82,7 +80,7 @@ TEST(SimFault, TransientFailuresRetryToCompletion) {
   SimConfig cfg;
   cfg.fault.transient.push_back(TransientFaultSpec{CodeletId{}, 0.3});
   cfg.fault.retry_budget = 20;  // abandonment essentially impossible
-  const SimResult r = simulate(eg.graph, p, db, by_name("multiprio"), cfg);
+  const SimResult r = simulate(eg.graph, p, db, scheduler_factory("multiprio"), cfg);
   EXPECT_EQ(r.tasks_executed, 30u);
   EXPECT_EQ(r.fault.tasks_abandoned, 0u);
   EXPECT_GT(r.fault.failures_injected, 0u);
@@ -97,12 +95,12 @@ TEST(SimFault, FailedAttemptsCostTimeButNeverEnterTheTrace) {
   test::EdgeGraph clean(12, {}, 1e9, {ArchType::CPU});
   Platform p = test::small_platform(2, 0);
   PerfDatabase db = test::flat_perf();
-  const SimResult r0 = simulate(clean.graph, p, db, by_name("eager"));
+  const SimResult r0 = simulate(clean.graph, p, db, scheduler_factory("eager"));
   SimConfig cfg;
   cfg.fault.transient.push_back(TransientFaultSpec{CodeletId{}, 0.3});
   cfg.fault.retry_budget = 30;
   test::EdgeGraph again(12, {}, 1e9, {ArchType::CPU});
-  const SimResult r1 = simulate(again.graph, p, db, by_name("eager"), cfg);
+  const SimResult r1 = simulate(again.graph, p, db, scheduler_factory("eager"), cfg);
   ASSERT_GT(r1.fault.failures_injected, 0u);
   EXPECT_GT(r1.makespan, r0.makespan);        // wasted attempts cost time
   EXPECT_EQ(r1.tasks_executed, 12u);          // but execute exactly once each
@@ -115,7 +113,7 @@ TEST(SimFault, BudgetExhaustionAbandonsTaskAndDescendants) {
   SimConfig cfg;
   cfg.fault.transient.push_back(TransientFaultSpec{CodeletId{}, 1.0});
   cfg.fault.retry_budget = 2;
-  const SimResult r = simulate(eg.graph, p, db, by_name("eager"), cfg);
+  const SimResult r = simulate(eg.graph, p, db, scheduler_factory("eager"), cfg);
   EXPECT_EQ(r.tasks_executed, 0u);
   EXPECT_EQ(r.fault.tasks_abandoned, 4u);  // 0 -> 1 -> 2 closure plus task 3
   // Every root burned its full budget: 1 + 2 retries each.
@@ -129,7 +127,7 @@ TEST(SimFault, StragglerMultipliesDuration) {
   PerfDatabase db = test::flat_perf();
   SimConfig cfg;
   cfg.fault.stragglers.push_back(StragglerSpec{CodeletId{}, 1.0, 4.0});
-  const SimResult r = simulate(eg.graph, p, db, by_name("eager"), cfg);
+  const SimResult r = simulate(eg.graph, p, db, scheduler_factory("eager"), cfg);
   EXPECT_EQ(r.fault.stragglers_injected, 1u);
   EXPECT_NEAR(r.makespan, 0.4, 1e-9);
   EXPECT_FALSE(r.fault.degraded);
@@ -150,8 +148,8 @@ TEST(SimFault, SameSeedAndPlanReproduceBitForBit) {
   cfg.fault.worker_losses.push_back(WorkerLossSpec{gpu_worker(p), 0.05});
   cfg.fault.retry_budget = 25;
   for (const char* name : {"multiprio", "eager", "dmdas"}) {
-    const SimResult a = simulate(eg.graph, p, db, by_name(name), cfg);
-    const SimResult b = simulate(eg.graph, p, db, by_name(name), cfg);
+    const SimResult a = simulate(eg.graph, p, db, scheduler_factory(name), cfg);
+    const SimResult b = simulate(eg.graph, p, db, scheduler_factory(name), cfg);
     EXPECT_DOUBLE_EQ(a.makespan, b.makespan) << name;
     EXPECT_EQ(a.tasks_executed, b.tasks_executed) << name;
     EXPECT_EQ(a.fault.failures_injected, b.fault.failures_injected) << name;
@@ -174,13 +172,13 @@ TEST(SimFault, GpuLossDegradesCholeskyGracefullyForEveryScheduler) {
 
   for (const std::string& name : scheduler_names()) {
     const SimResult nominal =
-        simulate(graph, preset.platform, preset.perf, by_name(name));
+        simulate(graph, preset.platform, preset.perf, scheduler_factory(name));
     ASSERT_EQ(nominal.tasks_executed, graph.num_tasks()) << name;
 
     SimConfig cfg;
     cfg.fault.worker_losses.push_back(
         WorkerLossSpec{gpu_worker(preset.platform), 0.25 * nominal.makespan});
-    const SimResult r = simulate(graph, preset.platform, preset.perf, by_name(name), cfg);
+    const SimResult r = simulate(graph, preset.platform, preset.perf, scheduler_factory(name), cfg);
     EXPECT_EQ(r.tasks_executed, graph.num_tasks()) << name;
     EXPECT_EQ(r.fault.tasks_abandoned, 0u) << name;
     EXPECT_EQ(r.fault.workers_lost, 1u) << name;
@@ -197,7 +195,7 @@ TEST(SimFault, LossAtTimeZeroLeavesCpusOnly) {
   SimConfig cfg;
   cfg.fault.worker_losses.push_back(WorkerLossSpec{gpu_worker(p), 0.0});
   SimEngine engine(eg.graph, p, db, cfg);
-  const SimResult r = engine.run(by_name("multiprio"));
+  const SimResult r = engine.run(scheduler_factory("multiprio"));
   EXPECT_EQ(r.tasks_executed, 10u);
   EXPECT_EQ(r.fault.tasks_abandoned, 0u);
   for (const TraceSegment& s : engine.trace().segments())
@@ -213,7 +211,7 @@ TEST(SimFault, MidPipelineLossDrainsPendingPops) {
   SimConfig cfg;
   cfg.pipeline_depth = 3;
   cfg.fault.worker_losses.push_back(WorkerLossSpec{gpu_worker(p), 0.015});
-  const SimResult r = simulate(eg.graph, p, db, by_name("dmdas"), cfg);
+  const SimResult r = simulate(eg.graph, p, db, scheduler_factory("dmdas"), cfg);
   EXPECT_EQ(r.tasks_executed, 24u);
   EXPECT_EQ(r.fault.tasks_abandoned, 0u);
   EXPECT_GT(r.fault.retries, 0u);  // the drained pipeline re-entered the queue
@@ -227,7 +225,7 @@ TEST(SimFault, OrphanedTasksAreAbandonedWithDescendants) {
   PerfDatabase db = test::flat_perf();
   SimConfig cfg;
   cfg.fault.worker_losses.push_back(WorkerLossSpec{gpu_worker(p), 0.0});
-  const SimResult r = simulate(eg.graph, p, db, by_name("eager"), cfg);
+  const SimResult r = simulate(eg.graph, p, db, scheduler_factory("eager"), cfg);
   EXPECT_EQ(r.tasks_executed, 0u);
   EXPECT_EQ(r.fault.tasks_abandoned, 6u);
   EXPECT_TRUE(r.fault.degraded);
@@ -249,7 +247,7 @@ TEST(SimFault, EvacuationWritesDirtyDataBackToRam) {
   SimConfig cfg;
   cfg.fault.worker_losses.push_back(WorkerLossSpec{gpu_worker(p), 0.02});
   SimEngine engine(g, p, db, cfg);
-  const SimResult r = engine.run(by_name("eager"));
+  const SimResult r = engine.run(scheduler_factory("eager"));
   EXPECT_EQ(r.tasks_executed, 2u);
   EXPECT_GT(r.bytes_from_gpus, 0u);  // the evacuation writeback
   EXPECT_TRUE(engine.memory().is_valid_on(d, p.ram_node()));
@@ -404,6 +402,132 @@ TEST(MultiPrioFaultDeath, PushBatchWithOneUnplaceableTaskAborts) {
   EXPECT_DEATH(sched.push_batch({tb, tg}), "pushed task has no live capable memory node");
 }
 
+// --- run invariants, checked at the transition that can break them ----------
+
+// A diamond 0 → {1, 2} → 3 recorded by hand.
+struct DiamondTrace {
+  test::EdgeGraph eg{4, {{0, 1}, {0, 2}, {1, 3}, {2, 3}}};
+  Platform platform = test::small_platform(1, 1);
+  Trace trace{eg.graph, platform};
+  WorkerId cpu{std::size_t{0}};
+};
+
+TEST(TraceDeath, PredecessorWithNoSegmentAborts) {
+  DiamondTrace d;
+  d.trace.record(TraceSegment{d.eg.tasks[0], d.cpu, 0.0, 0.0, 1.0, 0.0});
+  d.trace.record(TraceSegment{d.eg.tasks[1], d.cpu, 1.0, 1.0, 2.0, 0.0});
+  EXPECT_DEATH(d.trace.record(TraceSegment{d.eg.tasks[3], d.cpu, 2.0, 2.0, 3.0, 0.0}),
+               "predecessor never executed");
+}
+
+TEST(TraceDeath, DependencyViolatedBeyondToleranceAborts) {
+  DiamondTrace d;
+  d.trace.record(TraceSegment{d.eg.tasks[0], d.cpu, 0.0, 0.0, 1.0, 0.0});
+  // Within the 1e-12 tolerance a successor may start as its predecessor ends.
+  d.trace.record(TraceSegment{d.eg.tasks[1], d.cpu, 1.0 - 1e-13, 1.0, 2.0, 0.0});
+  EXPECT_DEATH(d.trace.record(TraceSegment{d.eg.tasks[2], d.cpu, 1.0 - 1e-9, 1.0, 2.0, 0.0}),
+               "dependency violated");
+}
+
+TEST(TraceDeath, TaskExecutedTwiceAborts) {
+  DiamondTrace d;
+  d.trace.record(TraceSegment{d.eg.tasks[0], d.cpu, 0.0, 0.0, 1.0, 0.0});
+  EXPECT_DEATH(d.trace.record(TraceSegment{d.eg.tasks[0], d.cpu, 1.0, 1.0, 2.0, 0.0}),
+               "task executed twice");
+}
+
+// A lifecycle over two independent tasks: `both` runs anywhere, `gpu` only on
+// the GPU worker.
+struct LifecycleFixture {
+  TaskGraph g;
+  TaskId both;
+  TaskId gpu;
+  Platform p = test::small_platform(1, 1);
+  WorkerId cpu_w{std::size_t{0}};
+  WorkerId gpu_w{std::size_t{1}};
+  std::unique_ptr<test::ManualContext> mc;
+  std::unique_ptr<TaskLifecycle> lifecycle;
+
+  LifecycleFixture() {
+    both = g.submit(g.add_codelet("both", {ArchType::CPU, ArchType::GPU}),
+                    {Access{g.add_data(64), AccessMode::ReadWrite}});
+    gpu = g.submit(g.add_codelet("gpu_only", {ArchType::GPU}),
+                   {Access{g.add_data(64), AccessMode::ReadWrite}});
+    mc = std::make_unique<test::ManualContext>(g, p, test::flat_perf());
+    lifecycle = std::make_unique<TaskLifecycle>(mc->ctx(), FaultPlan{});
+  }
+};
+
+TEST(LifecycleDeath, TaskPoppedTwiceAborts) {
+  LifecycleFixture f;
+  EXPECT_EQ(f.lifecycle->popped(f.both, f.cpu_w), 0u);
+  EXPECT_DEATH((void)f.lifecycle->popped(f.both, f.gpu_w), "task popped twice");
+}
+
+TEST(Lifecycle, FailedAttemptHandsTheTaskBack) {
+  LifecycleFixture f;
+  (void)f.lifecycle->popped(f.both, f.cpu_w);
+  ASSERT_TRUE(f.lifecycle->failed(f.both, f.cpu_w));  // budget grants a retry
+  EXPECT_EQ(f.lifecycle->popped(f.both, f.gpu_w), 1u);
+}
+
+TEST(LifecycleDeath, WrongArchPopAborts) {
+  LifecycleFixture f;
+  EXPECT_DEATH((void)f.lifecycle->popped(f.gpu, f.cpu_w), "scheduler mapped task to wrong arch");
+}
+
+TEST(LifecycleDeath, RequeueWithoutPopAborts) {
+  LifecycleFixture f;
+  EXPECT_DEATH(f.lifecycle->requeued(f.both, f.cpu_w), "requeued task was not popped");
+}
+
+TEST(LifecycleDeath, SegmentAfterWorkerLostAborts) {
+  LifecycleFixture f;
+  (void)f.lifecycle->popped(f.both, f.cpu_w);
+  f.lifecycle->worker_lost(f.cpu_w);
+  EXPECT_DEATH(f.lifecycle->completed(TraceSegment{f.both, f.cpu_w, 0.0, 0.0, 1.0, 0.0}, 1.0),
+               "segment finished on a worker after its loss");
+}
+
+TEST(LifecycleDeath, FinishWithUnsettledTaskAborts) {
+  LifecycleFixture f;
+  (void)f.lifecycle->popped(f.both, f.cpu_w);
+  f.lifecycle->completed(TraceSegment{f.both, f.cpu_w, 0.0, 0.0, 1.0, 0.0}, 1.0);
+  EXPECT_EQ(f.lifecycle->settled(), 1u);
+  EXPECT_DEATH((void)f.lifecycle->finish(), "run ended with tasks neither executed nor abandoned");
+  f.lifecycle->abandon(f.gpu);
+  EXPECT_EQ(f.lifecycle->settled(), 2u);
+  EXPECT_TRUE(f.lifecycle->finish().degraded);
+}
+
+// A broken policy: every pop hands out the first task ever pushed.
+class SamePopPolicy final : public Scheduler {
+ public:
+  using Scheduler::Scheduler;
+  void push(TaskId t) override {
+    if (!first_.valid()) first_ = t;
+  }
+  [[nodiscard]] std::optional<TaskId> pop(WorkerId /*w*/) override {
+    return first_.valid() ? std::optional<TaskId>(first_) : std::nullopt;
+  }
+  [[nodiscard]] std::string name() const override { return "same-pop"; }
+  [[nodiscard]] std::size_t pending_count() const override { return 0; }
+
+ private:
+  TaskId first_;
+};
+
+TEST(SimFaultDeath, PolicyReturningTheSameTaskTwiceAborts) {
+  test::EdgeGraph eg(4, {}, 1e8, {ArchType::CPU});
+  Platform p = test::small_platform(2, 0);
+  PerfDatabase db = test::flat_perf();
+  EXPECT_DEATH((void)simulate(eg.graph, p, db,
+                              [](SchedContext ctx) {
+                                return std::make_unique<SamePopPolicy>(std::move(ctx));
+                              }),
+               "task popped twice");
+}
+
 // --- stall diagnostic (max_events safety valve) ------------------------------
 
 TEST(SimFaultDeath, MaxEventsEmitsStallDiagnostic) {
@@ -412,7 +536,7 @@ TEST(SimFaultDeath, MaxEventsEmitsStallDiagnostic) {
   PerfDatabase db = test::flat_perf();
   SimConfig cfg;
   cfg.max_events = 5;  // far too few for 20 tasks
-  EXPECT_DEATH((void)simulate(eg.graph, p, db, by_name("eager"), cfg),
+  EXPECT_DEATH((void)simulate(eg.graph, p, db, scheduler_factory("eager"), cfg),
                "simulation stalled.*stuck total");
 }
 

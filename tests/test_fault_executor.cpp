@@ -23,10 +23,6 @@
 namespace mp {
 namespace {
 
-ExecSchedulerFactory by_name(const std::string& name) {
-  return [name](SchedContext ctx) { return make_scheduler_by_name(name, std::move(ctx)); };
-}
-
 TEST(ThreadExecutorFault, ThrownKernelIsRetriedWithoutAPlan) {
   TaskGraph g;
   constexpr int kTasks = 20;
@@ -47,7 +43,7 @@ TEST(ThreadExecutorFault, ThrownKernelIsRetriedWithoutAPlan) {
   Platform p = test::small_platform(3, 1);
   PerfDatabase db = test::flat_perf();
   ThreadExecutor exec(g, p, db);
-  const ExecResult r = exec.run(by_name("multiprio"));
+  const ExecResult r = exec.run(scheduler_factory("multiprio"));
   EXPECT_EQ(r.tasks_executed, static_cast<std::size_t>(kTasks));
   EXPECT_EQ(r.fault.failures_injected, static_cast<std::size_t>(kTasks));
   EXPECT_EQ(r.fault.retries, static_cast<std::size_t>(kTasks));
@@ -73,7 +69,7 @@ TEST(ThreadExecutorFault, InjectedTransientFailuresRetryToCompletion) {
   cfg.stall_timeout = 0.05;
   cfg.fault.transient.push_back(TransientFaultSpec{CodeletId{}, 0.4});
   cfg.fault.retry_budget = 30;
-  const ExecResult r = exec.run(by_name("eager"), cfg);
+  const ExecResult r = exec.run(scheduler_factory("eager"), cfg);
   EXPECT_EQ(r.tasks_executed, 40u);
   EXPECT_GT(r.fault.failures_injected, 0u);
   EXPECT_EQ(r.fault.retries, r.fault.failures_injected);
@@ -104,7 +100,7 @@ TEST(ThreadExecutorFault, ExhaustedBudgetAbandonsDescendants) {
   ExecConfig cfg;
   cfg.stall_timeout = 0.05;
   cfg.fault.retry_budget = 2;
-  const ExecResult r = exec.run(by_name("lws"), cfg);
+  const ExecResult r = exec.run(scheduler_factory("lws"), cfg);
   EXPECT_EQ(r.tasks_executed, 1u);
   EXPECT_EQ(r.fault.tasks_abandoned, 3u);  // head + the two chained successors
   EXPECT_EQ(r.fault.failures_injected, 3u);  // head: 1 try + 2 retries
@@ -134,7 +130,7 @@ TEST(ThreadExecutorFault, WorkerLossDegradesOntoSurvivors) {
     ExecConfig cfg;
     cfg.stall_timeout = 0.05;
     cfg.fault.worker_losses.push_back(WorkerLossSpec{gpu_w, 0.0});  // dies at start
-    const ExecResult r = exec.run(by_name(name), cfg);
+    const ExecResult r = exec.run(scheduler_factory(name), cfg);
     EXPECT_EQ(r.tasks_executed, 30u) << name;
     EXPECT_EQ(runs.load(), 30) << name;
     EXPECT_EQ(r.fault.workers_lost, 1u) << name;
@@ -174,7 +170,7 @@ TEST(ThreadExecutorFault, MidRunWorkerLossUnderEveryPolicy) {
     ExecConfig cfg;
     cfg.stall_timeout = 0.05;
     cfg.fault.worker_losses.push_back(WorkerLossSpec{gpu_w, 0.002});
-    const ExecResult r = exec.run(by_name(name), cfg);
+    const ExecResult r = exec.run(scheduler_factory(name), cfg);
     EXPECT_EQ(r.tasks_executed, 60u) << name;
     EXPECT_EQ(runs.load(), 60) << name;
     EXPECT_EQ(r.fault.workers_lost, 1u) << name;
@@ -200,7 +196,7 @@ TEST(ThreadExecutorFault, LossOfOnlyCapableWorkerAbandonsOrphans) {
   ExecConfig cfg;
   cfg.stall_timeout = 0.05;
   cfg.fault.worker_losses.push_back(WorkerLossSpec{gpu_w, 0.0});
-  const ExecResult r = exec.run(by_name("eager"), cfg);
+  const ExecResult r = exec.run(scheduler_factory("eager"), cfg);
   EXPECT_EQ(r.tasks_executed, 0u);
   EXPECT_EQ(r.fault.tasks_abandoned, 2u);
   EXPECT_EQ(runs.load(), 0);
@@ -222,7 +218,7 @@ TEST(ThreadExecutorFault, StragglersSlowButDoNotBreakTheRun) {
   ExecConfig cfg;
   cfg.stall_timeout = 0.05;
   cfg.fault.stragglers.push_back(StragglerSpec{CodeletId{}, 1.0, 2.0});
-  const ExecResult r = exec.run(by_name("random"), cfg);
+  const ExecResult r = exec.run(scheduler_factory("random"), cfg);
   EXPECT_EQ(r.tasks_executed, 10u);
   EXPECT_EQ(r.fault.stragglers_injected, 10u);
   EXPECT_FALSE(r.fault.degraded);
@@ -271,7 +267,7 @@ FaultOutcome simulated(const TaskGraph& g, const Platform& p, const FaultPlan& p
   SimConfig cfg;
   cfg.fault = plan;
   cfg.observer = &obs;
-  const SimResult r = simulate(g, p, test::flat_perf(), by_name(policy), cfg);
+  const SimResult r = simulate(g, p, test::flat_perf(), scheduler_factory(policy), cfg);
   return outcome_of(r.fault, obs);
 }
 
@@ -284,7 +280,7 @@ FaultOutcome executed(const TaskGraph& g, const Platform& p, const FaultPlan& pl
   cfg.stall_timeout = 0.05;
   const PerfDatabase db = test::flat_perf();
   ThreadExecutor exec(g, p, db);
-  const ExecResult r = exec.run(by_name(policy), cfg);
+  const ExecResult r = exec.run(scheduler_factory(policy), cfg);
   return outcome_of(r.fault, obs);
 }
 
@@ -328,6 +324,39 @@ TEST(EngineFaultParity, TransientOutcomeIsScheduleIndependentUnderEveryPolicy) {
       EXPECT_EQ(got.abandoned, ref.abandoned);
     }
   }
+}
+
+// A broken policy that hands any task to any worker, whatever its arch.
+class ArchBlindFifo final : public Scheduler {
+ public:
+  using Scheduler::Scheduler;
+  void push(TaskId t) override { queue_.push_back(t); }
+  [[nodiscard]] std::optional<TaskId> pop(WorkerId /*w*/) override {
+    if (head_ >= queue_.size()) return std::nullopt;
+    return queue_[head_++];
+  }
+  [[nodiscard]] std::string name() const override { return "arch-blind-fifo"; }
+  [[nodiscard]] std::size_t pending_count() const override { return queue_.size() - head_; }
+
+ private:
+  std::vector<TaskId> queue_;
+  std::size_t head_ = 0;
+};
+
+TEST(ThreadExecutorFaultDeath, WrongArchPopAborts) {
+  // The executor runs the lifecycle's pop check: a GPU-only task handed to
+  // a CPU worker aborts before its kernel runs.
+  TaskGraph g;
+  const CodeletId gpu_only =
+      g.add_codelet("gpu_only", {ArchType::GPU}, [](const Task&, std::span<void* const>) {});
+  (void)g.submit(gpu_only, {Access{g.add_data(8), AccessMode::ReadWrite}});
+  Platform p = test::small_platform(1, 0);
+  PerfDatabase db = test::flat_perf();
+  ThreadExecutor exec(g, p, db);
+  const SchedulerFactory blind = [](SchedContext ctx) {
+    return std::make_unique<ArchBlindFifo>(std::move(ctx));
+  };
+  EXPECT_DEATH((void)exec.run(blind), "scheduler mapped task to wrong arch");
 }
 
 }  // namespace

@@ -171,9 +171,7 @@ TEST(FmmDag, SimulationCompletesOnHeterogeneousNode) {
   Platform p = test::small_platform(3, 2);
   PerfDatabase db = test::flat_perf(10.0, 100.0);
   for (const char* name : {"multiprio", "dmdas", "heteroprio"}) {
-    const SimResult r = simulate(g, p, db, [&](SchedContext ctx) {
-      return make_scheduler_by_name(name, std::move(ctx));
-    });
+    const SimResult r = simulate(g, p, db, scheduler_factory(name));
     EXPECT_EQ(r.tasks_executed, g.num_tasks()) << name;
   }
 }
@@ -192,9 +190,7 @@ TEST_P(FmmRealRun, TaskBasedMatchesSerial) {
   Platform p = test::small_platform(2, 1);
   PerfDatabase db = test::flat_perf();
   ThreadExecutor exec(g, p, db);
-  const ExecResult r = exec.run([&](SchedContext ctx) {
-    return make_scheduler_by_name(GetParam(), std::move(ctx));
-  });
+  const ExecResult r = exec.run(scheduler_factory(GetParam()));
   EXPECT_EQ(r.tasks_executed, g.num_tasks());
   const auto got = tree.potentials_original_order();
   double max_rel = 0.0;

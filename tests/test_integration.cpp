@@ -14,10 +14,6 @@
 namespace mp {
 namespace {
 
-SchedulerFactory by_name(const std::string& name) {
-  return [name](SchedContext ctx) { return make_scheduler_by_name(name, std::move(ctx)); };
-}
-
 TEST(Fig4Shape, EvictionCutsGpuIdleAndMakespan) {
   // The paper's own ablation: simulated Cholesky 960×20 on 1 GPU + 6 CPUs;
   // eviction drops GPU idle dramatically (29% -> 1% there) and shortens the
@@ -29,9 +25,9 @@ TEST(Fig4Shape, EvictionCutsGpuIdleAndMakespan) {
   const PlatformPreset preset = fig4_node();
 
   SimEngine with(g, preset.platform, preset.perf);
-  const SimResult r_with = with.run(by_name("multiprio"));
+  const SimResult r_with = with.run(scheduler_factory("multiprio"));
   SimEngine without(g, preset.platform, preset.perf);
-  const SimResult r_without = without.run(by_name("multiprio-noevict"));
+  const SimResult r_without = without.run(scheduler_factory("multiprio-noevict"));
 
   const double gpu_idle_with = r_with.idle_per_node[1];
   const double gpu_idle_without = r_without.idle_per_node[1];
@@ -57,11 +53,11 @@ TEST(Pipelining, OverlapsTransfersWithExecution) {
   SimConfig off;
   off.pipeline_depth = 0;
   SimEngine e_off(g, p, db, off);
-  const SimResult r_off = e_off.run(by_name("eager"));
+  const SimResult r_off = e_off.run(scheduler_factory("eager"));
   SimConfig on;
   on.pipeline_depth = 1;
   SimEngine e_on(g, p, db, on);
-  const SimResult r_on = e_on.run(by_name("eager"));
+  const SimResult r_on = e_on.run(scheduler_factory("eager"));
 
   EXPECT_LT(r_on.makespan, r_off.makespan);
   EXPECT_LT(e_on.trace().total_fetch_stall(), e_off.trace().total_fetch_stall());
@@ -75,7 +71,7 @@ TEST(Pipelining, DoesNotHoardWhenPeersAreIdle) {
   test::EdgeGraph eg(4, {}, 1e9, {ArchType::CPU});
   Platform p = test::small_platform(4, 0);
   PerfDatabase db = test::flat_perf(10.0, 100.0);
-  const SimResult r = simulate(eg.graph, p, db, by_name("eager"));
+  const SimResult r = simulate(eg.graph, p, db, scheduler_factory("eager"));
   EXPECT_NEAR(r.makespan, 0.1, 1e-9);
 }
 
@@ -161,8 +157,8 @@ TEST(SchedulerComparison, MultiPrioCompetitiveOnIrregularFmm) {
   TaskGraph g;
   (void)fmm::build_fmm(g, tree);
   const PlatformPreset preset = intel_v100(2);
-  const SimResult mp_r = simulate(g, preset.platform, preset.perf, by_name("multiprio"));
-  const SimResult dm_r = simulate(g, preset.platform, preset.perf, by_name("dmdas"));
+  const SimResult mp_r = simulate(g, preset.platform, preset.perf, scheduler_factory("multiprio"));
+  const SimResult dm_r = simulate(g, preset.platform, preset.perf, scheduler_factory("dmdas"));
   EXPECT_LT(mp_r.makespan, dm_r.makespan * 1.5);
   EXPECT_EQ(mp_r.tasks_executed, g.num_tasks());
 }
@@ -173,8 +169,8 @@ TEST(SchedulerComparison, MultiPrioBeatsNaiveBaselinesOnCholesky) {
   a.register_handles(g);
   dense::build_potrf(g, a, false);
   const PlatformPreset preset = intel_v100();
-  const SimResult mp_r = simulate(g, preset.platform, preset.perf, by_name("multiprio"));
-  const SimResult rnd = simulate(g, preset.platform, preset.perf, by_name("random"));
+  const SimResult mp_r = simulate(g, preset.platform, preset.perf, scheduler_factory("multiprio"));
+  const SimResult rnd = simulate(g, preset.platform, preset.perf, scheduler_factory("random"));
   EXPECT_LT(mp_r.makespan, rnd.makespan);
 }
 

@@ -18,10 +18,6 @@
 namespace mp {
 namespace {
 
-SchedulerFactory by_name(const std::string& name) {
-  return [name](SchedContext ctx) { return make_scheduler_by_name(name, std::move(ctx)); };
-}
-
 std::size_t count_occurrences(const std::string& haystack, const std::string& needle) {
   std::size_t n = 0;
   for (std::size_t pos = haystack.find(needle); pos != std::string::npos;
@@ -30,12 +26,13 @@ std::size_t count_occurrences(const std::string& haystack, const std::string& ne
   return n;
 }
 
-/// Heap depths per memory node, in recording order.
+/// Queue depths per memory node or per worker, in recording order.
 using DepthTracks = std::map<std::uint32_t, std::vector<std::uint64_t>>;
 
-/// The "C" counter samples of a Chrome trace (one JSON object per line).
-DepthTracks exported_depths(const std::string& json) {
-  const std::string name_key = R"("name":"heap_depth.node)";
+/// The "C" counter samples of a Chrome trace (one JSON object per line);
+/// every sample must be on a `heap_depth.<queue><id>` track.
+DepthTracks exported_depths(const std::string& json, const std::string& queue = "node") {
+  const std::string name_key = R"("name":"heap_depth.)" + queue;
   const std::string value_key = R"("value":)";
   DepthTracks tracks;
   std::istringstream in(json);
@@ -60,6 +57,15 @@ DepthTracks event_depths(const RecordingObserver& obs) {
         (e.kind == SchedEventKind::Push || e.kind == SchedEventKind::Pop ||
          e.kind == SchedEventKind::Evict))
       tracks[e.node.value()].push_back(e.heap_depth);
+  return tracks;
+}
+
+/// The queue depths the PUSH / POP events carry, per worker.
+DepthTracks worker_event_depths(const RecordingObserver& obs) {
+  DepthTracks tracks;
+  for (const SchedEvent& e : obs.events().snapshot())
+    if (e.worker.valid() && (e.kind == SchedEventKind::Push || e.kind == SchedEventKind::Pop))
+      tracks[e.worker.value()].push_back(e.heap_depth);
   return tracks;
 }
 
@@ -167,7 +173,7 @@ struct ObservedRun {
     cfg.fault.retry_budget = 50;
     cfg.fault.worker_losses.push_back(WorkerLossSpec{WorkerId{std::size_t{0}}, 0.0});
     engine = std::make_unique<SimEngine>(eg.graph, platform, perf, cfg);
-    result = engine->run(by_name("multiprio"));
+    result = engine->run(scheduler_factory("multiprio"));
   }
 };
 
@@ -244,19 +250,19 @@ TEST(ObsSim, NullObserverAndAbsentObserverAgreeWithRecordedRun) {
   test::EdgeGraph a(30, {{0, 15}, {3, 17}}, 1e8);
   Platform p = test::small_platform(2, 1);
   PerfDatabase db = test::flat_perf();
-  const SimResult base = simulate(a.graph, p, db, by_name("multiprio"));
+  const SimResult base = simulate(a.graph, p, db, scheduler_factory("multiprio"));
 
   test::EdgeGraph b(30, {{0, 15}, {3, 17}}, 1e8);
   NullObserver null_obs;
   SimConfig cfg_null;
   cfg_null.observer = &null_obs;
-  const SimResult with_null = simulate(b.graph, p, db, by_name("multiprio"), cfg_null);
+  const SimResult with_null = simulate(b.graph, p, db, scheduler_factory("multiprio"), cfg_null);
 
   test::EdgeGraph c(30, {{0, 15}, {3, 17}}, 1e8);
   RecordingObserver rec;
   SimConfig cfg_rec;
   cfg_rec.observer = &rec;
-  const SimResult with_rec = simulate(c.graph, p, db, by_name("multiprio"), cfg_rec);
+  const SimResult with_rec = simulate(c.graph, p, db, scheduler_factory("multiprio"), cfg_rec);
 
   EXPECT_DOUBLE_EQ(base.makespan, with_null.makespan);
   EXPECT_DOUBLE_EQ(base.makespan, with_rec.makespan);
@@ -272,7 +278,7 @@ TEST(ObsSim, EveryPolicyEmitsPushAndPopEvents) {
     RecordingObserver obs;
     SimConfig cfg;
     cfg.observer = &obs;
-    const SimResult r = simulate(eg.graph, p, db, by_name(name), cfg);
+    const SimResult r = simulate(eg.graph, p, db, scheduler_factory(name), cfg);
     EXPECT_EQ(r.tasks_executed, 12u) << name;
     EXPECT_GE(obs.events().count(SchedEventKind::Push), 12u) << name;
     EXPECT_EQ(obs.events().count(SchedEventKind::Pop), 12u) << name;
@@ -300,7 +306,7 @@ TEST(ObsExec, ExecutorRecordsEventsAndPopLatency) {
   ExecConfig cfg;
   cfg.stall_timeout = 0.05;
   cfg.observer = &obs;
-  const ExecResult r = exec.run(by_name("multiprio"), cfg);
+  const ExecResult r = exec.run(scheduler_factory("multiprio"), cfg);
   EXPECT_EQ(r.tasks_executed, cells.size());
   for (int cell : cells) EXPECT_EQ(cell, 1);
 
@@ -347,6 +353,41 @@ TEST(ObsExport, ChromeTraceContainsSlicesInstantsAndCounters) {
   const std::string slice_name =
       std::string("\"name\":\"").append(run.eg.graph.label(first)).append("\"");
   EXPECT_NE(json.find(slice_name), std::string::npos) << slice_name;
+}
+
+/// Chrome trace of a fault-free observed run of `sched` on a 3 CPU + 1 GPU
+/// platform.
+std::string observed_trace_json(const std::string& sched, RecordingObserver& obs) {
+  const test::EdgeGraph eg(40, {{0, 20}, {1, 21}, {2, 22}}, 1e8);
+  const Platform p = test::small_platform(3, 1);
+  const PerfDatabase db = test::flat_perf(10.0, 20.0);
+  SimConfig cfg;
+  cfg.observer = &obs;
+  SimEngine engine(eg.graph, p, db, cfg);
+  (void)engine.run(scheduler_factory(sched));
+  return chrome_trace_json(engine.trace(), eg.graph, p, &obs);
+}
+
+TEST(ObsExport, PerWorkerQueuesGetOneCounterTrackPerWorker) {
+  // dmdas maps at PUSH onto one queue per worker: each worker's track holds
+  // exactly that worker's queue depths, in order, and no node track mixes
+  // the queues of a node's workers.
+  RecordingObserver obs;
+  const std::string json = observed_trace_json("dmdas", obs);
+  const DepthTracks tracks = exported_depths(json, "worker");
+  EXPECT_GT(tracks.size(), 1u);
+  EXPECT_EQ(tracks, worker_event_depths(obs));
+}
+
+TEST(ObsExport, PoliciesWithoutPerQueuePushesGetNoCounterTrack) {
+  // eager's central queue and heteroprio's per-codelet buckets belong to no
+  // worker or node: their PUSH events name neither, so no track is drawn.
+  for (const char* sched : {"eager", "heteroprio"}) {
+    RecordingObserver obs;
+    const std::string json = observed_trace_json(sched, obs);
+    EXPECT_GT(count_occurrences(json, "\"ph\":\"i\""), 0u) << sched;
+    EXPECT_EQ(count_occurrences(json, "\"ph\":\"C\""), 0u) << sched;
+  }
 }
 
 TEST(ObsExport, JsonEscapeHandlesSpecials) {

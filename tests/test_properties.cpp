@@ -14,10 +14,6 @@
 namespace mp {
 namespace {
 
-SchedulerFactory by_name(const std::string& name) {
-  return [name](SchedContext ctx) { return make_scheduler_by_name(name, std::move(ctx)); };
-}
-
 class SchedulingInvariants
     : public ::testing::TestWithParam<std::tuple<std::string, std::uint64_t>> {};
 
@@ -27,7 +23,7 @@ TEST_P(SchedulingInvariants, MakespanRespectsLowerBounds) {
   Platform p = test::small_platform(3, 1);
   PerfDatabase db = test::flat_perf(10.0, 100.0);
   SimEngine engine(g, p, db);
-  const SimResult r = engine.run(by_name(name));
+  const SimResult r = engine.run(scheduler_factory(name));
   EXPECT_EQ(r.tasks_executed, g.num_tasks());
 
   // Work bound: total execution seconds cannot be compressed below
@@ -50,7 +46,7 @@ TEST_P(SchedulingInvariants, CommuteTasksNeverOverlapPerHandle) {
   Platform p = test::small_platform(2, 2);
   PerfDatabase db = test::flat_perf(10.0, 100.0);
   SimEngine engine(g, p, db);
-  (void)engine.run(by_name(name));
+  (void)engine.run(scheduler_factory(name));
   // Collect executions per commute handle and check pairwise disjointness.
   std::map<std::uint32_t, std::vector<std::pair<double, double>>> windows;
   for (const TraceSegment& s : engine.trace().segments()) {
@@ -130,7 +126,7 @@ TEST(TraceReport, SharesAndCountsAreConsistent) {
   Platform p = test::small_platform(3, 1);
   PerfDatabase db = test::flat_perf(10.0, 100.0);
   SimEngine engine(g, p, db);
-  (void)engine.run(by_name("multiprio"));
+  (void)engine.run(scheduler_factory("multiprio"));
   const RunAnalysis a(engine.trace(), g, p, db);
   // Every busy second lands in exactly one codelet row and one node row.
   double worker_busy = 0.0;

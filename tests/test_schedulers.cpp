@@ -13,10 +13,6 @@
 namespace mp {
 namespace {
 
-SchedulerFactory by_name(const std::string& name) {
-  return [name](SchedContext ctx) { return make_scheduler_by_name(name, std::move(ctx)); };
-}
-
 /// Random layered DAG with a mix of CPU-only / GPU-only / dual codelets.
 TaskGraph random_graph(std::uint64_t seed, std::size_t n_tasks, bool with_gpu_only) {
   Rng rng(seed);
@@ -57,10 +53,9 @@ TEST_P(AllSchedulers, CompletesRandomDagOnHeterogeneousNode) {
   Platform p = test::small_platform(3, 2);
   PerfDatabase db = test::flat_perf(10.0, 100.0);
   SimEngine engine(g, p, db);
-  const SimResult r = engine.run(by_name(name));
+  const SimResult r = engine.run(scheduler_factory(name));
   EXPECT_EQ(r.tasks_executed, g.num_tasks());
   EXPECT_GT(r.makespan, 0.0);
-  // trace().validate() ran inside run(); do an extra smoke query here.
   EXPECT_EQ(engine.trace().num_executed(), g.num_tasks());
 }
 
@@ -69,7 +64,7 @@ TEST_P(AllSchedulers, CompletesOnCpuOnlyNode) {
   const TaskGraph g = random_graph(seed + 100, 80, /*with_gpu_only=*/false);
   Platform p = test::small_platform(4, 0);
   PerfDatabase db = test::flat_perf();
-  const SimResult r = simulate(g, p, db, by_name(name));
+  const SimResult r = simulate(g, p, db, scheduler_factory(name));
   EXPECT_EQ(r.tasks_executed, g.num_tasks());
 }
 
@@ -81,7 +76,7 @@ TEST_P(AllSchedulers, CompletesWithNoise) {
   SimConfig cfg;
   cfg.noise_sigma = 0.2;
   cfg.seed = seed;
-  const SimResult r = simulate(g, p, db, by_name(name), cfg);
+  const SimResult r = simulate(g, p, db, scheduler_factory(name), cfg);
   EXPECT_EQ(r.tasks_executed, g.num_tasks());
 }
 
@@ -92,7 +87,7 @@ TEST_P(AllSchedulers, CompletesUncalibrated) {
   PerfDatabase db = test::flat_perf(10.0, 100.0);
   SimConfig cfg;
   cfg.calibrated = false;  // schedulers must cope with prior-based δ
-  const SimResult r = simulate(g, p, db, by_name(name), cfg);
+  const SimResult r = simulate(g, p, db, scheduler_factory(name), cfg);
   EXPECT_EQ(r.tasks_executed, g.num_tasks());
 }
 
@@ -102,8 +97,8 @@ TEST_P(AllSchedulers, DeterministicAcrossRuns) {
   const TaskGraph g = random_graph(seed + 400, 90, true);
   Platform p = test::small_platform(3, 1);
   PerfDatabase db = test::flat_perf(10.0, 100.0);
-  const SimResult a = simulate(g, p, db, by_name(name));
-  const SimResult b = simulate(g, p, db, by_name(name));
+  const SimResult a = simulate(g, p, db, scheduler_factory(name));
+  const SimResult b = simulate(g, p, db, scheduler_factory(name));
   EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
 }
 
@@ -126,7 +121,7 @@ TEST(SchedulerRegistry, KnowsAllNames) {
   Platform p = test::small_platform(2, 1);
   PerfDatabase db = test::flat_perf();
   for (const std::string& name : scheduler_names()) {
-    const SimResult r = simulate(g, p, db, by_name(name));
+    const SimResult r = simulate(g, p, db, scheduler_factory(name));
     EXPECT_EQ(r.tasks_executed, g.num_tasks()) << name;
   }
 }
@@ -135,7 +130,7 @@ TEST(SchedulerRegistryDeath, UnknownNameAborts) {
   const TaskGraph g = random_graph(1, 5, false);
   Platform p = test::small_platform(1, 0);
   PerfDatabase db = test::flat_perf();
-  EXPECT_DEATH((void)simulate(g, p, db, by_name("nope")), "unknown scheduler");
+  EXPECT_DEATH((void)simulate(g, p, db, scheduler_factory("nope")), "unknown scheduler");
 }
 
 TEST(Eager, ServesHighestUserPriorityFirst) {

@@ -30,10 +30,6 @@
 namespace mp {
 namespace {
 
-ExecSchedulerFactory by_name(const std::string& name) {
-  return [name](SchedContext ctx) { return make_scheduler_by_name(name, std::move(ctx)); };
-}
-
 // Same 6-task DAG as test_verify.cpp (diamond plus two independents), but
 // driven through the sharded default. `cpus` = 2 for the mutation tests:
 // SkipNodeLock reintroduces same-node-worker races, which need two workers
@@ -58,7 +54,7 @@ void run_sharded_fixture_once(bool with_observer, std::size_t cpus = 1) {
   ExecConfig cfg;
   cfg.stall_timeout = 0.05;
   if (with_observer) cfg.observer = &obs;
-  const ExecResult r = exec.run(by_name("multiprio"), cfg);
+  const ExecResult r = exec.run(scheduler_factory("multiprio"), cfg);
   MP_CHECK_MSG(r.tasks_executed == 6, "fixture must execute all 6 tasks");
   if (with_observer) {
     MP_CHECK_MSG(obs.events().count(SchedEventKind::Pop) == 6,
@@ -294,9 +290,7 @@ TEST(ShardedDeterminism, SimEngineShardedMatchesCoarseByteForByte) {
     SimConfig sc;
     sc.observer = obs;
     SimEngine engine(eg.graph, p, db, sc);
-    return engine.run([&](SchedContext ctx) {
-      return make_scheduler_by_name(name, std::move(ctx));
-    });
+    return engine.run(scheduler_factory(name));
   };
   RecordingObserver obs_sharded;
   RecordingObserver obs_coarse;
@@ -336,7 +330,7 @@ TEST(ShardedExplore, TinyFixtureExhaustsScheduleSpace) {
         ThreadExecutor exec(g, p, db);
         ExecConfig ecfg;
         ecfg.stall_timeout = 0.05;
-        const ExecResult res = exec.run(by_name("multiprio"), ecfg);
+        const ExecResult res = exec.run(scheduler_factory("multiprio"), ecfg);
         MP_CHECK(res.tasks_executed == 2);
       },
       cfg);
@@ -406,7 +400,7 @@ void run_gpu_best_release_once() {
   ThreadExecutor exec(g, p, db);
   ExecConfig ecfg;
   ecfg.stall_timeout = 0.05;
-  const ExecResult r = exec.run(by_name("multiprio"), ecfg);
+  const ExecResult r = exec.run(scheduler_factory("multiprio"), ecfg);
   MP_CHECK(r.tasks_executed == 2);
   MP_CHECK_MSG(test::tasks_per_worker(exec.trace(), p.num_workers())[1] == 1,
                "the GPU-best task must run on the GPU");

@@ -117,10 +117,7 @@ void expect_golden(const TaskGraph& g, const Platform& p, const PerfDatabase& db
   for (const std::string& name : scheduler_names()) {
     const auto it = expected.find(name);
     ASSERT_NE(it, expected.end()) << "no pinned row for " << name;
-    const SchedulerFactory factory = [&](SchedContext ctx) {
-      return make_scheduler_by_name(name, std::move(ctx));
-    };
-    expect_golden_row(g, p, db, factory, name, it->second);
+    expect_golden_row(g, p, db, scheduler_factory(name), name, it->second);
   }
 }
 

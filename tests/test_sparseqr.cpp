@@ -301,9 +301,7 @@ TEST(SparseQrDag, BuildsAndRunsUnderAllSchedulers) {
   Platform p = test::small_platform(3, 1);
   PerfDatabase db = test::flat_perf(10.0, 100.0);
   for (const char* name : {"multiprio", "dmdas", "heteroprio", "eager"}) {
-    const SimResult r = simulate(g, p, db, [&](SchedContext ctx) {
-      return make_scheduler_by_name(name, std::move(ctx));
-    });
+    const SimResult r = simulate(g, p, db, scheduler_factory(name));
     EXPECT_EQ(r.tasks_executed, g.num_tasks()) << name;
   }
 }

@@ -19,10 +19,6 @@
 namespace mp {
 namespace {
 
-ExecSchedulerFactory by_name(const std::string& name) {
-  return [name](SchedContext ctx) { return make_scheduler_by_name(name, std::move(ctx)); };
-}
-
 TEST(ThreadExecutor, RunsEveryTaskExactlyOnce) {
   TaskGraph g;
   std::atomic<int> counter{0};
@@ -36,7 +32,7 @@ TEST(ThreadExecutor, RunsEveryTaskExactlyOnce) {
   Platform p = test::small_platform(3, 1);
   PerfDatabase db = test::flat_perf();
   ThreadExecutor exec(g, p, db);
-  const ExecResult r = exec.run(by_name("multiprio"));
+  const ExecResult r = exec.run(scheduler_factory("multiprio"));
   EXPECT_EQ(counter.load(), 50);
   EXPECT_EQ(r.tasks_executed, 50u);
   std::size_t sum = 0;
@@ -64,7 +60,7 @@ TEST(ThreadExecutor, DependencyOrderEnforced) {
   Platform p = test::small_platform(4, 0);
   PerfDatabase db = test::flat_perf();
   ThreadExecutor exec(g, p, db);
-  (void)exec.run(by_name("lws"));
+  (void)exec.run(scheduler_factory("lws"));
   double expect = 0.0;
   for (int i = 0; i < 12; ++i) expect = expect * 2.0 + i;
   EXPECT_DOUBLE_EQ(cell, expect);
@@ -87,7 +83,7 @@ TEST(ThreadExecutor, ParallelReadersDoNotConflict) {
   Platform p = test::small_platform(4, 2);
   PerfDatabase db = test::flat_perf();
   ThreadExecutor exec(g, p, db);
-  (void)exec.run(by_name("heteroprio"));
+  (void)exec.run(scheduler_factory("heteroprio"));
   for (double v : sinks) EXPECT_DOUBLE_EQ(v, 7.0);
 }
 
@@ -104,7 +100,7 @@ TEST(ThreadExecutor, GpuWorkersFallBackToCpuImplementation) {
   Platform p = test::small_platform(1, 1);
   PerfDatabase db = test::flat_perf();
   ThreadExecutor exec(g, p, db);
-  EXPECT_EQ(exec.run(by_name("eager")).tasks_executed, 5u);
+  EXPECT_EQ(exec.run(scheduler_factory("eager")).tasks_executed, 5u);
   EXPECT_EQ(calls.load(), 5);
   // All five must have run on the GPU worker (the only capable one).
   const WorkerId gpu_w = p.workers_of_node(MemNodeId{std::size_t{1}})[0];
@@ -124,7 +120,7 @@ TEST(ThreadExecutor, DistinctGpuImplementationUsedWhenPresent) {
   Platform p = test::small_platform(1, 1);
   PerfDatabase db = test::flat_perf();
   ThreadExecutor exec(g, p, db);
-  (void)exec.run(by_name("eager"));
+  (void)exec.run(scheduler_factory("eager"));
   EXPECT_EQ(gpu_calls.load(), 1);
   EXPECT_EQ(cpu_calls.load(), 0);
 }
@@ -157,7 +153,7 @@ TEST(ThreadExecutor, DiamondJoinSeesBothBranches) {
   Platform p = test::small_platform(2, 0);
   PerfDatabase db = test::flat_perf();
   ThreadExecutor exec(g, p, db);
-  (void)exec.run(by_name("multiprio"));
+  (void)exec.run(scheduler_factory("multiprio"));
   EXPECT_DOUBLE_EQ(joined, 42.0);
 }
 
@@ -182,7 +178,7 @@ TEST_P(ExecutorPolicies, StressManySmallTasks) {
   Platform p = test::small_platform(3, 1);
   PerfDatabase db = test::flat_perf();
   ThreadExecutor exec(g, p, db);
-  const ExecResult r = exec.run(by_name(GetParam()));
+  const ExecResult r = exec.run(scheduler_factory(GetParam()));
   EXPECT_EQ(counter.load(), 80);
   EXPECT_EQ(r.tasks_executed, 80u);
 }
@@ -250,7 +246,7 @@ TEST(ThreadExecutorWakeups, FanOutReachesEveryWorkerOfTheNode) {
   ThreadExecutor exec(g, p, db);
   ExecConfig cfg;
   cfg.stall_timeout = 30.0;
-  const ExecResult r = exec.run(by_name("multiprio"), cfg);
+  const ExecResult r = exec.run(scheduler_factory("multiprio"), cfg);
   EXPECT_EQ(r.tasks_executed, 13u);
   EXPECT_EQ(conc.peak.load(), 4) << "every worker of the node must run a child";
   EXPECT_EQ(r.stall_timeouts, 0u);
@@ -287,7 +283,7 @@ TEST(ThreadExecutorWakeups, CpuReleasedGpuBestTasksNeverStall) {
     ThreadExecutor exec(g, p, db);
     ExecConfig cfg;
     cfg.stall_timeout = 1.0;
-    const ExecResult r = exec.run(by_name("multiprio"), cfg);
+    const ExecResult r = exec.run(scheduler_factory("multiprio"), cfg);
     ASSERT_EQ(r.tasks_executed, 12u);
     EXPECT_EQ(test::tasks_per_worker(exec.trace(), p.num_workers())[3], 9u)
         << "rep " << rep << ": every consumer runs on the GPU";
@@ -329,7 +325,7 @@ TEST(ThreadExecutorWakeups, ShortTasksDoNotWakeParkedWorkers) {
     RecordingObserver obs;
     ExecConfig cfg;
     cfg.observer = &obs;
-    const ExecResult r = exec.run(by_name("multiprio"), cfg);
+    const ExecResult r = exec.run(scheduler_factory("multiprio"), cfg);
     ASSERT_EQ(r.tasks_executed, g.num_tasks());
     EXPECT_LE(counter_value(obs, "sched.wakeups"), 16u) << g.num_tasks() << " tasks";
   }
@@ -389,8 +385,9 @@ TEST(ThreadExecutorWakeups, StallTimeoutsCountParksRescuedByTheTimeout) {
 
 // --- the property sweep on the real engine ------------------------------------
 // Random DAGs with Commute accesses, every policy, with and without transient
-// failures. run() itself checks dependency order (TaskLifecycle::finish
-// validates the trace); the test checks what the trace and the events say.
+// failures. run() itself checks dependency order (Trace::record rejects a
+// segment that starts before a predecessor ended); the test checks what the
+// trace and the events say.
 
 class RealRunInvariants
     : public ::testing::TestWithParam<std::tuple<std::string, bool>> {};
@@ -412,7 +409,7 @@ TEST_P(RealRunInvariants, ExecutedOnceInDependencyOrderAndCommuteExclusive) {
     cfg.fault.transient.push_back(TransientFaultSpec{CodeletId{}, 0.25});
   }
   ThreadExecutor exec(g, p, db);
-  const ExecResult r = exec.run(by_name(name), cfg);
+  const ExecResult r = exec.run(scheduler_factory(name), cfg);
   const Trace& trace = exec.trace();
   if (faulty) {
     EXPECT_GT(r.fault.failures_injected, 0u);

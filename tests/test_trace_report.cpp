@@ -52,7 +52,6 @@ TEST(TraceReport, MakespanBusyAndIdleFractions) {
   EXPECT_DOUBLE_EQ(h.trace.idle_fraction_node(h.ram), 1.0 - 4.0 / 7.0);
   EXPECT_DOUBLE_EQ(h.trace.idle_fraction_node(h.vram), 1.0 - 3.0 / 7.0);
   EXPECT_DOUBLE_EQ(h.trace.total_fetch_stall(), 0.5);
-  h.trace.validate();  // hand schedule respects the diamond's dependencies
 
   // The node table carries the same numbers, one row per node in id order.
   const RunAnalysis a = h.analyze();

@@ -26,15 +26,11 @@
 namespace mp {
 namespace {
 
-ExecSchedulerFactory by_name(const std::string& name) {
-  return [name](SchedContext ctx) { return make_scheduler_by_name(name, std::move(ctx)); };
-}
-
 // A mutex-free FIFO whose pop is a check-then-act across a yield point: it
 // reads the head, may be preempted, then advances. Correct only when every
 // call is serialized (SchedConcurrency::ExternalLock — the executor's
 // SerializedScheduler provides that); two unserialized pops hand out the
-// same task, which the executor reports as "task popped twice". This is the
+// same task, which the task lifecycle reports as "task popped twice". This is the
 // fixture for SkipExecutorLock: a wrapped MultiPrio would still be guarded
 // by its own shard locks, so dropping the adapter's lock there is harmless.
 class RacyFifo final : public Scheduler {
@@ -121,7 +117,7 @@ TEST(VerifyExplore, UnmutatedFixtureExploresClean) {
   cfg.mode = verify::ExploreConfig::Mode::Exhaustive;
   cfg.max_schedules = 10000;
   const verify::ExploreResult r = verify::explore(
-      [] { run_fixture_once(by_name("multiprio-coarse"), /*with_observer=*/false); }, cfg);
+      [] { run_fixture_once(scheduler_factory("multiprio-coarse"), /*with_observer=*/false); }, cfg);
   EXPECT_FALSE(r.violation) << r.summary();
   EXPECT_EQ(r.timeout_schedules, 0u) << "lost wakeup: " << r.summary();
   EXPECT_GT(r.schedules, 1u) << "fixture must actually branch";
@@ -152,7 +148,7 @@ TEST(VerifyExplore, TinyFixtureExhaustsScheduleSpace) {
         ThreadExecutor exec(g, p, db);
         ExecConfig ecfg;
         ecfg.stall_timeout = 0.05;
-        const ExecResult res = exec.run(by_name("multiprio-coarse"), ecfg);
+        const ExecResult res = exec.run(scheduler_factory("multiprio-coarse"), ecfg);
         MP_CHECK(res.tasks_executed == 2);
       },
       cfg);
@@ -170,7 +166,7 @@ TEST(VerifyExplore, UnmutatedFixtureWithObserverExploresClean) {
   cfg.max_schedules = 200;
   cfg.seed = 7;
   const verify::ExploreResult r = verify::explore(
-      [] { run_fixture_once(by_name("multiprio-coarse"), /*with_observer=*/true); }, cfg);
+      [] { run_fixture_once(scheduler_factory("multiprio-coarse"), /*with_observer=*/true); }, cfg);
   EXPECT_FALSE(r.violation) << r.summary();
   EXPECT_EQ(r.timeout_schedules, 0u) << "lost wakeup: " << r.summary();
   EXPECT_EQ(r.schedules, 200u);
@@ -238,7 +234,7 @@ TEST(VerifyMutation, SkipBrwDecrementIsCaught) {
   cfg.mode = verify::ExploreConfig::Mode::Exhaustive;
   cfg.max_schedules = 10000;
   const verify::ExploreResult r = verify::explore(
-      [] { run_fixture_once(by_name("multiprio-coarse"), /*with_observer=*/false); }, cfg);
+      [] { run_fixture_once(scheduler_factory("multiprio-coarse"), /*with_observer=*/false); }, cfg);
   ASSERT_TRUE(r.violation)
       << "an uncorrected best_remaining_work ledger must trip the brw "
       << "upper-bound invariant; " << r.summary();

@@ -31,7 +31,12 @@
 #      in src/obs/ are exempt. A second engine-side copy of attempt counting
 #      or fault accounting drifts from the first. Likewise the run's record:
 #      Trace::record is called only from src/fault/task_lifecycle.cpp, so no
-#      engine keeps a trace of its own.
+#      engine keeps a trace of its own. And no engine (src/sim/, src/exec/)
+#      reads the trace's segments: run invariants are checked at the
+#      transitions, inside TaskLifecycle, and an engine reads the record only
+#      through its aggregates (makespan(), num_executed(),
+#      idle_fraction_node()) — a post-run scan over segments is a second copy
+#      of a check that already ran.
 #
 #   5. Dense per-id state on the hot path. In src/core, src/runtime, src/sim
 #      and src/exec, no std::map / std::unordered_map is keyed by TaskId,
@@ -170,6 +175,15 @@ stray=$(grep -rnE "${trace_record}" src/ --include='*.hpp' --include='*.cpp' \
 if [[ -n "$stray" ]]; then
   echo "lint: Trace::record called outside src/fault/task_lifecycle.cpp —"
   echo "      hand the segment to TaskLifecycle::completed instead:"
+  echo "$stray" | sed 's/^/      /'
+  fail=1
+fi
+
+stray=$(grep -rnE '(\.|->)[ \t]*segments[ \t]*\(' src/sim src/exec --include='*.hpp' --include='*.cpp' \
+        | grep -vE ':[0-9]+:[ \t]*(//|\*)' || true)
+if [[ -n "$stray" ]]; then
+  echo "lint: an engine reads the trace's segments — check the invariant at its"
+  echo "      transition in TaskLifecycle, or read a Trace aggregate instead:"
   echo "$stray" | sed 's/^/      /'
   fail=1
 fi

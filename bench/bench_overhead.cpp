@@ -74,6 +74,26 @@ void BM_HeapWindowPop(benchmark::State& state) {
 }
 BENCHMARK(BM_HeapWindowPop);
 
+// The refill of the sorted front from the binary heap's root, on a heap held
+// at 4096 entries: pop the top (the heap root moves into the front and the
+// heap's last entry sinks from the root), then insert a fresh entry under
+// the freed id.
+void BM_HeapRootRefill(benchmark::State& state) {
+  constexpr std::size_t kEntries = 4096;
+  Rng rng(6);
+  ScoredHeap h(kEntries);
+  for (std::size_t i = 0; i < kEntries; ++i)
+    h.insert(TaskId{i}, rng.next_double(), rng.next_double());
+  for (auto _ : state) {
+    const TaskId t = h.top()->task;
+    h.pop_top();
+    h.insert(t, rng.next_double(), rng.next_double());
+    benchmark::DoNotOptimize(t);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_HeapRootRefill);
+
 struct SchedWorld {
   TaskGraph graph;
   PlatformPreset preset = intel_v100();

@@ -113,7 +113,10 @@ class MultiPrioScheduler final : public Scheduler {
     return pending_.load();
   }
   [[nodiscard]] bool has_work_hint(WorkerId w) const override {
-    return !shards_[ctx_.platform->worker(w).node.index()].heap.empty();
+    return node_has_work_hint(ctx_.platform->worker(w).node);
+  }
+  [[nodiscard]] bool node_has_work_hint(MemNodeId m) const override {
+    return !shards_[m.index()].heap.empty();
   }
 
   // --- introspection (tests / ablation benches) ---------------------------

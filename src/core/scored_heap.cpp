@@ -101,21 +101,28 @@ void ScoredHeap::sift_up(std::size_t i) {
   place_heap(i, e);
 }
 
+// Bottom-up: sink the hole along the better child all the way to a leaf (one
+// compare per level), then lift the entry back up, never above its start
+// slot. The entry came from the back of the heap and belongs near the
+// bottom, so the lift is short and the sink saves a compare per level.
+// (heap_erase sifts down only an entry that does not precede the start
+// slot's parent, so the bound never cuts a lift short.) The order is strict
+// and total: the result is a valid heap like the top-down one's, and which
+// valid heap it is cannot be observed.
 void ScoredHeap::sift_down(std::size_t i) {
   const std::size_t n = heap_.size();
+  const std::size_t start = i;
   const HeapEntry e = heap_[i];
-  while (true) {
-    std::size_t best = i;
-    const HeapEntry* best_entry = &e;
-    for (std::size_t c : {2 * i + 1, 2 * i + 2}) {
-      if (c < n && heap_[c].before(*best_entry)) {
-        best = c;
-        best_entry = &heap_[c];
-      }
-    }
-    if (best == i) break;
-    place_heap(i, heap_[best]);
-    i = best;
+  for (std::size_t c = 2 * i + 1; c < n; c = 2 * i + 1) {
+    if (c + 1 < n && heap_[c + 1].before(heap_[c])) ++c;
+    place_heap(i, heap_[c]);
+    i = c;
+  }
+  while (i > start) {
+    const std::size_t parent = (i - 1) / 2;
+    if (!e.before(heap_[parent])) break;
+    place_heap(i, heap_[parent]);
+    i = parent;
   }
   place_heap(i, e);
 }

@@ -209,6 +209,16 @@ class Scheduler {
   /// pop would succeed; returning true spuriously only costs a failed pop.
   [[nodiscard]] virtual bool has_work_hint(WorkerId /*w*/) const { return true; }
 
+  /// Coarse form of has_work_hint for a whole memory node, asked first by
+  /// the simulator's wake scan, once per node. false is a promise that no
+  /// worker of `m` would get true from has_work_hint right now, so the scan
+  /// skips the node's workers without changing a single pop attempt; true
+  /// means "maybe" and the scan asks has_work_hint per worker as before.
+  /// The default always says maybe. Override it only where the answer is
+  /// exact: a policy whose hint reads the node's own queue, a global queue,
+  /// or per-arch state of the archs the node's workers have.
+  [[nodiscard]] virtual bool node_has_work_hint(MemNodeId /*m*/) const { return true; }
+
  protected:
   [[nodiscard]] const SchedContext& ctx() const { return ctx_; }
   SchedContext ctx_;

@@ -69,6 +69,9 @@ class SerializedScheduler final : public Scheduler {
   }
   /// Single-threaded engines only (see Scheduler), so no lock.
   [[nodiscard]] bool has_work_hint(WorkerId w) const override { return inner_->has_work_hint(w); }
+  [[nodiscard]] bool node_has_work_hint(MemNodeId m) const override {
+    return inner_->node_has_work_hint(m);
+  }
 
   [[nodiscard]] SchedConcurrency concurrency() const override { return SchedConcurrency::Internal; }
   /// One epoch for every worker; a relaxed read, no lock.

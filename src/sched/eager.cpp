@@ -65,6 +65,7 @@ class EagerScheduler final : public Scheduler {
   [[nodiscard]] std::string name() const override { return "eager"; }
   [[nodiscard]] std::size_t pending_count() const override { return queue_.size(); }
   [[nodiscard]] bool has_work_hint(WorkerId) const override { return !queue_.empty(); }
+  [[nodiscard]] bool node_has_work_hint(MemNodeId) const override { return !queue_.empty(); }
 
  private:
   std::deque<TaskId> queue_;

@@ -54,19 +54,19 @@ class HeteroPrioScheduler final : public Scheduler {
   std::optional<TaskId> pop(WorkerId w) override {
     const ArchType a = ctx_.platform->worker(w).arch;
     // Non-empty buckets the worker can serve, in this arch's order.
-    std::vector<std::size_t> order;
+    order_.clear();
     for (std::size_t c = 0; c < buckets_.size(); ++c) {
       if (buckets_[c].empty()) continue;
       if (!ctx_.graph->codelet(CodeletId{c}).can_exec(a)) continue;
-      order.push_back(c);
+      order_.push_back(c);
     }
-    if (order.empty()) return std::nullopt;
-    std::stable_sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
+    if (order_.empty()) return std::nullopt;
+    std::stable_sort(order_.begin(), order_.end(), [&](std::size_t x, std::size_t y) {
       const double sx = speedup(x);
       const double sy = speedup(y);
       return a == ArchType::CPU ? sx < sy : sx > sy;
     });
-    for (std::size_t c : order) {
+    for (std::size_t c : order_) {
       auto& bucket = buckets_[c];
       const TaskId t = bucket.front();
       const ArchType best = best_arch_for(ctx_, t);
@@ -124,14 +124,22 @@ class HeteroPrioScheduler final : public Scheduler {
   [[nodiscard]] std::string name() const override { return "heteroprio"; }
   [[nodiscard]] std::size_t pending_count() const override { return pending_; }
   [[nodiscard]] bool has_work_hint(WorkerId w) const override {
-    const ArchType a = ctx_.platform->worker(w).arch;
+    return arch_has_work(ctx_.platform->worker(w).arch);
+  }
+  /// A node hosts workers of one arch, so its hint is that arch's.
+  [[nodiscard]] bool node_has_work_hint(MemNodeId m) const override {
+    return !ctx_.platform->workers_of_node(m).empty() &&
+           arch_has_work(ctx_.platform->node_arch(m));
+  }
+
+ private:
+  [[nodiscard]] bool arch_has_work(ArchType a) const {
     for (std::size_t c = 0; c < buckets_.size(); ++c)
       if (!buckets_[c].empty() && ctx_.graph->codelet(CodeletId{c}).can_exec(a))
         return true;
     return false;
   }
 
- private:
   struct Mean {
     double sum = 0.0;
     std::size_t count = 0;
@@ -156,6 +164,7 @@ class HeteroPrioScheduler final : public Scheduler {
   }
 
   std::vector<std::deque<TaskId>> buckets_;
+  std::vector<std::size_t> order_;  // pop's scratch, reused
   std::vector<Stats> stats_;
   std::array<double, kNumArchTypes> backlog_{};  // queued work per best arch
   std::size_t pending_ = 0;

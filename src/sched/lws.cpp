@@ -86,6 +86,7 @@ class LwsScheduler final : public Scheduler {
   [[nodiscard]] std::string name() const override { return "lws"; }
   [[nodiscard]] std::size_t pending_count() const override { return pending_; }
   [[nodiscard]] bool has_work_hint(WorkerId) const override { return pending_ > 0; }
+  [[nodiscard]] bool node_has_work_hint(MemNodeId) const override { return pending_ > 0; }
 
  private:
   /// attempt = ring-scan offset: 0 is a local LIFO pop, >0 a steal.

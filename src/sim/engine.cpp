@@ -19,6 +19,7 @@ SimEngine::SimEngine(const TaskGraph& graph, const Platform& platform,
   worker_busy_.assign(platform.num_workers(), 0);
   pending_.assign(platform.num_workers(), {});
   trypop_pending_.assign(platform.num_workers(), 0);
+  wake_.reserve(platform.num_workers());
   attempt_on_.resize(platform.num_workers());
 }
 
@@ -67,22 +68,48 @@ void SimEngine::schedule_try_pop(WorkerId w, double time) {
                  [](const Event& a, const Event& b) { return a.after(b); });
 }
 
+bool SimEngine::wants_work(WorkerId w) const {
+  // A worker with a TryPop already queued would drop a second one; skip it
+  // before asking the policy (the hint is a pure query). An idle worker
+  // wants work when its pipeline is empty, a busy one when a pipeline slot
+  // is free.
+  const std::size_t wi = w.index();
+  if (trypop_pending_[wi] != 0) return false;
+  const std::size_t queued = pending_[wi].size();
+  if (worker_busy_[wi] != 0 ? queued >= cfg_.pipeline_depth : queued != 0) return false;
+  return liveness_->alive(w) && sched_->has_work_hint(w);
+}
+
 void SimEngine::wake_idle_workers() {
   // Rotate the wake order so no worker class systematically outraces the
-  // others to freshly pushed tasks (real workers poll concurrently).
+  // others to freshly pushed tasks (real workers poll concurrently): workers
+  // wake in the order of (wi - rotor) mod n. The scan goes node by node and
+  // passes over a node the policy says has nothing for any of its workers;
+  // the hints are pure queries, so waking the collected workers afterwards
+  // queues the same TryPops, in the same order, as one rotor-ordered loop.
   const std::size_t n = platform_.num_workers();
-  std::size_t wi = wake_rotor_;
-  for (std::size_t off = 0; off < n; ++off, wi = wi + 1 < n ? wi + 1 : 0) {
-    // A worker with a TryPop already queued would drop a second one; skip
-    // it before asking the policy (the hint is a pure query). An idle
-    // worker wants work when its pipeline is empty, a busy one when a
-    // pipeline slot is free.
-    if (trypop_pending_[wi] != 0) continue;
-    const std::size_t queued = pending_[wi].size();
-    if (worker_busy_[wi] != 0 ? queued >= cfg_.pipeline_depth : queued != 0) continue;
-    const WorkerId w{wi};
-    if (liveness_->alive(w) && sched_->has_work_hint(w)) schedule_try_pop(w, now_);
+  const WorkerId rotor{wake_rotor_};
+  wake_.clear();
+  std::size_t nodes_woken = 0;
+  for (std::size_t mi = 0; mi < platform_.num_nodes(); ++mi) {
+    if (!sched_->node_has_work_hint(MemNodeId{mi})) continue;
+    // Ascending ids, so the node's rotor order starts at its first id at or
+    // past the rotor and wraps.
+    const std::vector<WorkerId>& ws = platform_.workers_of_node(MemNodeId{mi});
+    const auto split = std::lower_bound(ws.begin(), ws.end(), rotor);
+    const std::size_t before = wake_.size();
+    for (auto it = split; it != ws.end(); ++it)
+      if (wants_work(*it)) wake_.push_back(*it);
+    for (auto it = ws.begin(); it != split; ++it)
+      if (wants_work(*it)) wake_.push_back(*it);
+    if (wake_.size() != before) ++nodes_woken;
   }
+  if (nodes_woken > 1) {
+    const auto key = [&](WorkerId w) { return (w.index() + n - rotor.index()) % n; };
+    std::sort(wake_.begin(), wake_.end(),
+              [&](WorkerId a, WorkerId b) { return key(a) < key(b); });
+  }
+  for (WorkerId w : wake_) schedule_try_pop(w, now_);
   wake_rotor_ = (wake_rotor_ + 1) % std::max<std::size_t>(1, n);
 }
 

@@ -99,6 +99,9 @@ class SimEngine : public PrefetchSink {
   };
 
   void schedule_try_pop(WorkerId w, double time);
+  /// Does `w` want a TryPop now: alive, none queued, a pipeline slot free,
+  /// and the policy's per-worker hint says maybe?
+  [[nodiscard]] bool wants_work(WorkerId w) const;
   void wake_idle_workers();
   void handle_try_pop(WorkerId w);
   void handle_complete(const Event& e);
@@ -163,6 +166,7 @@ class SimEngine : public PrefetchSink {
   std::vector<std::vector<PendingTask>> pending_;  // per worker, FIFO
   std::vector<std::uint8_t> trypop_pending_;  // dedup of queued TryPop events
   std::size_t wake_rotor_ = 0;           // rotating wake order start
+  std::vector<WorkerId> wake_;           // wake_idle_workers' scratch, reused
   std::vector<TransferOp> fetch_ops_;    // fill_pending's scratch, reused
   std::vector<TaskId> released_;         // handle_complete's scratch, reused
   std::size_t failed_pops_ = 0;

@@ -3,6 +3,7 @@
 // policy-specific behaviour checks for the baselines.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <tuple>
 
 #include "common/rng.hpp"
@@ -123,6 +124,74 @@ TEST(SchedulerRegistry, KnowsAllNames) {
   for (const std::string& name : scheduler_names()) {
     const SimResult r = simulate(g, p, db, scheduler_factory(name));
     EXPECT_EQ(r.tasks_executed, g.num_tasks()) << name;
+  }
+}
+
+/// Forwards every call to a policy and, each time its node hint says no,
+/// checks the hint's contract: no worker of that node gets a per-worker yes.
+class NodeHintChecker final : public Scheduler {
+ public:
+  NodeHintChecker(SchedContext ctx, std::unique_ptr<Scheduler> inner, std::size_t& denials)
+      : Scheduler(std::move(ctx)), inner_(std::move(inner)), denials_(&denials) {}
+
+  void push(TaskId t) override { inner_->push(t); }
+  std::optional<TaskId> pop(WorkerId w) override { return inner_->pop(w); }
+  void push_batch(const std::vector<TaskId>& ts) override { inner_->push_batch(ts); }
+  void repush(TaskId t) override { inner_->repush(t); }
+  std::vector<TaskId> notify_worker_removed(WorkerId w) override {
+    return inner_->notify_worker_removed(w);
+  }
+  void on_task_start(TaskId t, WorkerId w) override { inner_->on_task_start(t, w); }
+  void on_task_end(TaskId t, WorkerId w) override { inner_->on_task_end(t, w); }
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  [[nodiscard]] std::size_t pending_count() const override { return inner_->pending_count(); }
+  [[nodiscard]] bool has_work_hint(WorkerId w) const override { return inner_->has_work_hint(w); }
+  [[nodiscard]] bool node_has_work_hint(MemNodeId m) const override {
+    const bool hint = inner_->node_has_work_hint(m);
+    if (!hint) {
+      ++*denials_;
+      for (WorkerId w : ctx().platform->workers_of_node(m))
+        EXPECT_FALSE(inner_->has_work_hint(w))
+            << inner_->name() << ": node " << m.value() << " said no, worker "
+            << w.value() << " said maybe";
+    }
+    return hint;
+  }
+
+ private:
+  std::unique_ptr<Scheduler> inner_;
+  std::size_t* denials_;
+};
+
+// 3 CPUs and two GPUs of 2 streams each, a 2-deep pipeline and a stream lost
+// mid-run, under every registered policy.
+TEST(SchedulerRegistry, NodeHintNeverDeniesWhatAWorkerHintWouldGrant) {
+  const TaskGraph g = random_graph(7, 150, /*with_gpu_only=*/true);
+  Platform p = test::small_platform(3, 0);
+  for (int gpu = 0; gpu < 2; ++gpu)
+    p.add_workers(ArchType::GPU, p.add_gpu_node(0, 10e9, 1e-6), 2);
+  PerfDatabase db = test::flat_perf(10.0, 100.0);
+  SimConfig cfg;
+  cfg.pipeline_depth = 2;
+  const double nominal = simulate(g, p, db, scheduler_factory("eager")).makespan;
+  cfg.fault.worker_losses.push_back(WorkerLossSpec{WorkerId{std::size_t{4}}, 0.3 * nominal});
+  for (const std::string& name : scheduler_names()) {
+    std::size_t denials = 0;
+    const SchedulerFactory checked = [&](SchedContext ctx) {
+      auto inner = scheduler_factory(name)(ctx);
+      return std::make_unique<NodeHintChecker>(std::move(ctx), std::move(inner), denials);
+    };
+    const SimResult r = simulate(g, p, db, checked, cfg);
+    EXPECT_EQ(r.tasks_executed, g.num_tasks()) << name;
+    EXPECT_EQ(r.fault.workers_lost, 1U) << name;
+    // The dm family and random keep the default "maybe"; every other policy
+    // answers per node, and an empty node must come up in a run this long.
+    const bool keeps_default =
+        name == "dm" || name == "dmda" || name == "dmdas" || name == "random";
+    if (keeps_default)
+      EXPECT_EQ(denials, 0U) << name;
+    else
+      EXPECT_GT(denials, 0U) << name;
   }
 }
 

@@ -92,13 +92,13 @@ struct SparseQrCase {
 
 void expect_golden_row(const TaskGraph& g, const Platform& p, const PerfDatabase& db,
                        const SchedulerFactory& factory, const std::string& name,
-                       const Golden& want) {
+                       const Golden& want, const SimConfig& base = {}) {
   RecordingObserver rec;
-  SimConfig cfg;
+  SimConfig cfg = base;
   cfg.observer = &rec;
   const SimResult r = simulate(g, p, db, factory, cfg);
   // The observer must not steer a decision.
-  const SimResult quiet = simulate(g, p, db, factory);
+  const SimResult quiet = simulate(g, p, db, factory, base);
   EXPECT_EQ(hexfloat(quiet.makespan), hexfloat(r.makespan)) << name;
   EXPECT_EQ(quiet.failed_pops, r.failed_pops) << name;
 
@@ -111,13 +111,13 @@ void expect_golden_row(const TaskGraph& g, const Platform& p, const PerfDatabase
 }
 
 void expect_golden(const TaskGraph& g, const Platform& p, const PerfDatabase& db,
-                   const std::map<std::string, Golden>& expected) {
+                   const std::map<std::string, Golden>& expected, const SimConfig& base = {}) {
   ASSERT_EQ(expected.size(), scheduler_names().size())
       << "every registered policy needs a pinned row";
   for (const std::string& name : scheduler_names()) {
     const auto it = expected.find(name);
     ASSERT_NE(it, expected.end()) << "no pinned row for " << name;
-    expect_golden_row(g, p, db, scheduler_factory(name), name, it->second);
+    expect_golden_row(g, p, db, scheduler_factory(name), name, it->second, base);
   }
 }
 
@@ -175,6 +175,40 @@ TEST(SimEngineGolden, WidePotrfWithAFortyEntryLocalityWindowIsByteIdentical) {
   };
   expect_golden_row(c.graph, c.preset.platform, c.preset.perf, factory, "multiprio n=40",
                     {"0x1.7deba5ebaac2p-1", 0, 7276, 0xbff598b9c6d52035ULL});
+}
+
+// The wide potrf on Intel-V100 with 4 streams per GPU (30 CPU workers on the
+// RAM node, 4 on each GPU node), a 2-deep pipeline and one GPU stream lost
+// mid-run: one wake scan finds idle and pipeline-filling workers on several
+// nodes at once, and after the loss it must pass over the dead stream.
+// Pinned from the commit before the simulator woke workers node by node.
+TEST(SimEngineGolden, WidePotrfOnFourStreamsWithAStreamLossIsByteIdenticalUnderEveryPolicy) {
+  const WidePotrfCase c;
+  const PlatformPreset preset = intel_v100(4);
+  ASSERT_EQ(preset.platform.num_workers(), 38U);
+  ASSERT_EQ(preset.platform.num_nodes(), 3U);
+  SimConfig cfg;
+  cfg.pipeline_depth = 2;
+  // Worker 31 is the second stream of the first GPU.
+  const WorkerId lost{std::size_t{31}};
+  ASSERT_EQ(preset.platform.worker(lost).arch, ArchType::GPU);
+  cfg.fault.worker_losses.push_back(WorkerLossSpec{lost, 0.2});
+  const std::map<std::string, Golden> expected = {
+    {"eager", {"0x1.da053e0b80adp+0", 0, 10969, 0xfbaa47dd4209a1ceULL}},
+    {"random", {"0x1.656d6a0660c11p+1", 0, 1950, 0x0727891d834ba1d8ULL}},
+    {"lws", {"0x1.dd75dae4568c9p+0", 0, 9766, 0xec6440475b5a9d9bULL}},
+    {"dm", {"0x1.d16c26ef49931p-1", 0, 466, 0x4b9389947ed1dedbULL}},
+    {"dmda", {"0x1.1e45d7a955173p-2", 0, 630, 0xe9b37512ae8329cbULL}},
+    {"dmdas", {"0x1.19a543eb288b7p-2", 0, 665, 0x688c6ad5a7c9faffULL}},
+    {"heteroprio", {"0x1.c4b2fbf0056ep-1", 0, 71972, 0x8764c383ab35a1aeULL}},
+    {"multiprio", {"0x1.0e6dc6c8a3556p-1", 0, 5467, 0xcdcdf8264c13ffdfULL}},
+    {"multiprio-coarse", {"0x1.0e6dc6c8a3556p-1", 0, 5467, 0xcdcdf8264c13ffdfULL}},
+    {"multiprio-noevict", {"0x1.ea8c1bea2e4f4p+0", 0, 7891, 0xeb199e7a13d828fbULL}},
+    {"multiprio-nolocality", {"0x1.bbb31a27b3d34p-1", 0, 8266, 0x7115f2122e46502fULL}},
+    {"multiprio-nonod", {"0x1.0a2be7a4b0cbap-1", 0, 5411, 0x73d59436155a0e12ULL}},
+    {"multiprio-rawbrw", {"0x1.4cc34963bd0c6p-1", 0, 5335, 0xf84b6f426d10d6bdULL}},
+  };
+  expect_golden(c.graph, preset.platform, preset.perf, expected, cfg);
 }
 
 TEST(SimEngineGolden, SparseQrIsByteIdenticalUnderEveryPolicy) {
